@@ -103,25 +103,30 @@ class BatchIngestor:
             batch = list(islice(iterator, self.batch_size))
             if not batch:
                 return assigned
-            assigned.extend(self.ingest_batch(batch))
+            assigned.extend(self.ingest_batch(batch, first_row=len(assigned)))
 
-    def ingest_batch(self, points: Sequence[StreamPoint]) -> List[int]:
-        """Ingest one micro-batch; returns the absorbing cell id per point."""
+    def ingest_batch(self, points: Sequence[StreamPoint], first_row: int = 0) -> List[int]:
+        """Ingest one micro-batch; returns the absorbing cell id per point.
+
+        Numeric batches are checked against the input contract before any
+        state changes: a row with a non-finite value or the wrong dimension
+        rejects the whole batch with a ``ValueError`` naming it (counted
+        from ``first_row``).
+        """
         if not points:
             return []
         model = self.model
         started = _time.perf_counter()
+        if model._numeric:
+            # One C-level conversion and check for the whole batch; cells
+            # created from these rows get the same tuple-of-floats seeds the
+            # sequential path builds via ``_prepare``.
+            values: Any = model._cells.check_rows([point.values for point in points], first_row)
+        else:
+            values = [point.values for point in points]
         obs = model.obs
         obs.counter("ingest_points_total").inc(len(points))
         obs.counter("ingest_batches_total").inc()
-
-        if model._numeric:
-            # One C-level conversion for the whole batch; cells created from
-            # these rows get the same tuple-of-floats seeds the sequential
-            # path builds via ``_prepare``.
-            values: Any = np.asarray([point.values for point in points], dtype=float)
-        else:
-            values = [point.values for point in points]
         times, labels = self._timeline(points)
         if model._start_time is None:
             first = points[0].timestamp
@@ -374,7 +379,7 @@ class BatchIngestor:
                 for row, j in enumerate(candidates.tolist()):
                     if fresh_best[j] <= radius:
                         continue  # absorbed by a seed created earlier in the chunk
-                    seed = tuple(float(v) for v in chunk_values[j])
+                    seed = tuple(chunk_values[j].tolist())
                     density = 1.0
                     if bounded is not None:
                         density += bounded.revival_density(seed, float(chunk_times[j]))

@@ -8,18 +8,16 @@ array of *slots* into a shared :class:`~repro.core.soa.CellArrays` arena
 and gathers the relevant columns (seeds, densities, timestamps, dependent
 distances) straight out of the arena's contiguous storage.
 
-Since the SoA refactor the store holds no cell state of its own — the
-arena is canonical — so there is nothing to keep coherent: moving a cell
-between the active and inactive populations is pure position bookkeeping,
-and the historical write-through hooks (:meth:`CellStore.update_density`,
-:meth:`CellStore.update_delta`, :meth:`CellStore.sync`) are retained as
-no-ops for API compatibility.  For non-numeric data (token sets under the
-Jaccard metric) the store transparently falls back to pure Python loops
-over the same API.
+The store holds no cell state of its own — the arena is canonical — so
+there is nothing to keep coherent: moving a cell between the active and
+inactive populations is pure position bookkeeping.  For non-numeric data
+(token sets under the Jaccard metric) the store transparently falls back to
+pure Python loops over the same API.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -127,9 +125,6 @@ class CellStore:
             self._ids_cache = np.asarray(self._ids, dtype=np.int64)
         return self._ids_cache
 
-    # Backwards-compatible private alias (pre-dates the public cache).
-    _ids_array = ids_array
-
     def seed_view(self) -> Optional[np.ndarray]:
         """The population's seed matrix in array order (cached, read-only).
 
@@ -218,18 +213,6 @@ class CellStore:
         self._size -= 1
         self._arrays.status[slot] = DETACHED
         return self._arrays.view(cell_id)
-
-    # ------------------------------------------------------------------ #
-    # write-through compatibility no-ops
-    # ------------------------------------------------------------------ #
-    def update_density(self, cell_id: int, density: float, last_update: float) -> None:
-        """No-op retained for API compatibility (the arena is canonical)."""
-
-    def update_delta(self, cell_id: int, delta: float) -> None:
-        """No-op retained for API compatibility (the arena is canonical)."""
-
-    def sync(self, cell: ClusterCell) -> None:
-        """No-op retained for API compatibility (the arena is canonical)."""
 
     # ------------------------------------------------------------------ #
     # bulk queries
@@ -361,14 +344,19 @@ class CellStore:
         is empty.
 
         When ``within`` is given, seeds provably farther than ``within`` from
-        a query (by the norm bound ``|‖q‖ - ‖s‖| ≤ ‖q - s‖``) may be skipped:
-        any result at most ``within`` away is still the exact global nearest
-        with exact tie-breaking, while a result beyond ``within`` only
-        promises that *no* seed lies within ``within`` (its distance/id may
-        be those of a non-nearest seed, or ``inf``/-1).  Sorting the seeds by
-        norm is amortised over the whole query batch — this is the
-        micro-batch ingestion path's assignment query, where only coverage
-        within the cell radius matters.
+        a query may be skipped: any result at most ``within`` away is still
+        the exact global nearest with exact tie-breaking, while a result
+        beyond ``within`` only promises that *no* seed lies within ``within``
+        (its distance/id may be those of a non-nearest seed, or ``inf``/-1).
+        Above :attr:`prune_threshold` seeds two bounds do the skipping, per
+        group of 64 norm-sorted queries: the norm window
+        ``|‖q‖ - ‖s‖| ≤ ‖q - s‖``, then one float64 Gram-matrix test that
+        keeps a seed only if some query of the group satisfies
+        ``‖q - s‖² ≤ r² + c(‖q‖² + ‖s‖²)``, with a slack ``c`` that provably
+        covers rounding (see :func:`nearest_over_slots`).  The exact kernel
+        runs on the surviving seeds only — this is the micro-batch ingestion
+        path's assignment query, where only coverage within the cell radius
+        matters.
         """
         n = len(points)
         if n == 0 or self._size == 0:
@@ -386,16 +374,6 @@ class CellStore:
             self.prune_threshold,
             seeds=self.seed_view(),
         )
-
-    @staticmethod
-    def _merge_minima(
-        distances: np.ndarray,
-        ids: np.ndarray,
-        best: Optional[np.ndarray],
-        best_id: Optional[np.ndarray],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold one distance block into running per-row minima (module impl)."""
-        return _merge_minima(distances, ids, best, best_id)
 
     def nearest(self, point: Any) -> Optional[Tuple[int, float]]:
         """Nearest stored cell to ``point`` as ``(cell_id, distance)``."""
@@ -452,10 +430,36 @@ def nearest_over_slots(
     canonical rule shared with ``EDMStream._nearest_seed``.
 
     When ``within`` is given and the selection is larger than
-    ``prune_threshold``, the norm-windowed pruned scan is used: any result
-    at most ``within`` away is the exact global nearest (with exact
-    tie-breaking), while a result beyond ``within`` only promises that *no*
-    seed lies within ``within``.
+    ``prune_threshold``, the pruned scan is used: any result at most
+    ``within`` away is the exact global nearest (with exact tie-breaking),
+    while a result beyond ``within`` only promises that *no* seed lies
+    within ``within``.  Queries go in groups of 64 by norm.  A group's
+    candidates are the seeds in its norm window (``|‖q‖ - ‖s‖| ≤ r``), cut
+    down by one float64 matmul: with ``a_q = ((1-c)‖q‖² - r²)/2`` and
+    ``b_s = (1-c)‖s‖²/2``, the lifted rows ``[q, -a_q]`` and ``[s, 1]``
+    give ``q̃·s̃ = q·s - a_q``, and a seed is kept iff
+    ``max_q q̃·s̃ ≥ b_s``, i.e. iff ``‖q - s‖² ≤ r² + c(‖q‖² + ‖s‖²)`` for
+    some query of the group.  The exact kernel then runs on the kept seeds
+    only, so every distance it returns is the one the sequential path sees.
+
+    Why no seed within ``r`` is ever dropped (``u = 2⁻⁵³``, ``d`` the
+    dimension, ``N = ‖q‖² + ‖s‖²``, ``D`` the true distance): the kernel
+    reporting ``≤ r`` means ``D² ≤ r²(1 + δ)`` with ``δ ≤ 2(d+3)u``.  The
+    computed test differs from ``(r² + cN - D²)/2`` by at most
+    ``κ(N + r²)/2`` with ``κ = 4(d+3)u`` — the matmul, the squared norms
+    (``seed_norm2`` is accumulated in float64 even for float32 seeds) and
+    the few scalar operations, for any summation order.  If ``N < r²/4``
+    then ``D² ≤ 2N < r²/2`` and the margin ``r²/2`` dwarfs the error.
+    Otherwise ``r² ≤ 4N`` and the slack ``cN`` must cover
+    ``δr² + κ(N + r²) ≤ (4δ + 5κ)N``, which ``c = 2⁻³⁰`` does for any
+    ``d < 2¹⁶`` (the error is about ``1e-14·N`` at ``d = 34``).  Float32
+    arenas run a float32 kernel whose ``d²`` is off by up to
+    ``(d+5)·2⁻²⁴`` relative (plus the rounding of ``r`` to float32 in the
+    caller's comparison), so there ``r²`` is first widened to
+    ``r²(1 + (d+8)·2⁻²³)``, for both the norm window and the test; the test
+    itself still runs in float64 on the exact float32 values.  A query row
+    with a NaN would poison its group's maximum, which is one reason the
+    model rejects non-finite input before it gets here.
 
     ``seeds`` optionally supplies the already-gathered ``(size, dim)`` seed
     matrix for ``slots`` (e.g. :meth:`CellStore.seed_view`), skipping the
@@ -464,10 +468,10 @@ def nearest_over_slots(
     size = int(slots.shape[0])
     if size == 0 or queries.shape[0] == 0:
         return None, None
-    if seeds is None:
-        seeds = arrays.seeds[slots]
     if within is not None and size > prune_threshold:
         return _nearest_pruned(arrays, slots, seeds, ids, queries, within)
+    if seeds is None:
+        seeds = arrays.seeds[slots]
     block = max(1, 8_000_000 // max(1, 8 * queries.shape[0]))
     best = best_id = None
     for start in range(0, size, block):
@@ -477,43 +481,71 @@ def nearest_over_slots(
     return best, best_id
 
 
+#: Relative slack ``c`` of the Gram-matrix bound (derived in
+#: :func:`nearest_over_slots`).
+_GRAM_SLACK = 2.0**-30
+
+
 def _nearest_pruned(
     arrays: CellArrays,
     slots: np.ndarray,
-    seeds: np.ndarray,
+    seeds: Optional[np.ndarray],
     ids: np.ndarray,
     queries: np.ndarray,
     within: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Norm-windowed nearest query (see :func:`nearest_over_slots`).
+    """Norm-windowed, Gram-bounded nearest query (see :func:`nearest_over_slots`).
 
-    Queries are processed in norm-sorted groups; each group only scans the
-    seeds whose norm falls inside the group's ``± within`` window (padded by
-    a relative epsilon so float rounding of the norms can never exclude a
-    seed that is genuinely within ``within``).
+    Queries are processed in norm-sorted groups of 64.  Seeds are sorted by
+    norm once, so each group's norm window (padded by a relative epsilon so
+    float rounding of the norms can never exclude a seed within reach) is a
+    contiguous slice of the lifted seed matrix, and the Gram test is one
+    matmul over that slice.
     """
-    n = queries.shape[0]
-    seed_norm = np.sqrt(arrays.seed_norm2[slots])
-    seed_order = np.argsort(seed_norm, kind="stable")
-    seed_norm_sorted = seed_norm[seed_order]
-    query_norm = np.sqrt(np.einsum("ij,ij->i", queries, queries, dtype=np.float64))
-    query_order = np.argsort(query_norm, kind="stable")
+    n, dim = queries.shape
+    reach2 = within * within
+    if queries.dtype == np.float32:
+        reach2 *= 1.0 + (dim + 8) * 2.0**-23
+    reach = math.sqrt(reach2)
+    # Seeds in norm order (the order among equal norms is immaterial: ties
+    # between kept seeds resolve by id), lifted to [s, 1], with b_s.
+    seed_norm2 = arrays.seed_norm2[slots]
+    seed_order = np.argsort(seed_norm2)
+    seed_norm2 = seed_norm2[seed_order]
+    seed_norm = np.sqrt(seed_norm2)
+    ordered = arrays.seeds[slots[seed_order]] if seeds is None else seeds[seed_order]
+    ordered_ids = ids[seed_order]
+    lifted_seeds = np.empty((ordered.shape[0], dim + 1))
+    lifted_seeds[:, :dim] = ordered
+    lifted_seeds[:, dim] = 1.0
+    seed_bound = (0.5 * (1.0 - _GRAM_SLACK)) * seed_norm2
+    # Queries in norm order, lifted to [q, -a_q] with ‖q‖² in float64.
+    query_norm2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
+    query_order = np.argsort(query_norm2)
+    query_norm2 = query_norm2[query_order]
+    sorted_queries = queries[query_order]
+    lifted_queries = np.empty((n, dim + 1))
+    lifted_queries[:, :dim] = sorted_queries
+    lifted_queries[:, dim] = 0.5 * (reach2 - (1.0 - _GRAM_SLACK) * query_norm2)
+    query_norm = np.sqrt(query_norm2)
     best = np.full(n, np.inf)
     best_id = np.full(n, -1, dtype=np.int64)
     for start in range(0, n, 64):
-        rows = query_order[start : start + 64]
-        low = float(query_norm[rows[0]])
-        high = float(query_norm[rows[-1]])
-        margin = within + 1e-9 * (high + within)
-        first = int(np.searchsorted(seed_norm_sorted, low - margin, side="left"))
-        last = int(np.searchsorted(seed_norm_sorted, high + margin, side="right"))
+        stop = min(n, start + 64)
+        low = float(query_norm[start])
+        high = float(query_norm[stop - 1])
+        margin = reach + 1e-9 * (high + reach)
+        first = int(np.searchsorted(seed_norm, low - margin, side="left"))
+        last = int(np.searchsorted(seed_norm, high + margin, side="right"))
         if first >= last:
             continue
-        candidates = seed_order[first:last]
-        distances = pairwise_euclidean(queries[rows], seeds[candidates])
-        group_best, group_id = _merge_minima(distances, ids[candidates], None, None)
-        best[rows] = group_best
-        best_id[rows] = group_id
+        gram = lifted_queries[start:stop] @ lifted_seeds[first:last].T
+        keep = first + np.flatnonzero(gram.max(axis=0) >= seed_bound[first:last])
+        if keep.size == 0:
+            continue
+        distances = pairwise_euclidean(sorted_queries[start:stop], ordered[keep])
+        rows = query_order[start:stop]
+        best[rows], best_id[rows] = _merge_minima(distances, ordered_ids[keep], None, None)
     return best, best_id
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from itertools import islice
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -309,11 +310,16 @@ class EDMStream(StreamClusterer):
         """
         points = as_stream_points(stream)
         if batch_size is None:
+            # The per-point engine checks the input contract 256 rows at a
+            # time too, so a bad row rejects its chunk before any of it lands.
             assigned = []
-            for point in points:
-                assigned.append(
-                    self.learn_one(point.values, timestamp=point.timestamp, label=point.label)
-                )
+            while chunk := list(islice(points, 256)):
+                if self._numeric:
+                    self._cells.check_rows([point.values for point in chunk], len(assigned))
+                for point in chunk:
+                    assigned.append(
+                        self.learn_one(point.values, timestamp=point.timestamp, label=point.label)
+                    )
         else:
             from repro.core.batch import BatchIngestor
 
@@ -414,7 +420,8 @@ class EDMStream(StreamClusterer):
         snapshot is rebuilt at most once per mutation epoch, so repeated
         queries between ingestions share one frozen view.
         """
-        return int(self.request_clustering().predict_one(self._prepare(values)))
+        point = self._prepare(values)
+        return int(self.request_clustering().predict_one(point))
 
     def predict_many(self, points: Sequence[Any]) -> np.ndarray:
         """Vectorised :meth:`predict_one` for a batch of query points.
@@ -422,10 +429,13 @@ class EDMStream(StreamClusterer):
         One call into the snapshot's blocked
         :func:`~repro.distance.metrics.pairwise_euclidean` kernel instead of
         one Python-level scan per point; row ``i`` equals
-        ``predict_one(points[i])``.
+        ``predict_one(points[i])``.  Numeric rows are checked against the
+        input contract first, like :meth:`predict_one`.
         """
         if not hasattr(points, "__len__"):
             points = list(points)
+        if self._numeric:
+            points = self._cells.check_rows(points)
         return self.request_clustering().predict_many(points)
 
     def decision_graph(self) -> List[Tuple[float, float, int]]:
@@ -483,9 +493,19 @@ class EDMStream(StreamClusterer):
     # internals: assignment
     # ------------------------------------------------------------------ #
     def _prepare(self, values: Any) -> Any:
-        if self._numeric:
-            return tuple(float(v) for v in values)
-        return values
+        """One input point as the model stores it, checked against the contract.
+
+        Numeric points become tuples of floats; a point with a non-finite
+        value or the wrong dimension raises ``ValueError`` (see
+        :meth:`CellArrays.check_rows <repro.core.soa.CellArrays.check_rows>`)
+        before any state changes.
+        """
+        if not self._numeric:
+            return values
+        point = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, point)) or self._cells.dim not in (None, len(point)):
+            self._cells.check_rows([point])
+        return point
 
     def _effective_tau(self) -> float:
         if self._tau is not None:

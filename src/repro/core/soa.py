@@ -28,7 +28,8 @@ builds on it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+import math
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +95,8 @@ class CellArrays:
         #: Contiguous ``(capacity, dim)`` seed matrix (numeric arenas only);
         #: allocated lazily when the first seed fixes the dimension.
         self.seeds: Optional[np.ndarray] = None
-        #: Squared seed norms, used by the norm-window pruned nearest query.
+        #: Squared seed norms (float64), for the pruned nearest query's norm
+        #: window and Gram-matrix bound.
         self.seed_norm2 = np.zeros(self.capacity, dtype=np.float64)
         for name, col_dtype, fill in _SCALAR_COLUMNS:
             setattr(self, name, np.full(self.capacity, fill, dtype=col_dtype))
@@ -169,20 +171,54 @@ class CellArrays:
         self.capacity = new_capacity
 
     def _set_seed(self, slot: int, seed: Any) -> None:
+        if self.numeric:
+            if self.seeds is None:
+                self.dim = len(seed)
+                self.seeds = np.zeros((self.capacity, self.dim), dtype=self.seed_dtype)
+            elif len(seed) != self.dim:
+                raise ValueError(
+                    f"seed dimension {len(seed)} does not match arena dimension {self.dim}"
+                )
+            row = self.seeds[slot]
+            row[:] = seed
+            # Squared norm of the stored (dtype-cast) row, in float64 even for
+            # float32 seeds: the pruned scan's bounds rely on that accuracy.
+            self.seed_norm2[slot] = math.hypot(*row.tolist()) ** 2
         self._seed_obj[slot] = seed
-        if not self.numeric:
-            return
-        row = np.asarray(seed, dtype=self.seed_dtype)
-        if self.dim is None:
-            self.dim = int(row.shape[0])
-        elif row.shape[0] != self.dim:
+
+    def check_rows(self, rows: Sequence[Any], first_row: int = 0) -> np.ndarray:
+        """Stack numeric input rows into a float64 matrix under the input contract.
+
+        Every row must hold finite values, and as many of them as the
+        arena's dimension (fixed by the first seed; before that, by the
+        first row).  A NaN would make the nearest-seed scans compare NaN
+        distances and let the batch and per-point engines diverge; a wrong
+        dimension would otherwise fail deep inside the distance kernel.
+        Raises ``ValueError`` naming the first offending row, counted from
+        ``first_row``.
+        """
+        if len(rows) == 0:
+            return np.empty((0, self.dim or 0))
+        try:
+            matrix = np.asarray(rows, dtype=np.float64)
+        except ValueError:  # ragged rows; the loop below names the first
+            matrix = None
+        dim = self.dim
+        if matrix is None or matrix.ndim != 2 or dim not in (None, matrix.shape[1]):
+            expected = np.size(rows[0]) if dim is None else dim
+            for i, row in enumerate(rows):
+                if np.ndim(row) != 1 or np.size(row) != expected:
+                    raise ValueError(
+                        f"row {first_row + i} has {np.size(row)} values, "
+                        f"expected {expected}: {row!r}"
+                    )
+            matrix = np.asarray(rows, dtype=np.float64)
+        if not np.isfinite(matrix).all():
+            i = int(np.argmin(np.isfinite(matrix).all(axis=1)))
             raise ValueError(
-                f"seed dimension {row.shape[0]} does not match arena dimension {self.dim}"
+                f"row {first_row + i} has a non-finite value: {matrix[i].tolist()}"
             )
-        if self.seeds is None or self.seeds.shape[1] != self.dim:
-            self.seeds = np.zeros((self.capacity, self.dim), dtype=self.seed_dtype)
-        self.seeds[slot] = row
-        self.seed_norm2[slot] = float(np.einsum("i,i->", row, row, dtype=np.float64))
+        return matrix
 
     def allocate(
         self,

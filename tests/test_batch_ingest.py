@@ -179,13 +179,13 @@ class TestLearnManyEquivalence:
         assert_equivalent(one_shot, incremental)
 
     def test_pruned_nearest_path_preserves_equivalence(self, monkeypatch):
-        """Full ingest equivalence with the norm-window pruning engaged.
+        """Full ingest equivalence with the pruned scan engaged.
 
         The default prune threshold (512 cells) is rarely reached by
         test-sized streams, so lower it to force every assignment query in
-        the batch path through ``CellStore._nearest_many_pruned`` —
-        including stores churned by activation/deactivation swap-deletes
-        and capacity growth.
+        the batch path through ``cellstore._nearest_pruned`` (norm window
+        plus Gram bound) — including stores churned by
+        activation/deactivation swap-deletes and capacity growth.
         """
         from repro.core.cellstore import CellStore
 

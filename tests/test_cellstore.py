@@ -110,10 +110,10 @@ class TestQueries:
         cell = make_cell((0.0,))
         store.add(cell)
         cell.absorb(1.0, decay)
-        store.update_density(cell.cell_id, cell.density, cell.last_update)
         cell.delta = 0.7
-        store.update_delta(cell.cell_id, 0.7)
         store.validate()
+        assert store.raw_densities()[0] == cell.density
+        assert store.deltas()[0] == 0.7
 
     def test_sync_mirrors_all_fields(self):
         store = CellStore()
@@ -122,8 +122,10 @@ class TestQueries:
         cell.density = 9.0
         cell.last_update = 4.0
         cell.delta = 1.25
-        store.sync(cell)
         store.validate()
+        assert store.raw_densities()[0] == 9.0
+        assert store.last_updates()[0] == 4.0
+        assert store.deltas()[0] == 1.25
 
     def test_jaccard_store_falls_back_to_metric_loop(self):
         store = CellStore(numeric=False, metric=jaccard_distance)
