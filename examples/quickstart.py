@@ -30,7 +30,8 @@ def main() -> None:
     stream = SDSGenerator(n_points=20000, rate=rate, seed=7).generate()
 
     # decay_lambda = rate gives a per-point forgetting factor of 0.998, so the
-    # 20-second evolution of the stream is visible (see EXPERIMENTS.md).
+    # 20-second evolution of the stream is visible (with decay_lambda = 1 the
+    # density half-life would be ~350 s, longer than the whole stream).
     model = EDMStream(
         radius=0.3,
         beta=0.0021,

@@ -9,7 +9,8 @@ baselines, with DP as the offline algorithm.
 
 Comparing EDMStream against :class:`PeriodicDPStream` isolates the benefit
 of the DP-Tree and the filtering schemes from the benefit of the density-
-mountain formulation itself (see ``benchmarks/bench_ablation_dptree.py``).
+mountain formulation itself (see the ``ablation`` experiment,
+``python -m repro run ablation``).
 """
 
 from __future__ import annotations

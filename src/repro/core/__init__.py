@@ -8,8 +8,9 @@ The sub-modules follow the structure of the paper:
   (Section 2.2) and MSDSubTree extraction (Definition 2).
 * :mod:`repro.core.reservoir` — the outlier reservoir holding inactive
   cluster-cells (Sections 4.1, 4.3 and 4.4).
-* :mod:`repro.core.filters` — the density filter (Theorem 1) and the
-  triangle-inequality filter (Theorem 2) used to skip dependency updates.
+* :mod:`repro.core.filters` — counters for the density filter (Theorem 1)
+  and the triangle-inequality filter (Theorem 2) that skip dependency
+  updates.
 * :mod:`repro.core.evolution` — cluster-evolution tracking (Table 1).
 * :mod:`repro.core.adaptive_tau` — adaptive tuning of τ (Section 5).
 * :mod:`repro.core.edmstream` — the online EDMStream algorithm (Section 4).
@@ -24,7 +25,7 @@ from repro.core.decay import DecayModel
 from repro.core.dptree import DPTree
 from repro.core.edmstream import EDMStream
 from repro.core.evolution import ClusterEvent, EvolutionTracker, EvolutionType
-from repro.core.filters import DependencyFilter, FilterStatistics
+from repro.core.filters import FilterStatistics
 from repro.core.reservoir import OutlierReservoir
 from repro.core.persistence import (
     load_model,
@@ -39,7 +40,6 @@ __all__ = [
     "ClusterCell",
     "DPTree",
     "OutlierReservoir",
-    "DependencyFilter",
     "FilterStatistics",
     "EvolutionTracker",
     "EvolutionType",

@@ -40,8 +40,7 @@ def evaluation_function(tau: float, deltas: Sequence[float], alpha: float) -> fl
     stated goal (its literal form is monotonically minimised by putting
     every link in the intra set, i.e. a single cluster, for any α).  We
     implement the form consistent with the stated optimisation goal and
-    with the Table 4 behaviour (dynamic τ keeps two clusters at 4-6 s); the
-    discrepancy is recorded in EXPERIMENTS.md.
+    with the Table 4 behaviour (dynamic τ keeps two clusters at 4-6 s).
 
     Infinite δ values (tree roots) are excluded, as are non-positive ones.
     Degenerate partitions (empty intra or empty inter set) evaluate to

@@ -716,7 +716,7 @@ class BatchIngestor:
             count=len(dirty),
         )
         matrix = store.cross_distances(positions)
-        model.filter.stats.distance_computations += int(matrix.size - len(dirty))
+        model._filter_stats.distance_computations += int(matrix.size - len(dirty))
 
         dirty_rho = densities[positions]
         dirty_ids = ids[positions]
@@ -747,7 +747,7 @@ class BatchIngestor:
         new_delta = best_distance
         old_dep = arena.dep[dirty_slots]
         old_delta = arena.delta[dirty_slots]
-        model.filter.stats.dependency_changes += int(
+        model._filter_stats.dependency_changes += int(
             np.count_nonzero((new_dep != old_dep) | (new_delta != old_delta))
         )
         arena.dep[dirty_slots] = new_dep
@@ -796,7 +796,7 @@ class BatchIngestor:
                     (col_delta == cur_delta) & ((cur_dep == -1) | (parents < cur_dep))
                 )
                 winners = np.flatnonzero(improves)
-                model.filter.stats.dependency_changes += int(winners.size)
+                model._filter_stats.dependency_changes += int(winners.size)
                 arena.dep[col_slots[winners]] = parents[winners]
                 arena.delta[col_slots[winners]] = col_delta[winners]
                 for w in winners:

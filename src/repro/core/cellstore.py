@@ -375,14 +375,6 @@ class CellStore:
             seeds=self.seed_view(),
         )
 
-    def nearest(self, point: Any) -> Optional[Tuple[int, float]]:
-        """Nearest stored cell to ``point`` as ``(cell_id, distance)``."""
-        if self._size == 0:
-            return None
-        distances = self.distances_to(point)
-        position = int(np.argmin(distances))
-        return self._ids[position], float(distances[position])
-
     def position_of(self, cell_id: int) -> int:
         """Array position of a cell id (valid until the next add/remove)."""
         return self._pos[cell_id]

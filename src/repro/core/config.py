@@ -81,17 +81,8 @@ class EDMStreamConfig:
         approximate sketch tier instead of letting the arena grow past the
         cap, and re-arriving neighborhoods revive with their sketched
         density — see ``docs/ARCHITECTURE.md`` "Bounded-memory tier".
-        Numeric metrics only.
-    sketch_width, sketch_depth:
-        Geometry of the count-min sketch holding evicted densities (only
-        used when ``memory_cap_bytes`` is set).
-    sketch_bloom_capacity, sketch_bloom_error_rate:
-        Sizing of the bloom filter that gates revival (distinct evicted
-        neighborhoods the filter is dimensioned for, and its target
-        false-positive rate at that load).
-    sketch_revive_min:
-        Smallest sketch estimate that revives a new cell; aged-out residue
-        below it is ignored.
+        Numeric metrics only.  The sketch geometry is derived from the cap
+        (:meth:`repro.sketch.SketchTier.auto_sized`).
     telemetry:
         Observability knob (``repro.obs``).  ``None``/``False`` (default)
         keeps telemetry off: the model holds the shared null facade, pays
@@ -122,11 +113,6 @@ class EDMStreamConfig:
     outlier_label: int = -1
     dtype: str = "float64"
     memory_cap_bytes: Optional[int] = None
-    sketch_width: int = 4096
-    sketch_depth: int = 4
-    sketch_bloom_capacity: int = 100_000
-    sketch_bloom_error_rate: float = 0.01
-    sketch_revive_min: float = 0.05
     telemetry: object = None
 
     def __post_init__(self) -> None:
@@ -163,24 +149,6 @@ class EDMStreamConfig:
         if self.memory_cap_bytes is not None and self.memory_cap_bytes <= 0:
             raise ValueError(
                 f"memory_cap_bytes must be positive when given, got {self.memory_cap_bytes}"
-            )
-        if self.sketch_width < 1 or self.sketch_depth < 1:
-            raise ValueError(
-                f"sketch geometry must be positive, got width={self.sketch_width}, "
-                f"depth={self.sketch_depth}"
-            )
-        if self.sketch_bloom_capacity < 1:
-            raise ValueError(
-                f"sketch_bloom_capacity must be >= 1, got {self.sketch_bloom_capacity}"
-            )
-        if not 0.0 < self.sketch_bloom_error_rate < 1.0:
-            raise ValueError(
-                "sketch_bloom_error_rate must be in (0, 1), got "
-                f"{self.sketch_bloom_error_rate}"
-            )
-        if self.sketch_revive_min < 0.0:
-            raise ValueError(
-                f"sketch_revive_min must be non-negative, got {self.sketch_revive_min}"
             )
         if (
             self.telemetry is not None

@@ -39,7 +39,7 @@ from repro.core.config import EDMStreamConfig
 from repro.core.decay import DecayModel
 from repro.core.dptree import DPTree
 from repro.core.evolution import EvolutionTracker
-from repro.core.filters import DependencyFilter, FilterStatistics
+from repro.core.filters import FilterStatistics
 from repro.core.reservoir import OutlierReservoir
 from repro.core.soa import CellArrays
 from repro.distance import get_metric
@@ -84,10 +84,7 @@ class EDMStream(StreamClusterer):
         )
         self.evolution = EvolutionTracker()
         self.tau_optimizer = TauOptimizer(alpha=config.alpha)
-        self.filter = DependencyFilter(
-            enable_density_filter=config.enable_density_filter,
-            enable_triangle_filter=config.enable_triangle_filter,
-        )
+        self._filter_stats = FilterStatistics()
 
         # Telemetry (repro.obs).  Off by default: the null facade makes
         # every instrumentation point a no-op and the clustering path is
@@ -133,11 +130,6 @@ class EDMStream(StreamClusterer):
                 decay=self.decay,
                 radius=config.radius,
                 memory_cap_bytes=config.memory_cap_bytes,
-                cms_width=config.sketch_width,
-                cms_depth=config.sketch_depth,
-                bloom_capacity=config.sketch_bloom_capacity,
-                bloom_error_rate=config.sketch_bloom_error_rate,
-                revive_min=config.sketch_revive_min,
             )
             self._bounded = BoundedCellStore(
                 arena=self._cells,
@@ -216,7 +208,7 @@ class EDMStream(StreamClusterer):
     @property
     def filter_stats(self) -> FilterStatistics:
         """Counters of filtered / performed dependency updates."""
-        return self.filter.stats
+        return self._filter_stats
 
     @property
     def initialized(self) -> bool:
@@ -458,7 +450,7 @@ class EDMStream(StreamClusterer):
             "tau": self._tau,
             "alpha": self.alpha,
             "active_threshold": self.active_threshold(),
-            "filter_stats": self.filter.stats.as_dict(),
+            "filter_stats": self._filter_stats.as_dict(),
             "dependency_update_seconds": self.dependency_update_seconds,
         }
         if self._bounded is not None:
@@ -621,8 +613,6 @@ class EDMStream(StreamClusterer):
             return
 
         started = _time.perf_counter()
-        point_to_absorber = float(active_distances[self._active.position_of(cell_id)])
-        self.filter.begin_event(rho_before, rho_after, point_to_absorber)
         self._refresh_own_dependency(cell, now)
         self._update_candidate_dependencies(cell, now, rho_before, rho_after, active_distances)
         self.dependency_update_seconds += _time.perf_counter() - started
@@ -658,7 +648,7 @@ class EDMStream(StreamClusterer):
             return
         positions = np.flatnonzero(higher)
         distances = self._active.distances_to_subset(cell.seed, positions)
-        self.filter.stats.distance_computations += int(positions.size)
+        self._filter_stats.distance_computations += int(positions.size)
         best_distance = float(np.min(distances))
         # Canonical tie-breaking: among equidistant dominators the smallest
         # cell id wins, so the dependency graph is a pure function of the
@@ -669,7 +659,7 @@ class EDMStream(StreamClusterer):
         tied = np.flatnonzero(distances == best_distance)
         best_id = int(np.min(ids[positions[tied]]))
         if best_id != cell.dependency or best_distance != cell.delta:
-            self.filter.stats.dependency_changes += 1
+            self._filter_stats.dependency_changes += 1
         self.tree.set_dependency(cell.cell_id, best_id, best_distance)
 
     def _update_candidate_dependencies(
@@ -698,7 +688,7 @@ class EDMStream(StreamClusterer):
 
         candidate = ids != absorber.cell_id
         n_candidates = int(np.count_nonzero(candidate))
-        self.filter.stats.candidates += n_candidates
+        self._filter_stats.candidates += n_candidates
 
         # Only cells the absorber now dominates can ever point at it; this is
         # part of the dependency definition (Eq. 7), not an optional filter.
@@ -712,7 +702,7 @@ class EDMStream(StreamClusterer):
             # higher-density set need re-examination, i.e. previously not
             # dominated (rho_c >= rho_before) and now dominated (rho_c < rho_after).
             survivors &= dominated & (densities >= rho_before)
-            self.filter.stats.density_filtered += n_candidates - int(
+            self._filter_stats.density_filtered += n_candidates - int(
                 np.count_nonzero(survivors)
             )
 
@@ -720,7 +710,7 @@ class EDMStream(StreamClusterer):
             before_triangle = int(np.count_nonzero(survivors))
             triangle_ok = np.abs(active_distances - point_to_absorber) <= deltas
             survivors &= triangle_ok
-            self.filter.stats.triangle_filtered += before_triangle - int(
+            self._filter_stats.triangle_filtered += before_triangle - int(
                 np.count_nonzero(survivors)
             )
 
@@ -729,7 +719,7 @@ class EDMStream(StreamClusterer):
             return
 
         seed_distances = self._active.distances_to_subset(absorber.seed, positions)
-        self.filter.stats.distance_computations += int(positions.size)
+        self._filter_stats.distance_computations += int(positions.size)
         for offset, position in enumerate(positions):
             if not dominated[position]:
                 continue
@@ -738,7 +728,7 @@ class EDMStream(StreamClusterer):
             if not self._lex_improves(distance, absorber.cell_id, candidate_id, deltas[position]):
                 continue
             self.tree.set_dependency(candidate_id, absorber.cell_id, distance)
-            self.filter.stats.dependency_changes += 1
+            self._filter_stats.dependency_changes += 1
 
     @staticmethod
     def _is_higher(rho_a: float, id_a: int, rho_b: float, id_b: int) -> bool:
@@ -796,14 +786,14 @@ class EDMStream(StreamClusterer):
         if positions.size == 0:
             return
         distances = self._active.distances_to_subset(new_cell.seed, positions)
-        self.filter.stats.distance_computations += int(positions.size)
+        self._filter_stats.distance_computations += int(positions.size)
         for offset, position in enumerate(positions):
             distance = float(distances[offset])
             candidate_id = int(ids[position])
             if not self._lex_improves(distance, new_cell.cell_id, candidate_id, deltas[position]):
                 continue
             self.tree.set_dependency(candidate_id, new_cell.cell_id, distance)
-            self.filter.stats.dependency_changes += 1
+            self._filter_stats.dependency_changes += 1
 
     def _deactivate_cells(self, cell_ids: Sequence[int], now: float) -> None:
         """Move decayed cells from the DP-Tree to the outlier reservoir."""

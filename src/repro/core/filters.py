@@ -14,13 +14,16 @@ update can be skipped:
   distances are already known from the assignment step, so this check is
   almost free.
 
-:class:`FilterStatistics` counts how many updates each filter avoided, which
-feeds the ablation experiment of Figure 11.
+The per-point path applies both checks inline, vectorised over the active
+cells (``EDMStream._update_candidate_dependencies``); the micro-batch engine
+(:mod:`repro.core.batch`) replaces them with one dirty-cell repair per
+batch.  :class:`FilterStatistics` counts how many updates each filter
+avoided, which feeds the ablation experiment of Figure 11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -63,71 +66,3 @@ class FilterStatistics:
             "dependency_changes": self.dependency_changes,
             "filter_rate": self.filter_rate,
         }
-
-
-@dataclass
-class DependencyFilter:
-    """Applies the Theorem 1 / Theorem 2 checks for one absorption event.
-
-    A fresh instance (or :meth:`begin_event`) is used per absorption because
-    the checks depend on the absorbing cell's density before and after the
-    event and on the absorbed point's distances to the candidate seeds.
-    """
-
-    enable_density_filter: bool = True
-    enable_triangle_filter: bool = True
-    stats: FilterStatistics = field(default_factory=FilterStatistics)
-
-    # Densities of the absorbing cell before/after the absorption, set per event.
-    _rho_absorber_before: float = 0.0
-    _rho_absorber_after: float = 0.0
-    _point_to_absorber: float = 0.0
-
-    def begin_event(
-        self,
-        rho_absorber_before: float,
-        rho_absorber_after: float,
-        point_to_absorber_distance: float,
-    ) -> None:
-        """Record the state of the absorbing cell ``c'`` for this event."""
-        self._rho_absorber_before = rho_absorber_before
-        self._rho_absorber_after = rho_absorber_after
-        self._point_to_absorber = point_to_absorber_distance
-
-    def skip_by_density(self, rho_candidate: float) -> bool:
-        """Theorem 1: True if the candidate's dependency provably cannot change."""
-        if not self.enable_density_filter:
-            return False
-        return (
-            rho_candidate < self._rho_absorber_before
-            or rho_candidate >= self._rho_absorber_after
-        )
-
-    def skip_by_triangle(self, point_to_candidate: float, candidate_delta: float) -> bool:
-        """Theorem 2: True if ``c'`` provably cannot become the candidate's dependency."""
-        if not self.enable_triangle_filter:
-            return False
-        if candidate_delta == float("inf"):
-            # A root has no dependent distance to protect; never filter it out.
-            return False
-        return abs(point_to_candidate - self._point_to_absorber) > candidate_delta
-
-    def should_update(
-        self,
-        rho_candidate: float,
-        point_to_candidate: float,
-        candidate_delta: float,
-    ) -> bool:
-        """Combined check; updates the statistics counters.
-
-        Returns True when the candidate's dependency must be re-examined
-        (i.e. neither filter could rule the change out).
-        """
-        self.stats.candidates += 1
-        if self.skip_by_density(rho_candidate):
-            self.stats.density_filtered += 1
-            return False
-        if self.skip_by_triangle(point_to_candidate, candidate_delta):
-            self.stats.triangle_filtered += 1
-            return False
-        return True

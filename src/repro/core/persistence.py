@@ -30,6 +30,16 @@ from repro.distance.text import TokenSetPoint
 #: Format version written into every snapshot, checked on load.
 FORMAT_VERSION = 1
 
+#: Config keys that earlier snapshots carry but :class:`EDMStreamConfig` no
+#: longer has: the sketch geometry is now always derived from the memory cap.
+_RETIRED_CONFIG_KEYS = (
+    "sketch_width",
+    "sketch_depth",
+    "sketch_bloom_capacity",
+    "sketch_bloom_error_rate",
+    "sketch_revive_min",
+)
+
 __all__ = [
     "FORMAT_VERSION",
     "model_to_dict",
@@ -101,9 +111,12 @@ def model_to_dict(model: EDMStream) -> Dict[str, Any]:
     numeric = model._numeric
     active = [_encode_cell(cell, numeric) for cell in model.tree.cells()]
     inactive = [_encode_cell(cell, numeric) for cell in model.reservoir.cells()]
+    config = dict(model.config.__dict__)
+    # A Telemetry instance is live process state: persist only whether it was on.
+    config["telemetry"] = config["telemetry"] not in (None, False)
     return {
         "format_version": FORMAT_VERSION,
-        "config": dict(model.config.__dict__),
+        "config": config,
         "state": {
             "tau": model._tau,
             "alpha": model.tau_optimizer.alpha,
@@ -127,7 +140,9 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
         raise ValueError(
             f"unsupported snapshot format version {version!r} (expected {FORMAT_VERSION})"
         )
-    config = EDMStreamConfig(**data["config"])
+    config = EDMStreamConfig(
+        **{k: v for k, v in data["config"].items() if k not in _RETIRED_CONFIG_KEYS}
+    )
     model = EDMStream(config)
     numeric = model._numeric
 
@@ -173,11 +188,15 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
 
 
 def save_model(model: EDMStream, path: Union[str, pathlib.Path]) -> pathlib.Path:
-    """Write a model snapshot to a JSON file and return its path."""
+    """Write a model snapshot to a JSON file and return its path.
+
+    The snapshot is serialised completely before the file is opened, so a
+    model that fails to serialise leaves an existing file at ``path`` intact.
+    """
+    text = json.dumps(model_to_dict(model))
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(model_to_dict(model), handle)
+    target.write_text(text, encoding="utf-8")
     return target
 
 

@@ -48,8 +48,8 @@ except ImportError:  # pragma: no cover - scipy is optional
 def pairwise_euclidean(queries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance matrix between two point sets.
 
-    This is the single bulk kernel shared by the cell stores, the seed
-    indexes and the micro-batch ingestion path; routing every bulk Euclidean
+    This is the single bulk kernel shared by the cell stores and the
+    micro-batch ingestion path; routing every bulk Euclidean
     computation through one function guarantees the sequential and batch
     ingestion paths see bit-identical distances.  Two backends, both
     difference-based (no ``x² + y² - 2xy`` cancellation for points far from

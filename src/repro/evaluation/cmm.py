@@ -19,9 +19,9 @@ miss, an object deeply embedded in a foreign cluster is expensive.
     CMM(C, CL) = 1 - Σ_{o ∈ F} w(o)·pen(o, C) / Σ_{o ∈ F} w(o)·con(o, Cl(o))
 
 with CMM = 1 when there are no fault objects.  This implementation follows
-the published definition with one simplification, documented in
-EXPERIMENTS.md: ground-truth classes are used directly as the reference
-clustering (the original optionally splits classes into sub-clusters first).
+the published definition with one simplification: ground-truth classes are
+used directly as the reference clustering (the original optionally splits
+classes into sub-clusters first).
 """
 
 from __future__ import annotations

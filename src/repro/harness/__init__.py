@@ -7,8 +7,9 @@
 * :mod:`repro.harness.runner` — drives any stream clusterer over a stream
   while measuring response time, throughput and quality.
 * :mod:`repro.harness.experiments` — one driver per table/figure of the
-  paper's evaluation (Section 6); the ``benchmarks/`` directory contains one
-  pytest-benchmark file per driver.
+  paper's evaluation (Section 6); :mod:`repro.harness.registry` registers
+  each one and ``python -m repro fleet run --id <id>`` runs it as a
+  benchmark.
 """
 
 from repro.harness.results import ExperimentResult, RunMetrics, SeriesResult

@@ -11,9 +11,6 @@ the Section 6 experiments.
 * :func:`experiment_beta_ablation` — effect of the active-threshold
   multiplier β on the number of active cells, the reservoir size and
   quality (Section 4.3).
-* :func:`experiment_index_ablation` — per-query cost of the three
-  nearest-seed indexes (brute force, uniform grid, KD-tree) as the number
-  of seeds grows.
 * :func:`experiment_tracking_comparison` — EDMStream's online evolution log
   versus the offline MONIC and MEC trackers run over periodic snapshots of
   the same model (Sections 1 and 7: "existing solutions need an additional
@@ -26,16 +23,15 @@ the Section 6 experiments.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.baselines import Birch
 from repro.core import EDMStream
 from repro.core.decay import DecayModel
-from repro.harness.results import ExperimentResult, SeriesResult
+from repro.harness.results import ExperimentResult
 from repro.harness.runner import StreamRunner
-from repro.index import BruteForceIndex, GridIndex, KDTreeIndex
 from repro.streams import SDSGenerator
 from repro.streams.drift import GaussianMixture, abrupt_drift_stream
 from repro.streams.stream import DataStream
@@ -45,7 +41,6 @@ from repro.tracking.adapter import compare_event_logs, events_from_external_tran
 __all__ = [
     "experiment_decay_ablation",
     "experiment_beta_ablation",
-    "experiment_index_ablation",
     "experiment_tracking_comparison",
     "experiment_cftree_vs_dptree",
 ]
@@ -159,64 +154,6 @@ def experiment_beta_ablation(
                 "clusters": model.n_clusters,
             }
         )
-    result.add_table("summary", rows)
-    return result
-
-
-# --------------------------------------------------------------------- #
-# index ablation
-# --------------------------------------------------------------------- #
-def experiment_index_ablation(
-    seed_counts: Sequence[int] = (100, 500, 2000),
-    dimension: int = 2,
-    n_queries: int = 2000,
-    radius: float = 0.3,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Per-query cost of the nearest-seed indexes as the seed set grows."""
-    result = ExperimentResult(
-        experiment_id="ablation_index",
-        description="Nearest-seed index comparison (brute force / grid / KD-tree)",
-    )
-    rng = np.random.default_rng(seed)
-    rows = []
-    factories = {
-        "BruteForce": lambda: BruteForceIndex(),
-        "Grid": lambda: GridIndex(cell_width=radius),
-        "KDTree": lambda: KDTreeIndex(),
-    }
-    series: Dict[str, SeriesResult] = {
-        name: SeriesResult(name=name, x_label="number of seeds", y_label="query time (us)")
-        for name in factories
-    }
-    for n_seeds in seed_counts:
-        seeds = rng.uniform(0.0, 10.0, size=(n_seeds, dimension))
-        queries = rng.uniform(0.0, 10.0, size=(n_queries, dimension))
-        reference: Optional[List[Any]] = None
-        for name, factory in factories.items():
-            index = factory()
-            for i, location in enumerate(seeds):
-                index.insert(i, tuple(location))
-            started = _time.perf_counter()
-            answers = [index.nearest(tuple(q))[0] for q in queries]
-            elapsed = _time.perf_counter() - started
-            if reference is None:
-                reference = answers
-                agreement = 1.0
-            else:
-                agreement = sum(a == b for a, b in zip(answers, reference)) / len(answers)
-            per_query_us = elapsed / n_queries * 1e6
-            series[name].append(n_seeds, per_query_us)
-            rows.append(
-                {
-                    "index": name,
-                    "seeds": n_seeds,
-                    "query_time_us": round(per_query_us, 2),
-                    "agreement_with_brute_force": round(agreement, 4),
-                }
-            )
-    for name, s in series.items():
-        result.add_series(name, s)
     result.add_table("summary", rows)
     return result
 

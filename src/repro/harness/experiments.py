@@ -2,8 +2,9 @@
 
 Each public function reproduces one table or figure of the paper's
 evaluation and returns an :class:`~repro.harness.results.ExperimentResult`
-holding the same series/rows the paper plots.  The corresponding
-pytest-benchmark entry points live in ``benchmarks/``.
+holding the same series/rows the paper plots.  Each is registered in
+:mod:`repro.harness.registry` and runs as a benchmark through
+``python -m repro fleet run --id <id>``.
 
 Figures covered here: 9 (response time), 10 (throughput), 11 (filtering
 ablation), 12 (dimensionality), 13 (quality), 14 (stream rate), 16 (outlier
@@ -512,7 +513,7 @@ def experiment_serving(
     Workers deliberately run at lower scheduling priority than the ingest
     process (``nice`` +9), so on a saturated box added workers trade query
     throughput against each other, not against ingestion.  Emitted to
-    ``BENCH_serving.json`` by ``benchmarks/bench_serving.py``, which gates
+    ``BENCH_serving.json`` by ``python -m repro fleet run --id serve``, which gates
     the 4-worker/1-worker scaling ratio and segment hygiene.
     """
     import asyncio as _asyncio
@@ -1097,7 +1098,7 @@ def experiment_memory(
     bytes/point, eviction/revival counters, and CMM/purity deltas vs the
     exact run — the degradation the approximate tier trades for the
     memory bound.  Emitted to ``BENCH_memory.json`` by
-    ``benchmarks/bench_memory.py`` and gated in CI.
+    ``python -m repro fleet run --id memory`` and gated in CI.
     """
     result = ExperimentResult(
         experiment_id="memory",
@@ -1193,7 +1194,7 @@ def experiment_obs_overhead(
     instrumentation cost.  The run also asserts the observability contract
     that instrumentation is *observational only*: both modes must produce
     the identical clustering.  Emitted to ``BENCH_obs.json`` by
-    ``benchmarks/bench_obs.py`` and gated in CI at
+    ``python -m repro fleet run --id obs`` and gated in CI at
     ``BENCH_OBS_MAX_OVERHEAD`` (default 5%).
     """
     import time as _time

@@ -47,7 +47,6 @@ __all__ = [
     "FleetRunner",
     "PlannedRun",
     "RunMatrix",
-    "run_bench",
 ]
 
 #: Default root for per-run result directories (``<root>/<matrix>/<run_id>/``).
@@ -606,49 +605,3 @@ class FleetRunner:
                 echo(f"[fleet] gate FAILED for {outcome.run.run_id}: {exc}")
             else:
                 outcome.gate_passed = True
-
-
-# --------------------------------------------------------------------- #
-# Single-benchmark path (shared by the benchmarks/bench_*.py wrappers)
-# --------------------------------------------------------------------- #
-def run_bench(
-    experiment_id: str,
-    seed: Optional[int] = None,
-    reports_dir: Optional[os.PathLike] = None,
-    artifacts_dir: Optional[os.PathLike] = None,
-    gate: bool = True,
-) -> ExperimentResult:
-    """Run one registered benchmark through its contract, in-process.
-
-    Resolves the spec's benchmark parameters (honouring the ``BENCH_*``
-    environment knobs), executes the driver, records the plain-text report
-    under ``reports_dir``, emits the spec's ``BENCH_*.json`` artifact under
-    ``artifacts_dir``, and finally enforces the gate (``AssertionError`` on
-    violation — after the artifact is written, so failed runs still leave
-    their numbers behind).
-    """
-    spec = registry.get_experiment(experiment_id)
-    params = spec.bench_params()
-    points = params.pop("points", None)
-    result = spec.run(points=points, seed=seed, **params)
-    if reports_dir is not None:
-        reports_dir = pathlib.Path(reports_dir)
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        text = result.to_text()
-        (reports_dir / f"{result.experiment_id}.txt").write_text(
-            text + "\n", encoding="utf-8"
-        )
-        print(f"\n{text}\n")
-    if artifacts_dir is not None and spec.bench and spec.bench.artifact:
-        artifacts_dir = pathlib.Path(artifacts_dir)
-        artifacts_dir.mkdir(parents=True, exist_ok=True)
-        path = artifacts_dir / spec.bench.artifact
-        path.write_text(
-            json.dumps(jsonify(spec.bench.payload(result)), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {path}")
-    if gate and spec.bench and spec.bench.gate:
-        spec.bench.gate(result)
-    return result

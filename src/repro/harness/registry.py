@@ -4,8 +4,8 @@ Historically ``repro.harness.cli`` kept its own hard-coded id -> driver
 table, which silently drifted from the drivers as experiments were added
 (the ``serve`` and ``memory`` ids both landed as follow-up patches).  The
 registry is now the single source of truth: the CLI's ``list`` output,
-its ``run`` choices, the fleet runner's matrix expansion, the benchmark
-scripts under ``benchmarks/`` and the CI gates all derive from
+its ``run`` choices, the fleet runner's matrix expansion and the CI
+gates all derive from
 :func:`all_experiments`, so a driver registered here is automatically
 everywhere.
 
@@ -406,15 +406,6 @@ def _ensure_defaults() -> None:
         ),
         ("ablation",),
         8000,
-    )
-    entry(
-        "ablation_index",
-        "Ablation — nearest-seed index comparison",
-        lambda points, **kw: ablations.experiment_index_ablation(
-            n_queries=points or 2000, **kw
-        ),
-        ("ablation",),
-        2000,
     )
     entry(
         "ablation_tracking",

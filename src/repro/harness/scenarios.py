@@ -9,8 +9,10 @@ These drivers reproduce the evolution-centric parts of the evaluation:
 
 All of them use a fast-forgetting decay (λ equal to the arrival rate, i.e.
 an effective per-point decay of ``a``) so that the 20-second evolution of
-the SDS stream is observable; EXPERIMENTS.md discusses why the paper's
-timeline implies this parameterisation.
+the SDS stream is observable.  The paper's SDS clusters emerge, merge and
+vanish within seconds, while the default per-second decay (a = 0.998,
+λ = 1) has a half-life of about 350 s and would keep a vanished cluster
+dense long after the script moved on.
 """
 
 from __future__ import annotations

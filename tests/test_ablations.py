@@ -36,21 +36,6 @@ class TestBetaAblation:
         assert row["active_cells"] + row["inactive_cells"] > 0
 
 
-class TestIndexAblation:
-    def test_indexes_agree_with_brute_force(self):
-        result = ablations.experiment_index_ablation(
-            seed_counts=(50, 200), n_queries=200, seed=1
-        )
-        rows = result.tables["summary"]
-        assert len(rows) == 6  # 3 indexes x 2 seed counts
-        assert all(row["agreement_with_brute_force"] > 0.99 for row in rows)
-        assert all(row["query_time_us"] > 0 for row in rows)
-
-    def test_series_per_index(self):
-        result = ablations.experiment_index_ablation(seed_counts=(50,), n_queries=100)
-        assert set(result.series) == {"BruteForce", "Grid", "KDTree"}
-
-
 class TestTrackingComparison:
     def test_all_trackers_report_counts(self):
         result = ablations.experiment_tracking_comparison(

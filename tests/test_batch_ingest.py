@@ -20,7 +20,6 @@ from repro.core.batch import BatchIngestor
 from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
 from repro.distance.metrics import pairwise_euclidean
-from repro.index import BruteForceIndex, GridIndex, KDTreeIndex
 from repro.streams import NewsStreamGenerator, RBFDriftGenerator, SDSGenerator
 from repro.streams.point import StreamPoint
 
@@ -409,50 +408,3 @@ class TestPairwiseEuclidean:
         batched = EDMStream(radius=0.3, beta=0.0021, stream_rate=1000.0)
         batched.learn_many(stream, batch_size=64)
         assert_equivalent(sequential, batched)
-
-
-# --------------------------------------------------------------------- #
-# index backends: batch nearest
-# --------------------------------------------------------------------- #
-class TestIndexNearestMany:
-    @pytest.fixture
-    def seeds(self):
-        rng = np.random.default_rng(9)
-        return [tuple(row) for row in rng.normal(size=(120, 3))]
-
-    @pytest.fixture
-    def queries(self):
-        rng = np.random.default_rng(10)
-        return [tuple(row) for row in rng.normal(size=(25, 3))]
-
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            BruteForceIndex,
-            lambda: GridIndex(cell_width=0.5),
-            KDTreeIndex,
-        ],
-    )
-    def test_matches_per_query_nearest(self, factory, seeds, queries):
-        index = factory()
-        for key, seed in enumerate(seeds):
-            index.insert(key, seed)
-        batch = index.nearest_many(queries)
-        assert len(batch) == len(queries)
-        for query, result in zip(queries, batch):
-            single = index.nearest(query)
-            assert result[0] == single[0]
-            assert result[1] == pytest.approx(single[1], rel=1e-9)
-
-    def test_empty_index(self, queries):
-        for index in (BruteForceIndex(), GridIndex(cell_width=0.5), KDTreeIndex()):
-            assert index.nearest_many(queries) == [None] * len(queries)
-
-    def test_brute_force_non_euclidean_falls_back(self):
-        from repro.distance import manhattan
-
-        index = BruteForceIndex(metric=manhattan)
-        index.insert("a", (0.0, 0.0))
-        index.insert("b", (3.0, 3.0))
-        results = index.nearest_many([(0.1, 0.0), (2.9, 3.0)])
-        assert [key for key, _ in results] == ["a", "b"]

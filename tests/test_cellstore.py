@@ -74,19 +74,6 @@ class TestQueries:
         distances = store.distances_to((0.0, 0.0))
         assert distances == pytest.approx([0.0, 5.0])
 
-    def test_nearest(self):
-        store = CellStore()
-        a = make_cell((0.0, 0.0))
-        b = make_cell((3.0, 4.0))
-        store.add(a)
-        store.add(b)
-        key, distance = store.nearest((2.9, 4.1))
-        assert key == b.cell_id
-        assert distance == pytest.approx(math.hypot(0.1, 0.1))
-
-    def test_nearest_empty_store(self):
-        assert CellStore().nearest((0.0,)) is None
-
     def test_distances_to_subset(self):
         store = CellStore()
         cells = [make_cell((float(i), 0.0)) for i in range(4)]
@@ -136,8 +123,8 @@ class TestQueries:
         distances = store.distances_to(frozenset({"x", "y"}))
         assert distances[0] == pytest.approx(0.0)
         assert distances[1] == pytest.approx(2.0 / 3.0)
-        key, _ = store.nearest(frozenset({"x", "y"}))
-        assert key == a.cell_id
+        _, keys = store.nearest_many([frozenset({"x", "y"})])
+        assert keys[0] == a.cell_id
 
 
 class TestPropertyBased:
@@ -162,9 +149,9 @@ class TestPropertyBased:
         cells = [make_cell(seed) for seed in seeds]
         for cell in cells:
             store.add(cell)
-        key, distance = store.nearest(query)
+        distances, _ = store.nearest_many([query])
         brute = min(cells, key=lambda c: math.dist(c.seed, query))
-        assert distance == pytest.approx(math.dist(brute.seed, query))
+        assert distances[0] == pytest.approx(math.dist(brute.seed, query))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60))

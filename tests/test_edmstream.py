@@ -174,24 +174,36 @@ class TestDecayAndReservoir:
 
 
 class TestFilters:
-    def test_filters_do_not_change_the_clustering(self, three_blob_stream):
+    @staticmethod
+    def seed_keyed_tree(model):
+        """The DP-Tree as {seed: (dependency's seed, delta)} over active cells."""
+        seed_of = {cell.cell_id: tuple(cell.seed) for cell in model.tree.cells()}
+        return {
+            tuple(cell.seed): (seed_of.get(cell.dependency), cell.delta)
+            for cell in model.tree.cells()
+        }
+
+    @pytest.mark.parametrize("density", [True, False])
+    @pytest.mark.parametrize("triangle", [True, False])
+    def test_filters_do_not_change_the_clustering(self, three_blob_stream, density, triangle):
         """Theorems 1 and 2 only skip provably-unnecessary updates."""
-        results = {}
-        for flag in (True, False):
-            model = EDMStream(
-                radius=0.4,
-                init_size=60,
-                beta=0.001,
-                enable_density_filter=flag,
-                enable_triangle_filter=flag,
-            )
-            feed(model, three_blob_stream)
-            probes = [(0.0, 0.0), (5.0, 0.0), (2.5, 5.0)]
-            labelling = [model.predict_one(p) for p in probes]
-            # Compare the induced partition of probes, not raw cell ids.
-            canonical = tuple(labelling.index(x) for x in labelling)
-            results[flag] = (model.n_clusters, canonical)
-        assert results[True] == results[False]
+        params = dict(radius=0.4, init_size=60, beta=0.001)
+        reference = feed(
+            EDMStream(**params, enable_density_filter=False, enable_triangle_filter=False),
+            three_blob_stream,
+        )
+        model = feed(
+            EDMStream(
+                **params, enable_density_filter=density, enable_triangle_filter=triangle
+            ),
+            three_blob_stream,
+        )
+        assert len(model.tree) > 1
+        assert self.seed_keyed_tree(model) == self.seed_keyed_tree(reference)
+        assert model.n_clusters == reference.n_clusters
+        stats = model.filter_stats
+        assert (stats.density_filtered > 0) == density
+        assert (stats.triangle_filtered > 0) == triangle
 
     def test_filters_reduce_distance_computations(self, three_blob_stream):
         with_filters = EDMStream(radius=0.4, init_size=60, beta=0.001)

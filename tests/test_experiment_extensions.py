@@ -65,15 +65,14 @@ class TestCLIRegistry:
         expected = {
             "ablation_decay",
             "ablation_beta",
-            "ablation_index",
             "ablation_tracking",
             "ablation_cftree",
         }
         assert expected <= set(EXPERIMENTS)
 
     def test_run_experiment_resolves_new_ids(self):
-        result = run_experiment("ablation_index", points=200)
-        assert result.experiment_id == "ablation_index"
+        result = run_experiment("ablation_beta", points=200)
+        assert result.experiment_id == "ablation_beta"
         assert "summary" in result.tables
 
 

@@ -486,34 +486,3 @@ class TestArtifactSchemas:
             "rows",
         ]
         assert gates.payload_memory(result)["experiment"] == "memory"
-
-    def test_run_bench_and_fleet_consolidation_agree(
-        self, tmp_path, monkeypatch
-    ):
-        """One real bench through both paths: identical artifact fields."""
-        monkeypatch.setenv("BENCH_QUERY_POINTS", "1200")
-        monkeypatch.setenv("BENCH_QUERY_QUERIES", "300")
-        monkeypatch.setenv("BENCH_QUERY_NOT_SLOWER_FLOOR", "0.0")
-        monkeypatch.setenv("BENCH_QUERY_MIN_SPEEDUP", "0.0")
-
-        fleet.run_bench(
-            "query", reports_dir=tmp_path / "wrap", artifacts_dir=tmp_path / "wrap"
-        )
-        wrapped = json.loads((tmp_path / "wrap" / "BENCH_query.json").read_text())
-
-        matrix = RunMatrix.from_registry(name="q", ids=("query",))
-        runner = FleetRunner(
-            matrix,
-            results_root=tmp_path / "results",
-            jobs=0,
-            artifacts_dir=tmp_path / "fleet",
-        )
-        report = runner.execute(echo=lambda *_: None)
-        assert report.ok
-        consolidated = json.loads((tmp_path / "fleet" / "BENCH_query.json").read_text())
-
-        assert sorted(wrapped) == sorted(consolidated)
-        assert wrapped["n_points"] == consolidated["n_points"] == 1200
-        assert {row["batch_size"] for row in wrapped["rows"]} == {
-            row["batch_size"] for row in consolidated["rows"]
-        }

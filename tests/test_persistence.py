@@ -13,6 +13,7 @@ from repro.core.persistence import (
     model_to_dict,
     save_model,
 )
+from repro.obs import Telemetry
 
 
 def trained_model(stream, **kwargs):
@@ -125,3 +126,45 @@ class TestUninitialisedAndEdgeCases:
         restored = model_from_dict(model_to_dict(model))
         for cell in model.tree.cells():
             assert restored.tree.get(cell.cell_id).label_votes == cell.label_votes
+
+
+class TestSnapshotCompatibilityAndSafety:
+    def test_shared_telemetry_instance_round_trips(self, two_blob_stream, tmp_path):
+        model = trained_model(two_blob_stream, telemetry=Telemetry())
+        restored = load_model(save_model(model, tmp_path / "model.json"))
+        assert restored.config.telemetry is True
+        assert isinstance(restored.obs, Telemetry)
+        assert restored.clusters() == model.clusters()
+
+    def test_telemetry_off_persists_as_false(self, two_blob_stream):
+        payload = model_to_dict(trained_model(two_blob_stream))
+        assert payload["config"]["telemetry"] is False
+
+    def test_failed_save_leaves_previous_snapshot_loadable(self, two_blob_stream, tmp_path):
+        path = tmp_path / "model.json"
+        good = trained_model(two_blob_stream)
+        save_model(good, path)
+        before = path.read_bytes()
+        broken = trained_model(two_blob_stream)
+        broken.config.outlier_label = object()  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert load_model(path).clusters() == good.clusters()
+
+    def test_snapshot_with_retired_sketch_keys_loads(self, two_blob_stream):
+        """Snapshots written while the sketch geometry was configurable still load."""
+        model = trained_model(two_blob_stream, memory_cap_bytes=1 << 20)
+        payload = json.loads(json.dumps(model_to_dict(model)))
+        payload["config"].update(
+            sketch_width=4096,
+            sketch_depth=4,
+            sketch_bloom_capacity=100_000,
+            sketch_bloom_error_rate=0.01,
+            sketch_revive_min=0.05,
+            telemetry=None,
+        )
+        restored = model_from_dict(payload)
+        assert restored.config.memory_cap_bytes == 1 << 20
+        assert not hasattr(restored.config, "sketch_width")
+        assert restored.clusters() == model.clusters()

@@ -449,10 +449,6 @@ class TestBoundedEDMStream:
         revived = [c for c in model.reservoir.cells()] + list(model._active.cells())
         assert any(c.density > 1.5 for c in revived)
 
-    def test_config_validates_cap_and_sketch_fields(self):
+    def test_config_validates_cap(self):
         with pytest.raises(ValueError):
             EDMStream(radius=0.5, memory_cap_bytes=-1)
-        with pytest.raises(ValueError):
-            EDMStream(radius=0.5, memory_cap_bytes=1 << 20, sketch_depth=0)
-        with pytest.raises(ValueError):
-            EDMStream(radius=0.5, memory_cap_bytes=1 << 20, sketch_revive_min=-2.0)
