@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.cell import ClusterCell
 from repro.core.decay import DecayModel
 from repro.core.soa import DETACHED, MEMBER, CellArrays
-from repro.distance.metrics import pairwise_euclidean
+from repro.distance.metrics import GRAM_SLACK, float32_kernel_slack, pairwise_euclidean
 
 _INITIAL_CAPACITY = 64
 
@@ -434,24 +434,22 @@ def nearest_over_slots(
     some query of the group.  The exact kernel then runs on the kept seeds
     only, so every distance it returns is the one the sequential path sees.
 
-    Why no seed within ``r`` is ever dropped (``u = 2⁻⁵³``, ``d`` the
-    dimension, ``N = ‖q‖² + ‖s‖²``, ``D`` the true distance): the kernel
-    reporting ``≤ r`` means ``D² ≤ r²(1 + δ)`` with ``δ ≤ 2(d+3)u``.  The
-    computed test differs from ``(r² + cN - D²)/2`` by at most
-    ``κ(N + r²)/2`` with ``κ = 4(d+3)u`` — the matmul, the squared norms
-    (``seed_norm2`` is accumulated in float64 even for float32 seeds) and
-    the few scalar operations, for any summation order.  If ``N < r²/4``
-    then ``D² ≤ 2N < r²/2`` and the margin ``r²/2`` dwarfs the error.
-    Otherwise ``r² ≤ 4N`` and the slack ``cN`` must cover
+    Why no seed within ``r`` is ever dropped (``N = ‖q‖² + ‖s‖²``, ``D``
+    the true distance; the error terms are those derived at
+    :data:`~repro.distance.metrics.GRAM_SLACK`): the kernel reporting
+    ``≤ r`` means ``D² ≤ r²(1 + δ)``.  The computed test differs from
+    ``(r² + cN - D²)/2`` by at most ``κ(N + r²)/2``.  If ``N < r²/4`` then
+    ``D² ≤ 2N < r²/2`` and the margin ``r²/2`` dwarfs the error.  Otherwise
+    ``r² ≤ 4N`` and the slack ``cN`` must cover
     ``δr² + κ(N + r²) ≤ (4δ + 5κ)N``, which ``c = 2⁻³⁰`` does for any
-    ``d < 2¹⁶`` (the error is about ``1e-14·N`` at ``d = 34``).  Float32
-    arenas run a float32 kernel whose ``d²`` is off by up to
-    ``(d+5)·2⁻²⁴`` relative (plus the rounding of ``r`` to float32 in the
-    caller's comparison), so there ``r²`` is first widened to
-    ``r²(1 + (d+8)·2⁻²³)``, for both the norm window and the test; the test
-    itself still runs in float64 on the exact float32 values.  A query row
-    with a NaN would poison its group's maximum, which is one reason the
-    model rejects non-finite input before it gets here.
+    ``d < 2¹⁶``.  Float32 arenas run a float32 kernel whose ``d²`` is off
+    by up to ``(d+5)·2⁻²⁴`` relative (plus the rounding of ``r`` to float32
+    in the caller's comparison), so there ``r²`` is first widened by
+    :func:`~repro.distance.metrics.float32_kernel_slack`, for both the norm
+    window and the test; the test itself still runs in float64 on the exact
+    float32 values.  A query row with a NaN would poison its group's
+    maximum, which is one reason the model rejects non-finite input before
+    it gets here.
 
     ``seeds`` optionally supplies the already-gathered ``(size, dim)`` seed
     matrix for ``slots`` (e.g. :meth:`CellStore.seed_view`), skipping the
@@ -473,11 +471,6 @@ def nearest_over_slots(
     return best, best_id
 
 
-#: Relative slack ``c`` of the Gram-matrix bound (derived in
-#: :func:`nearest_over_slots`).
-_GRAM_SLACK = 2.0**-30
-
-
 def _nearest_pruned(
     arrays: CellArrays,
     slots: np.ndarray,
@@ -497,7 +490,7 @@ def _nearest_pruned(
     n, dim = queries.shape
     reach2 = within * within
     if queries.dtype == np.float32:
-        reach2 *= 1.0 + (dim + 8) * 2.0**-23
+        reach2 *= 1.0 + float32_kernel_slack(dim)
     reach = math.sqrt(reach2)
     # Seeds in norm order (the order among equal norms is immaterial: ties
     # between kept seeds resolve by id), lifted to [s, 1], with b_s.
@@ -510,7 +503,7 @@ def _nearest_pruned(
     lifted_seeds = np.empty((ordered.shape[0], dim + 1))
     lifted_seeds[:, :dim] = ordered
     lifted_seeds[:, dim] = 1.0
-    seed_bound = (0.5 * (1.0 - _GRAM_SLACK)) * seed_norm2
+    seed_bound = (0.5 * (1.0 - GRAM_SLACK)) * seed_norm2
     # Queries in norm order, lifted to [q, -a_q] with ‖q‖² in float64.
     query_norm2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
     query_order = np.argsort(query_norm2)
@@ -518,7 +511,7 @@ def _nearest_pruned(
     sorted_queries = queries[query_order]
     lifted_queries = np.empty((n, dim + 1))
     lifted_queries[:, :dim] = sorted_queries
-    lifted_queries[:, dim] = 0.5 * (reach2 - (1.0 - _GRAM_SLACK) * query_norm2)
+    lifted_queries[:, dim] = 0.5 * (reach2 - (1.0 - GRAM_SLACK) * query_norm2)
     query_norm = np.sqrt(query_norm2)
     best = np.full(n, np.inf)
     best_id = np.full(n, -1, dtype=np.int64)

@@ -375,6 +375,9 @@ class EDMStream(StreamClusterer):
             n_points=self._n_points,
             tau=self._tau,
             coverage=2.0 * self.config.radius,
+            # Set even before the first cell, so a seedless snapshot of a
+            # non-numeric model still reads each element as one query.
+            metric=None if self._numeric else self._metric,
             metadata={
                 "active_cells": self.n_active_cells,
                 "inactive_cells": self.n_inactive_cells,
@@ -400,7 +403,6 @@ class EDMStream(StreamClusterer):
             view.seeds = self._active.seed_matrix()
         else:
             view.seed_objects = [self._active.get(cell_id).seed for cell_id in ids]
-            view.metric = self._metric
         return view
 
     def predict_one(self, values: Any) -> int:
@@ -418,11 +420,16 @@ class EDMStream(StreamClusterer):
     def predict_many(self, points: Sequence[Any]) -> np.ndarray:
         """Vectorised :meth:`predict_one` for a batch of query points.
 
-        One call into the snapshot's blocked
-        :func:`~repro.distance.metrics.pairwise_euclidean` kernel instead of
-        one Python-level scan per point; row ``i`` equals
-        ``predict_one(points[i])``.  Numeric rows are checked against the
-        input contract first, like :meth:`predict_one`.
+        One call into the snapshot's blocked query path instead of one
+        Python-level scan per point; row ``i`` equals
+        ``predict_one(points[i])``.  On snapshots of eight or more
+        dimensions one BLAS Gram product per block screens the queries and
+        only the rows it cannot decide reach the exact
+        :func:`~repro.distance.metrics.pairwise_euclidean` kernel; a row is
+        decided only when the exact kernel provably returns the same label,
+        so the labels are the exact kernel's bit for bit (see
+        :meth:`repro.api.ClusterSnapshot.predict_many`).  Numeric rows are
+        checked against the input contract first, like :meth:`predict_one`.
         """
         if not hasattr(points, "__len__"):
             points = list(points)

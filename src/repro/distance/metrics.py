@@ -4,8 +4,10 @@ All metrics accept either plain Python sequences or ``numpy`` arrays and
 return a Python ``float``.  The hot path in EDMStream is the nearest-seed
 lookup, which operates on small vectors in a tight loop; we therefore keep
 scalar implementations simple and allocation-free rather than vectorising
-individual pairwise calls.  Bulk (one-to-many) variants are provided for the
-index structures.
+individual pairwise calls.  The bulk kernel :func:`pairwise_euclidean` serves
+the cell stores, micro-batch ingestion and snapshot queries; the error bounds
+that let callers screen it with a Gram-matrix product live beside it
+(:data:`GRAM_SLACK`, :func:`float32_kernel_slack`).
 """
 
 from __future__ import annotations
@@ -83,6 +85,45 @@ def pairwise_euclidean(queries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         diffs = seeds - queries[row]
         out[row] = np.sqrt(np.einsum("ij,ij->i", diffs, diffs, dtype=dtype))
     return out
+
+
+#: Relative slack ``c`` of every float64 Gram-matrix screen in front of
+#: :func:`pairwise_euclidean` (the pruned assignment scan in
+#: :mod:`repro.core.cellstore`, the predict screen in :mod:`repro.api.snapshot`).
+#:
+#: A screen evaluates ``‖q‖² + ‖s‖² - 2q·s`` with one matmul (and
+#: float64 squared norms, even for float32 operands) and may trust it only to
+#: within ``cN`` of the true squared distance ``D²``, ``N = ‖q‖² + ‖s‖²``.
+#: Why ``c = 2⁻³⁰`` suffices, with ``u = 2⁻⁵³`` and ``d`` the dimension: the
+#: Gram value differs from ``D²`` by at most ``κN`` with ``κ = 4(d+3)u`` —
+#: the matmul, the squared norms and the few scalar operations, for any
+#: summation order, since their magnitudes sum to at most ``2N``.  The
+#: float64 kernel returns ``D̂`` with ``D̂² = D²(1 + δ)``, ``|δ| ≤ 2(d+3)u``,
+#: and ``D² ≤ 2N``, so ``D̂²`` too lies within ``4(d+3)uN`` of ``D²``.  A
+#: screen that makes a couple of comparisons between such values is off by
+#: at most ``16(d+3)uN``, which ``cN = 2²³uN`` covers with a factor of eight
+#: to spare for any ``d < 2¹⁶`` (:data:`GRAM_MAX_DIM`; the error is about
+#: ``1e-14·N`` at ``d = 34``).  The bounds hold while nothing overflows or
+#: underflows, which callers ensure by keeping ``N`` well inside the float
+#: range.
+GRAM_SLACK = 2.0**-30
+
+#: Largest dimension (exclusive) the :data:`GRAM_SLACK` derivation covers.
+GRAM_MAX_DIM = 2**16
+
+
+def float32_kernel_slack(dim: int) -> float:
+    """Relative widening that covers the float32 kernel's rounding.
+
+    On float32 operands :func:`pairwise_euclidean` runs in single precision:
+    ``D̂² = D²(1 + δ)`` with ``|δ| ≤ (d+5)·2⁻²⁴`` (the differences, the
+    squares, a ``d``-term sum and the square root).  Unlike the float64
+    kernel's error this is far above :data:`GRAM_SLACK`, but it is relative
+    to the compared squared distance itself, not to ``N``; a screen widens
+    each such squared distance by the returned factor ``(d+8)·2⁻²³``, which
+    also covers ``(1+δ)/(1-δ) - 1`` and the rounding of a float32 threshold.
+    """
+    return (dim + 8) * 2.0**-23
 
 
 def manhattan(a: Vector, b: Vector) -> float:

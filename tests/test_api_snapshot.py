@@ -284,6 +284,87 @@ class TestGridSnapshots:
         assert spec.keys_of(np.asarray([[-99.0]])) == [(0,)]
 
 
+class TestSinglePointQueries:
+    """A single 1-D point is one query in every mode but the object-keyed one."""
+
+    def test_seeded_numeric_snapshot(self):
+        snapshot = ClusterSnapshot(
+            version=1,
+            time=0.0,
+            n_points=0,
+            seeds=[[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]],
+            labels=[3, 4],
+            coverage=1.0,
+        )
+        assert snapshot.predict_many([0.0, 0.0, 0.0]).tolist() == [3]
+        assert snapshot.predict_many(np.full(3, 5.0)).tolist() == [4]
+
+    def test_seedless_numeric_snapshot(self):
+        snapshot = ClusterSnapshot(version=1, time=0.0, n_points=0)
+        assert snapshot.predict_many([0.0, 0.0, 0.0]).tolist() == [-1]
+        assert snapshot.predict_many(np.zeros((2, 3))).tolist() == [-1, -1]
+
+    def test_empty_seed_matrix(self):
+        snapshot = ClusterSnapshot(
+            version=1, time=0.0, n_points=0, seeds=np.empty((0, 3)), labels=[]
+        )
+        assert snapshot.predict_many([0.0, 0.0, 0.0]).tolist() == [-1]
+
+    def test_grid_snapshot(self):
+        grid = GridSpec(width=1.0, labels={(0, 0): 7})
+        snapshot = ClusterSnapshot(version=1, time=0.0, n_points=0, grid=grid)
+        assert snapshot.predict_many([0.5, 0.5]).tolist() == [7]
+        assert snapshot.predict_many([[0.5, 0.5], [3.0, 3.0]]).tolist() == [7, -1]
+
+    def test_object_snapshot_reads_each_element_as_one_query(self):
+        from repro.distance import jaccard_distance
+
+        queries = [frozenset({"a", "b"}), frozenset({"z"})]
+        seeded = ClusterSnapshot(
+            version=1,
+            time=0.0,
+            n_points=0,
+            seed_objects=[frozenset({"a", "b"})],
+            metric=jaccard_distance,
+            labels=[5],
+            coverage=0.5,
+        )
+        assert seeded.predict_many(queries).tolist() == [5, -1]
+        seedless = ClusterSnapshot(version=1, time=0.0, n_points=0, metric=jaccard_distance)
+        assert seedless.predict_many(queries).tolist() == [-1, -1]
+
+    def test_seedless_jaccard_model_reads_each_document_as_one_query(self):
+        from repro.distance import TokenSetPoint
+
+        model = EDMStream(radius=0.6, metric="jaccard", stream_rate=100.0)
+        queries = [TokenSetPoint(frozenset({"goal"})), TokenSetPoint(frozenset({"phone"}))]
+        assert model.request_clustering().predict_many(queries).tolist() == [-1, -1]
+
+
+class TestStableQueries:
+    def test_stable_labels_equal_the_per_label_lookup(self):
+        rng = np.random.default_rng(4)
+        seeds = rng.uniform(0.0, 10.0, size=(30, 2))
+        # label 99 has no stable id, so it maps to the outlier label
+        labels = rng.choice([10, 20, 30, 99, -1], size=30)
+        snapshot = ClusterSnapshot(
+            version=1,
+            time=0.0,
+            n_points=0,
+            seeds=seeds,
+            labels=labels,
+            coverage=0.8,
+            stable_ids={10: 0, 20: 5, 30: 2},
+        )
+        queries = rng.uniform(-1.0, 11.0, size=(400, 2))
+        native = snapshot.predict_many(queries)
+        stable = snapshot.predict_many(queries, stable=True)
+        assert stable.dtype == np.int64
+        assert stable.tolist() == [snapshot.stable_label_of(int(v)) for v in native]
+        assert {-1, 99} <= set(native.tolist())
+        assert snapshot.predict_many(queries[:0], stable=True).tolist() == []
+
+
 class TestSnapshotQueryPerformance:
     def test_predict_many_is_faster_than_the_loop(self):
         """Vectorised serving must clearly beat the per-point query loop.
@@ -291,9 +372,9 @@ class TestSnapshotQueryPerformance:
         Typically 10-20x on an idle machine; the tier-1 bar is a
         contention-tolerant 3x (override via ``REPRO_TEST_QUERY_MIN_SPEEDUP``;
         CI relaxes to 2x).  The full >= 5x acceptance bar of ISSUE 2 is
-        asserted and recorded by the env-tunable ``bench_query_throughput``
-        benchmark, whose measurements are not interleaved with a full test
-        run.
+        asserted and recorded by the env-tunable query benchmark
+        (``python -m repro fleet run --id query``), whose measurements are
+        not interleaved with a full test run.
         """
         import os
         import time
