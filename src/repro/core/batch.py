@@ -116,7 +116,6 @@ class BatchIngestor:
         if not points:
             return []
         model = self.model
-        started = _time.perf_counter()
         if model._numeric:
             # One C-level conversion and check for the whole batch; cells
             # created from these rows get the same tuple-of-floats seeds the
@@ -144,7 +143,6 @@ class BatchIngestor:
             start = end + 1
 
         model._epoch += 1  # invalidate published snapshots (serving side)
-        model.total_learn_seconds += _time.perf_counter() - started
         return assigned
 
     # ------------------------------------------------------------------ #

@@ -213,12 +213,7 @@ class ClusterCell:
     # ------------------------------------------------------------------ #
     def density_at(self, now: float, decay: DecayModel) -> float:
         """Timely density at time ``now`` (lazy decay of the stored value)."""
-        density = float(self._arrays.density[self._slot])
-        last_update = float(self._arrays.last_update[self._slot])
-        if now < last_update:
-            # Clock skew guard: never "undecay"; treat as current value.
-            return density
-        return decay.decay_density(density, now - last_update)
+        return self._arrays.density_at(self._slot, now, decay)
 
     def refresh(self, now: float, decay: DecayModel) -> float:
         """Decay the stored density up to ``now`` and return it."""

@@ -73,6 +73,9 @@ class CellStore:
         self._ids_cache: Optional[np.ndarray] = None
         self._seed_cache: Optional[np.ndarray] = None
         self._size = 0
+        #: Bumped by every :meth:`add` / :meth:`remove`, so a caller caching
+        #: something derived from the membership knows when to rebuild it.
+        self.version = 0
 
     # ------------------------------------------------------------------ #
     # container protocol
@@ -131,10 +134,10 @@ class CellStore:
         Seeds are written only when a cell is allocated or adopted — never
         while it sits in a store — so the gather out of the arena is a pure
         function of the membership and can be cached until the next
-        :meth:`add` / :meth:`remove`.  This is the sequential ingestion
-        path's hottest access: caching it turns the per-point
-        ``seeds[slots]`` fancy-gather in :meth:`distances_to` into a reuse
-        of one contiguous matrix.  ``None`` for non-numeric stores.
+        :meth:`add` / :meth:`remove`.  The sequential ingestion path
+        concatenates both populations' views into its scan matrix whenever
+        either :attr:`version` moves, instead of fancy-gathering
+        ``seeds[slots]`` per point.  ``None`` for non-numeric stores.
         """
         if not self._numeric or self._arrays.seeds is None:
             return None
@@ -189,6 +192,7 @@ class CellStore:
         self._seed_cache = None
         self._arrays.status[cell._slot] = MEMBER
         self._size += 1
+        self.version += 1
 
     def remove(self, cell_id: int) -> ClusterCell:
         """Remove a cell by id (swap-with-last compaction); returns the cell.
@@ -211,6 +215,7 @@ class CellStore:
         self._ids_cache = None
         self._seed_cache = None
         self._size -= 1
+        self.version += 1
         self._arrays.status[slot] = DETACHED
         return self._arrays.view(cell_id)
 
@@ -419,7 +424,7 @@ def nearest_over_slots(
     any slot selection — in particular the *union* of the active and
     inactive populations, which is how micro-batch assignment resolves both
     stores with a single scan.  Ties resolve to the smallest cell id, the
-    canonical rule shared with ``EDMStream._nearest_seed``.
+    canonical rule shared with the per-point assignment (``EDMStream._assign``).
 
     When ``within`` is given and the selection is larger than
     ``prune_threshold``, the pruned scan is used: any result at most
@@ -543,8 +548,8 @@ def _merge_minima(
     """Fold one distance block into running per-row ``(min, min id)``.
 
     Exact distance ties resolve to the smallest cell id, both inside a block
-    and across blocks — the canonical rule shared with
-    ``EDMStream._nearest_seed``.
+    and across blocks — the canonical rule shared with the per-point
+    assignment (``EDMStream._assign``).
     """
     positions = np.argmin(distances, axis=1)
     rows = np.arange(distances.shape[0])

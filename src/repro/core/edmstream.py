@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time as _time
 from itertools import islice
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from repro.core.filters import FilterStatistics
 from repro.core.reservoir import OutlierReservoir
 from repro.core.soa import CellArrays
 from repro.distance import get_metric
-from repro.obs.timing import NULL_TELEMETRY, Telemetry
+from repro.distance.metrics import pairwise_euclidean
+from repro.obs.timing import NULL_TELEMETRY, NullTelemetry, Telemetry
 
 
 class EDMStream(StreamClusterer):
@@ -96,7 +97,6 @@ class EDMStream(StreamClusterer):
             self.obs = Telemetry()
         else:
             self.obs = config.telemetry
-        self._obs_points = self.obs.counter("ingest_points_total")
 
         self._numeric = config.metric not in ("jaccard",)
         self._metric = get_metric(config.metric)
@@ -113,6 +113,8 @@ class EDMStream(StreamClusterer):
         self._inactive = CellStore(
             numeric=self._numeric, metric=self._metric, arrays=self._cells
         )
+        # The per-point scan's view of both populations (see `_members`).
+        self._union_key: Optional[Tuple[int, int]] = None
 
         # Bounded-memory tier (docs/ARCHITECTURE.md "Bounded-memory tier").
         # Constructed only when a cap is configured, so the default build
@@ -158,8 +160,6 @@ class EDMStream(StreamClusterer):
 
         #: Wall-clock seconds spent in dependency updates (Figure 11).
         self.dependency_update_seconds = 0.0
-        #: Wall-clock seconds spent in learn_one overall.
-        self.total_learn_seconds = 0.0
         #: History of (time, reservoir size) samples, one per maintenance sweep.
         self.reservoir_size_history: List[Tuple[float, int]] = []
         #: History of (time, tau) values after each re-optimisation.
@@ -168,6 +168,17 @@ class EDMStream(StreamClusterer):
     # ------------------------------------------------------------------ #
     # public properties
     # ------------------------------------------------------------------ #
+    @property
+    def obs(self) -> Union[Telemetry, NullTelemetry]:
+        """The telemetry facade (:data:`~repro.obs.timing.NULL_TELEMETRY` when off)."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, telemetry: Union[Telemetry, NullTelemetry]) -> None:
+        """Swap the telemetry facade; :meth:`learn_one` counts through the new one."""
+        self._obs = telemetry
+        self._obs_points = telemetry.counter("ingest_points_total")
+
     @property
     def tau(self) -> Optional[float]:
         """Current cluster-separation threshold τ (None before initialisation)."""
@@ -250,7 +261,6 @@ class EDMStream(StreamClusterer):
         self, values: Any, timestamp: Optional[float] = None, label: Optional[int] = None
     ) -> int:
         """Ingest one point; returns the id of the cell that absorbed it."""
-        started = _time.perf_counter()
         point = self._prepare(values)
         if timestamp is None:
             timestamp = self._now + 1.0 / self.config.stream_rate if self._n_points else 0.0
@@ -269,7 +279,6 @@ class EDMStream(StreamClusterer):
             self._periodic_work(self._now)
 
         self._epoch += 1
-        self.total_learn_seconds += _time.perf_counter() - started
         return cell_id
 
     def learn_many(
@@ -494,14 +503,19 @@ class EDMStream(StreamClusterer):
     def _prepare(self, values: Any) -> Any:
         """One input point as the model stores it, checked against the contract.
 
-        Numeric points become tuples of floats; a point with a non-finite
-        value or the wrong dimension raises ``ValueError`` (see
+        Numeric points become tuples of floats; a point that is not a 1-D
+        vector of numbers, has a non-finite value or has the wrong dimension
+        raises ``ValueError`` (see
         :meth:`CellArrays.check_rows <repro.core.soa.CellArrays.check_rows>`)
         before any state changes.
         """
         if not self._numeric:
             return values
-        point = tuple(float(v) for v in values)
+        try:
+            point = tuple(map(float, values))
+        except TypeError:
+            self._cells.check_rows([values])
+            raise
         if not all(map(math.isfinite, point)) or self._cells.dim not in (None, len(point)):
             self._cells.check_rows([point])
         return point
@@ -512,56 +526,76 @@ class EDMStream(StreamClusterer):
         deltas = self.tree.deltas()
         return suggest_initial_tau(deltas) if deltas else 1.0
 
+    def _members(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Slots, ids and (numeric) seeds of active ∪ inactive, active rows first.
+
+        Rebuilt from the stores' cached views only when either store's
+        membership changed, so the thousands of absorbs a stable population
+        sees share one seed matrix.
+        """
+        key = (self._active.version, self._inactive.version)
+        if self._union_key != key:
+            slots = np.concatenate((self._active.slots(), self._inactive.slots()))
+            seeds = None
+            if self._numeric and self._cells.seeds is not None:
+                seeds = np.concatenate((self._active.seed_view(), self._inactive.seed_view()))
+            self._union = (slots, self._cells.cell_ids[slots], seeds)
+            self._union_key = key
+        return self._union
+
     def _assign(self, point: Any, now: float, label: Optional[int]) -> int:
-        active_distances = self._active.distances_to(point)
-        inactive_distances = self._inactive.distances_to(point)
+        """Absorb ``point`` into the nearest cell within ``r``, or seed a new cell.
 
-        best_id, best_distance, best_in_tree = self._nearest_seed(
-            active_distances, inactive_distances
-        )
-        if best_id is None or best_distance > self.config.radius:
-            return self._create_cell(point, now, label)
-
-        if best_in_tree:
-            self._absorb_active(best_id, point, now, label, active_distances)
-        else:
-            self._absorb_inactive(best_id, now, label)
-        return best_id
-
-    def _nearest_seed(
-        self, active_distances: np.ndarray, inactive_distances: np.ndarray
-    ) -> Tuple[Optional[int], float, bool]:
-        """Nearest cell over both populations as ``(id, distance, is_active)``.
-
-        Canonical tie-breaking: among seeds at exactly the same distance the
-        smallest (i.e. earliest-created) cell id wins, regardless of which
-        store holds it or of the stores' internal array order.  Exact ties
+        One distance vector covers both populations.  Canonical tie-breaking:
+        among seeds at exactly the same distance the smallest (i.e.
+        earliest-created) cell id wins, whichever store holds it.  Exact ties
         are routine under the Jaccard metric, and an order-free rule is what
         lets the micro-batch path (:mod:`repro.core.batch`) reproduce the
         sequential results point for point.
         """
-        best_distance = math.inf
-        if active_distances.size:
-            best_distance = float(np.min(active_distances))
-        if inactive_distances.size:
-            best_distance = min(best_distance, float(np.min(inactive_distances)))
-        if not math.isfinite(best_distance):
-            return None, math.inf, False
-        best_id: Optional[int] = None
-        best_in_tree = False
-        if active_distances.size:
-            tied = np.flatnonzero(active_distances == best_distance)
-            if tied.size:
-                best_id = min(self._active.id_at(int(p)) for p in tied)
-                best_in_tree = True
-        if inactive_distances.size:
-            tied = np.flatnonzero(inactive_distances == best_distance)
-            if tied.size:
-                inactive_best = min(self._inactive.id_at(int(p)) for p in tied)
-                if best_id is None or inactive_best < best_id:
-                    best_id = inactive_best
-                    best_in_tree = False
-        return best_id, best_distance, best_in_tree
+        slots, ids, seeds = self._members()
+        if slots.size == 0:
+            return self._create_cell(point, now, label)
+        if seeds is not None:
+            query = np.asarray(point, dtype=seeds.dtype).reshape(1, -1)
+            distances = pairwise_euclidean(query, seeds)[0]
+        else:
+            distances = np.concatenate(
+                (self._active.distances_to(point), self._inactive.distances_to(point))
+            )
+        position = int(distances.argmin())
+        nearest = distances[position]
+        if float(nearest) > self.config.radius:
+            return self._create_cell(point, now, label)
+        tied = (distances == nearest).nonzero()[0]
+        if tied.size > 1:
+            position = int(tied[np.argmin(ids[tied])])
+        cell_id = int(ids[position])
+        slot = int(slots[position])
+
+        # Equation 8, written straight into the arena columns.
+        arrays = self._cells
+        rho_before = arrays.density_at(slot, now, self.decay)
+        rho_after = rho_before + 1.0
+        arrays.density[slot] = rho_after
+        arrays.last_update[slot] = now
+        arrays.last_absorb[slot] = now
+        arrays.points_absorbed[slot] += 1
+        if label is not None:
+            votes = arrays.label_votes_of(slot)
+            votes[label] = votes.get(label, 0) + 1
+
+        n_active = len(self._active)
+        if position >= n_active:
+            if self._initialized and rho_after >= self.active_threshold(now):
+                self._activate_cell(cell_id, now)
+        elif self._initialized:
+            started = _time.perf_counter()
+            self._update_dependencies(
+                cell_id, slot, now, rho_before, rho_after, distances[:n_active], position
+            )
+            self.dependency_update_seconds += _time.perf_counter() - started
+        return cell_id
 
     def _create_cell(self, point: Any, now: float, label: Optional[int]) -> int:
         density = 1.0
@@ -590,71 +624,108 @@ class EDMStream(StreamClusterer):
         ):
             # A revived cell can come back above the active threshold; give
             # it back its place in the DP-Tree immediately, mirroring the
-            # activation check of `_absorb_inactive`.
+            # activation check of an absorbing inactive cell in `_assign`.
             self._activate_cell(cell_id, now)
         return cell_id
-
-    def _absorb_inactive(self, cell_id: int, now: float, label: Optional[int]) -> None:
-        cell = self.reservoir.get(cell_id)
-        cell.absorb(now, self.decay, label=label)
-        if self._initialized and cell.density >= self.active_threshold(now):
-            self._activate_cell(cell_id, now)
 
     # ------------------------------------------------------------------ #
     # internals: dependency maintenance
     # ------------------------------------------------------------------ #
-    def _absorb_active(
+    def _update_dependencies(
         self,
         cell_id: int,
-        point: Any,
+        slot: int,
         now: float,
-        label: Optional[int],
-        active_distances: np.ndarray,
+        rho_before: float,
+        rho_after: float,
+        point_distances: np.ndarray,
+        position: int,
     ) -> None:
-        cell = self.tree.get(cell_id)
-        rho_before = cell.density_at(now, self.decay)
-        cell.absorb(now, self.decay, label=label)
-        rho_after = cell.density
+        """Dependency update after the active cell at ``position`` absorbed a point.
 
-        if not self._initialized:
-            return
+        ``point_distances`` holds the point's distance to every active seed
+        (array order).  One density vector serves both steps:
 
-        started = _time.perf_counter()
-        self._refresh_own_dependency(cell, now)
-        self._update_candidate_dependencies(cell, now, rho_before, rho_after, active_distances)
-        self.dependency_update_seconds += _time.perf_counter() - started
-
-    def _refresh_own_dependency(self, cell: ClusterCell, now: float) -> None:
-        """Refresh the absorbing cell's own dependency after its density rose.
-
-        If its current dependency still has strictly higher density the set
-        of higher-density cells it sees (F) still contains the previous
-        argmin, so δ is unchanged and the recomputation can be skipped.
+        1. The absorber's own dependency.  If its current dependency still
+           has strictly higher density, the set of higher-density cells it
+           sees (F) still contains the previous argmin, so δ is unchanged and
+           the recomputation is skipped.
+        2. The filtered update of Section 4.2 over the other active cells: a
+           candidate c needs re-examination only if the absorber newly
+           entered c's set of higher-density cells (density filter,
+           Theorem 1) and could be closer than c's current dependency
+           (triangle-inequality filter, Theorem 2).
         """
-        dependency = cell.dependency
-        if dependency is not None and dependency in self.tree:
-            parent = self.tree.get(dependency)
-            if self._is_higher(
-                parent.density_at(now, self.decay), parent.cell_id, cell.density, cell.cell_id
-            ):
-                return
-        self._recompute_dependency(cell, now)
+        arrays = self._cells
+        active = self._active
+        densities = active.densities_at(now, self.decay)
+        ids = active.ids_array()
+        dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
+        rho = densities[active.position_of(dependency)] if dependency in active else -math.inf
+        if rho < rho_after or (rho == rho_after and dependency > cell_id):
+            self._recompute_dependency(cell_id, now, densities)
 
-    def _recompute_dependency(self, cell: ClusterCell, now: float) -> None:
-        """Recompute a cell's nearest higher-density cell from scratch (Eq. 7/9)."""
-        densities = self._active.densities_at(now, self.decay)
-        if densities.size == 0:
-            self.tree.set_dependency(cell.cell_id, None, math.inf)
+        size = densities.size
+        if size <= 1:
             return
+        stats = self._filter_stats
+        stats.candidates += size - 1
+        # Only cells the absorber now dominates can ever point at it; this is
+        # part of the dependency definition (Eq. 7), not an optional filter.
+        dominated = (densities < rho_after) | ((densities == rho_after) & (ids > cell_id))
+        if self.config.enable_density_filter:
+            # Theorem 1: only cells for which the absorber *newly* entered the
+            # higher-density set need re-examination, i.e. previously not
+            # dominated (rho_c >= rho_before) and now dominated.
+            kept = (dominated & (densities >= rho_before)).nonzero()[0]
+            stats.density_filtered += size - 1 - kept.size
+        else:
+            kept = (ids != cell_id).nonzero()[0]
+        if kept.size == 0:
+            return
+        deltas = arrays.delta[active.slots()[kept]]
+        if self.config.enable_triangle_filter:
+            gap = np.abs(point_distances[kept] - float(point_distances[position]))
+            close = gap <= deltas
+            stats.triangle_filtered += kept.size - int(np.count_nonzero(close))
+            kept = kept[close]
+            deltas = deltas[close]
+            if kept.size == 0:
+                return
+
+        seed_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
+        stats.distance_computations += int(kept.size)
+        for distance, candidate_id, delta, is_dominated in zip(
+            seed_distances.tolist(), ids[kept].tolist(), deltas.tolist(), dominated[kept].tolist()
+        ):
+            if is_dominated and self._lex_improves(distance, cell_id, candidate_id, delta):
+                self.tree.set_dependency(candidate_id, cell_id, distance)
+                stats.dependency_changes += 1
+
+    def _recompute_dependency(
+        self, cell_id: int, now: float, densities: Optional[np.ndarray] = None
+    ) -> None:
+        """Recompute a cell's nearest higher-density cell from scratch (Eq. 7/9).
+
+        ``densities`` are the active cells' densities at ``now`` when the
+        caller already holds them.
+        """
+        if densities is None:
+            densities = self._active.densities_at(now, self.decay)
+        if densities.size == 0:
+            self.tree.set_dependency(cell_id, None, math.inf)
+            return
+        arrays = self._cells
+        slot = arrays.slot_of(cell_id)
         ids = self._active.ids_array()
-        rho = cell.density_at(now, self.decay)
-        higher = (densities > rho) | ((densities == rho) & (ids < cell.cell_id))
-        higher &= ids != cell.cell_id
+        rho = arrays.density_at(slot, now, self.decay)
+        higher = (densities > rho) | ((densities == rho) & (ids < cell_id))
+        higher &= ids != cell_id
         if not np.any(higher):
-            self.tree.set_dependency(cell.cell_id, None, math.inf)
+            self.tree.set_dependency(cell_id, None, math.inf)
             return
         positions = np.flatnonzero(higher)
-        distances = self._active.distances_to_subset(cell.seed, positions)
+        distances = self._active.distances_to_subset(arrays.seed_of(slot), positions)
         self._filter_stats.distance_computations += int(positions.size)
         best_distance = float(np.min(distances))
         # Canonical tie-breaking: among equidistant dominators the smallest
@@ -665,84 +736,9 @@ class EDMStream(StreamClusterer):
         # results.
         tied = np.flatnonzero(distances == best_distance)
         best_id = int(np.min(ids[positions[tied]]))
-        if best_id != cell.dependency or best_distance != cell.delta:
+        if best_id != arrays.dep[slot] or best_distance != arrays.delta[slot]:
             self._filter_stats.dependency_changes += 1
-        self.tree.set_dependency(cell.cell_id, best_id, best_distance)
-
-    def _update_candidate_dependencies(
-        self,
-        absorber: ClusterCell,
-        now: float,
-        rho_before: float,
-        rho_after: float,
-        active_distances: np.ndarray,
-    ) -> None:
-        """Re-examine other active cells whose dependency may now be the absorber.
-
-        Implements the filtered update of Section 4.2: a candidate cell c
-        needs re-examination only if the absorber newly entered c's set of
-        higher-density cells (density filter, Theorem 1) and could be closer
-        than c's current dependency (triangle-inequality filter, Theorem 2).
-        """
-        size = len(self._active)
-        if size <= 1:
-            return
-        ids = self._active.ids_array()
-        densities = self._active.densities_at(now, self.decay)
-        deltas = self._active.deltas()
-        absorber_position = self._active.position_of(absorber.cell_id)
-        point_to_absorber = float(active_distances[absorber_position])
-
-        candidate = ids != absorber.cell_id
-        n_candidates = int(np.count_nonzero(candidate))
-        self._filter_stats.candidates += n_candidates
-
-        # Only cells the absorber now dominates can ever point at it; this is
-        # part of the dependency definition (Eq. 7), not an optional filter.
-        dominated = (densities < rho_after) | (
-            (densities == rho_after) & (ids > absorber.cell_id)
-        )
-
-        survivors = candidate.copy()
-        if self.config.enable_density_filter:
-            # Theorem 1: only cells for which the absorber *newly* entered the
-            # higher-density set need re-examination, i.e. previously not
-            # dominated (rho_c >= rho_before) and now dominated (rho_c < rho_after).
-            survivors &= dominated & (densities >= rho_before)
-            self._filter_stats.density_filtered += n_candidates - int(
-                np.count_nonzero(survivors)
-            )
-
-        if self.config.enable_triangle_filter and np.any(survivors):
-            before_triangle = int(np.count_nonzero(survivors))
-            triangle_ok = np.abs(active_distances - point_to_absorber) <= deltas
-            survivors &= triangle_ok
-            self._filter_stats.triangle_filtered += before_triangle - int(
-                np.count_nonzero(survivors)
-            )
-
-        positions = np.flatnonzero(survivors)
-        if positions.size == 0:
-            return
-
-        seed_distances = self._active.distances_to_subset(absorber.seed, positions)
-        self._filter_stats.distance_computations += int(positions.size)
-        for offset, position in enumerate(positions):
-            if not dominated[position]:
-                continue
-            distance = float(seed_distances[offset])
-            candidate_id = int(ids[position])
-            if not self._lex_improves(distance, absorber.cell_id, candidate_id, deltas[position]):
-                continue
-            self.tree.set_dependency(candidate_id, absorber.cell_id, distance)
-            self._filter_stats.dependency_changes += 1
-
-    @staticmethod
-    def _is_higher(rho_a: float, id_a: int, rho_b: float, id_b: int) -> bool:
-        """Strict total order on (density, id) used to break density ties."""
-        if rho_a != rho_b:
-            return rho_a > rho_b
-        return id_a < id_b
+        self.tree.set_dependency(cell_id, best_id, best_distance)
 
     def _lex_improves(
         self, distance: float, parent_id: int, candidate_id: int, current_delta: float
@@ -774,7 +770,7 @@ class EDMStream(StreamClusterer):
         self._active.add(cell)
 
         started = _time.perf_counter()
-        self._recompute_dependency(cell, now)
+        self._recompute_dependency(cell_id, now)
         self._repoint_lower_cells_to(cell, now)
         self.dependency_update_seconds += _time.perf_counter() - started
 
@@ -824,7 +820,7 @@ class EDMStream(StreamClusterer):
             self._inactive.add(cell)
         for cell_id in orphans:
             if cell_id in self.tree:
-                self._recompute_dependency(self.tree.get(cell_id), now)
+                self._recompute_dependency(cell_id, now)
 
     # ------------------------------------------------------------------ #
     # internals: initialisation and periodic work
@@ -857,7 +853,7 @@ class EDMStream(StreamClusterer):
             key=lambda c: (-c.density, c.cell_id),
         )
         for cell in ordered:
-            self._recompute_dependency(cell, now)
+            self._recompute_dependency(cell.cell_id, now)
 
         deltas = self.tree.deltas()
         if self._tau is None:

@@ -14,8 +14,8 @@ update can be skipped:
   distances are already known from the assignment step, so this check is
   almost free.
 
-The per-point path applies both checks inline, vectorised over the active
-cells (``EDMStream._update_candidate_dependencies``); the micro-batch engine
+The per-point path applies both checks inline, in one pass over the active
+cells (``EDMStream._update_dependencies``); the micro-batch engine
 (:mod:`repro.core.batch`) replaces them with one dirty-cell repair per
 batch.  :class:`FilterStatistics` counts how many updates each filter
 avoided, which feeds the ablation experiment of Figure 11.

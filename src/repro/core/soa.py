@@ -33,6 +33,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.decay import DecayModel
+
 __all__ = ["CellArrays", "FREE", "DETACHED", "MEMBER"]
 
 #: Slot status codes (``CellArrays.status`` column).
@@ -189,7 +191,7 @@ class CellArrays:
     def check_rows(self, rows: Sequence[Any], first_row: int = 0) -> np.ndarray:
         """Stack numeric input rows into a float64 matrix under the input contract.
 
-        Every row must hold finite values, and as many of them as the
+        Every row must be a 1-D vector of finite values, as many as the
         arena's dimension (fixed by the first seed; before that, by the
         first row).  A NaN would make the nearest-seed scans compare NaN
         distances and let the batch and per-point engines diverge; a wrong
@@ -201,13 +203,15 @@ class CellArrays:
             return np.empty((0, self.dim or 0))
         try:
             matrix = np.asarray(rows, dtype=np.float64)
-        except ValueError:  # ragged rows; the loop below names the first
+        except (TypeError, ValueError):  # ragged or non-numeric rows
             matrix = None
         dim = self.dim
         if matrix is None or matrix.ndim != 2 or dim not in (None, matrix.shape[1]):
             expected = np.size(rows[0]) if dim is None else dim
             for i, row in enumerate(rows):
-                if np.ndim(row) != 1 or np.size(row) != expected:
+                if np.ndim(row) != 1:
+                    raise ValueError(f"row {first_row + i} is not a 1-D vector: {row!r}")
+                if np.size(row) != expected:
                     raise ValueError(
                         f"row {first_row + i} has {np.size(row)} values, "
                         f"expected {expected}: {row!r}"
@@ -344,6 +348,15 @@ class CellArrays:
             votes = {}
             self._label_votes[slot] = votes
         return votes
+
+    def density_at(self, slot: int, now: float, decay: DecayModel) -> float:
+        """Timely density of the cell at ``slot`` at time ``now`` (lazy decay)."""
+        density = float(self.density[slot])
+        last_update = float(self.last_update[slot])
+        if now < last_update:
+            # Clock skew guard: never "undecay"; treat as current value.
+            return density
+        return decay.decay_density(density, now - last_update)
 
     def seed_of(self, slot: int) -> Any:
         """The original seed object stored at a slot."""

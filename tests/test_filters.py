@@ -1,7 +1,7 @@
 """Tests for the dependency-update filters (Theorems 1 and 2) and their counters.
 
 The filters run inline in the per-point engine
-(``EDMStream._update_candidate_dependencies``).  The tests below replay
+(``EDMStream._update_dependencies``).  The tests below replay
 streams point by point, work out from the model's state before each
 absorption which candidates each theorem lets the model skip, and check the
 model's counters against that, step by step.  Their effect on the clustering

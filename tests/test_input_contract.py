@@ -51,6 +51,8 @@ def with_bad_row(points, row, values):
         ((0.5, math.inf, 0.5), "row 17 has a non-finite value"),
         ((0.5, 0.5), "row 17 has 2 values, expected 3"),
         ((0.5, 0.5, 0.5, 0.5), "row 17 has 4 values, expected 3"),
+        (5.0, "row 17 is not a 1-D vector"),
+        ([[0.5, 0.5, 0.5]], "row 17 is not a 1-D vector"),
     ],
 )
 def test_learn_many_rejects_bad_rows_before_any_state_change(batch_size, values, message):
@@ -96,6 +98,9 @@ def test_learn_one_rejects_bad_points_before_any_state_change():
         model.learn_one((0.0, math.nan, 0.0), timestamp=5.0)
     with pytest.raises(ValueError, match="has 2 values, expected 3"):
         model.learn_one((0.0, 0.0), timestamp=5.0)
+    for values in (5.0, [[0.0, 0.0, 0.0]], None):
+        with pytest.raises(ValueError, match="row 0 is not a 1-D vector"):
+            model.learn_one(values, timestamp=5.0)
     model._cells.validate()
     assert (model.n_points, model.now, cell_state(model)) == before
 
@@ -133,3 +138,14 @@ def test_check_rows_returns_the_float_matrix():
     arena.allocate(0, (0.0, 0.0))
     with pytest.raises(ValueError, match="row 5 has 3 values, expected 2"):
         arena.check_rows([(0.0, 0.0, 0.0)], first_row=5)
+
+
+@pytest.mark.parametrize("batch_size", ENGINES)
+def test_fresh_model_rejects_scalar_rows(batch_size):
+    model = EDMStream(radius=0.5)
+    with pytest.raises(ValueError, match="row 0 is not a 1-D vector: 5.0"):
+        model.learn_many([5.0, 6.0], batch_size=batch_size)
+    assert model.n_points == 0 and model._cells.dim is None
+    model._cells.validate()
+    with pytest.raises(ValueError, match="row 0 is not a 1-D vector: 5.0"):
+        CellArrays(numeric=True).check_rows([5.0, 6.0])

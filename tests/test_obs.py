@@ -31,6 +31,7 @@ from repro.obs import (
     MetricsRegistry,
     NullTelemetry,
     Telemetry,
+    enable_telemetry,
     quantile_from_buckets,
 )
 from repro.obs.export import stats_main, stats_report, to_prometheus, write_telemetry_json
@@ -230,6 +231,16 @@ class TestModelIntegration:
         counts = telemetry.events.counts()
         assert counts.get("cluster_emerge", 0) >= 1
         assert counts.get("snapshot_publish", 0) >= 1
+
+    def test_enable_telemetry_after_construction_counts_learn_one(self):
+        """The serving publisher turns telemetry on after building the model."""
+        model = make_model(telemetry=None)
+        telemetry = enable_telemetry(model)
+        points = list(make_stream(n_points=15))
+        for point in points[:10]:
+            model.learn_one(point.values, timestamp=point.timestamp)
+        model.learn_many(points[10:], batch_size=256)
+        assert telemetry.registry.counter("ingest_points_total").value == 15
 
     def test_telemetry_true_builds_fresh_instance(self):
         model = make_model(telemetry=True)
