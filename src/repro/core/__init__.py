@@ -4,10 +4,15 @@ The sub-modules follow the structure of the paper:
 
 * :mod:`repro.core.decay` — the exponential decay model (Section 3.1).
 * :mod:`repro.core.cell` — the cluster-cell summary structure (Definition 4).
-* :mod:`repro.core.dptree` — the Dependency Tree over cluster-cells
-  (Section 2.2) and MSDSubTree extraction (Definition 2).
-* :mod:`repro.core.reservoir` — the outlier reservoir holding inactive
-  cluster-cells (Sections 4.1, 4.3 and 4.4).
+* :mod:`repro.core.soa` / :mod:`repro.core.cellstore` — the
+  structure-of-arrays arena that holds every cell, and the population
+  views over it.
+* :mod:`repro.core.dptree` — the Dependency Tree (Section 2.2): the active
+  population, whose links are the arena's ``dep``/``delta`` columns, with
+  MSDSubTree extraction by pointer jumping (Definition 2) and the
+  dependency rules both engines share.
+* :mod:`repro.core.reservoir` — the outlier reservoir: the inactive
+  population (Sections 4.1, 4.3 and 4.4).
 * :mod:`repro.core.filters` — counters for the density filter (Theorem 1)
   and the triangle-inequality filter (Theorem 2) that skip dependency
   updates.

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 import numpy as np
 
 from repro.core.cellstore import nearest_over_slots
+from repro.core.dptree import dominates, lex_improves
 from repro.distance.metrics import pairwise_euclidean
 from repro.streams.point import StreamPoint
 
@@ -394,7 +395,6 @@ class BatchIngestor:
                     if label is not None:
                         cell.label_votes[label] = 1
                     model.reservoir.add(cell)
-                    model._inactive.add(cell)
                     absorber[j] = cell.cell_id
                     created[j] = True
                     if j + 1 >= size:
@@ -444,7 +444,6 @@ class BatchIngestor:
                     if label is not None:
                         cell.label_votes[label] = 1
                     model.reservoir.add(cell)
-                    model._inactive.add(cell)
                     absorber[j] = cell.cell_id
                     created[j] = True
                     if j + 1 >= size:
@@ -596,12 +595,7 @@ class BatchIngestor:
         dirty = [cid for cid, flag in zip(id_list, in_tree) if flag]
         to_activate = sorted((crossing, cid) for cid, crossing in crossings.items())
         for _, cell_id in to_activate:
-            cell = model.reservoir.pop(cell_id)
-            model._inactive.remove(cell_id)
-            cell.dependency = None
-            cell.delta = math.inf
-            tree.insert(cell)
-            model._active.add(cell)
+            tree.add(model.reservoir.remove(cell_id))
             dirty.append(cell_id)
         return dirty
 
@@ -699,8 +693,7 @@ class BatchIngestor:
         anyone's higher-density set since the last boundary.
         """
         model = self.model
-        store = model._active
-        tree = model.tree
+        store = model.tree
         size = len(store)
         if size == 0:
             return
@@ -716,12 +709,9 @@ class BatchIngestor:
         matrix = store.cross_distances(positions)
         model._filter_stats.distance_computations += int(matrix.size - len(dirty))
 
-        dirty_rho = densities[positions]
-        dirty_ids = ids[positions]
-        same = densities[None, :] == dirty_rho[:, None]
-        higher = (densities[None, :] > dirty_rho[:, None]) | (
-            same & (ids[None, :] < dirty_ids[:, None])
-        )
+        dirty_rho = densities[positions, None]
+        dirty_ids = ids[positions, None]
+        higher = dominates(densities, ids, dirty_rho, dirty_ids)
 
         # Own dependencies of the dirty cells: exact canonical argmin over
         # dominators — nearest first, smallest cell id among exact ties
@@ -737,8 +727,7 @@ class BatchIngestor:
             axis=1,
         )
         # Whole-array write-back: dependency ids and distances go straight
-        # into the arena columns; only links whose parent actually moved need
-        # the per-cell children-set fix-up in the DP-Tree.
+        # into the arena columns, which are the DP-Tree's links.
         arena = model._cells
         dirty_slots = store.slots()[positions]
         new_dep = np.where(best_finite, best_ids, -1)
@@ -750,23 +739,13 @@ class BatchIngestor:
         )
         arena.dep[dirty_slots] = new_dep
         arena.delta[dirty_slots] = new_delta
-        for row in np.flatnonzero(new_dep != old_dep):
-            old = int(old_dep[row])
-            new = int(new_dep[row])
-            tree.relink_parent(
-                dirty[row],
-                None if old == -1 else old,
-                None if new == -1 else new,
-            )
 
         # Other active cells: the dirty cells are the only possible new
         # entrants to their higher-density sets, so the canonical column
         # minimum against the current (δ, dependency id) finds every
-        # required repoint (mirrors ``EDMStream._lex_improves``).
+        # required repoint.
         if size > 1:
-            dominated = (densities[None, :] < dirty_rho[:, None]) | (
-                same & (ids[None, :] > dirty_ids[:, None])
-            )
+            dominated = dominates(dirty_rho, dirty_ids, densities, ids)
             entrants = np.where(dominated, matrix, np.inf)
             entrant_distance = np.min(entrants, axis=0)
             improvable = entrant_distance <= deltas
@@ -776,31 +755,14 @@ class BatchIngestor:
             if columns.size:
                 sub = entrants[:, columns]
                 parents = np.min(
-                    np.where(
-                        sub == entrant_distance[columns][None, :],
-                        dirty_ids[:, None],
-                        id_max,
-                    ),
+                    np.where(sub == entrant_distance[columns], dirty_ids, id_max),
                     axis=0,
                 )
-                # Vectorised ``EDMStream._lex_improves``: strictly closer, or
-                # equally close with a smaller parent id than the current
-                # dependency (no current dependency loses every tie).
                 col_slots = store.slots()[columns]
                 col_delta = entrant_distance[columns]
-                cur_delta = deltas[columns]
-                cur_dep = arena.dep[col_slots]
-                improves = (col_delta < cur_delta) | (
-                    (col_delta == cur_delta) & ((cur_dep == -1) | (parents < cur_dep))
+                winners = np.flatnonzero(
+                    lex_improves(col_delta, parents, deltas[columns], arena.dep[col_slots])
                 )
-                winners = np.flatnonzero(improves)
                 model._filter_stats.dependency_changes += int(winners.size)
                 arena.dep[col_slots[winners]] = parents[winners]
                 arena.delta[col_slots[winners]] = col_delta[winners]
-                for w in winners:
-                    old = int(cur_dep[w])
-                    tree.relink_parent(
-                        int(ids[columns[w]]),
-                        None if old == -1 else old,
-                        int(parents[w]),
-                    )

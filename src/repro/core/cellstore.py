@@ -1,12 +1,14 @@
 """Population views over the structure-of-arrays cell backbone.
 
 EDMStream's per-point work — nearest-seed assignment and the (filtered)
-dependency update — touches every cell of one of the two populations
-(active cells in the DP-Tree, inactive cells in the outlier reservoir).
-:class:`CellStore` answers those bulk queries vectorised: it keeps a dense
-array of *slots* into a shared :class:`~repro.core.soa.CellArrays` arena
-and gathers the relevant columns (seeds, densities, timestamps, dependent
-distances) straight out of the arena's contiguous storage.
+dependency update — touches every cell of one of the two populations: the
+active cells (:class:`~repro.core.dptree.DPTree`) and the inactive ones
+(:class:`~repro.core.reservoir.OutlierReservoir`), both subclasses of
+:class:`CellStore`.  The store answers those bulk queries vectorised: it
+keeps a dense array of *slots* into a shared
+:class:`~repro.core.soa.CellArrays` arena and gathers the relevant columns
+(seeds, densities, timestamps, dependent distances) straight out of the
+arena's contiguous storage.
 
 The store holds no cell state of its own — the arena is canonical — so
 there is nothing to keep coherent: moving a cell between the active and
@@ -388,13 +390,8 @@ class CellStore:
         """Cell id stored at an array position."""
         return self._ids[position]
 
-    def validate(self, decay: Optional[DecayModel] = None) -> None:
-        """Check position bookkeeping against the arena (tests only).
-
-        The ``decay`` parameter is accepted for backwards compatibility with
-        the write-through-cache era; there is no cached state left to check
-        against it.
-        """
+    def validate(self) -> None:
+        """Check position bookkeeping against the arena (tests only)."""
         assert self._size == len(self._ids) == len(self._pos)
         for cell_id, position in self._pos.items():
             assert self._ids[position] == cell_id

@@ -34,10 +34,9 @@ import numpy as np
 from repro.api import ClusterSnapshot, ServingView, StreamClusterer, as_stream_points
 from repro.core.adaptive_tau import TauOptimizer, suggest_initial_tau
 from repro.core.cell import ClusterCell
-from repro.core.cellstore import CellStore
 from repro.core.config import EDMStreamConfig
 from repro.core.decay import DecayModel
-from repro.core.dptree import DPTree
+from repro.core.dptree import DPTree, dominates, lex_improves
 from repro.core.evolution import EvolutionTracker
 from repro.core.filters import FilterStatistics
 from repro.core.reservoir import OutlierReservoir
@@ -76,13 +75,6 @@ class EDMStream(StreamClusterer):
             config = EDMStreamConfig(**params)
         self.config = config
         self.decay = DecayModel(a=config.decay_a, lam=config.decay_lambda)
-        self.tree = DPTree()
-        self.reservoir = OutlierReservoir(
-            decay=self.decay,
-            beta=config.beta,
-            stream_rate=config.stream_rate,
-            delete_outdated=config.delete_outdated,
-        )
         self.evolution = EvolutionTracker()
         self.tau_optimizer = TauOptimizer(alpha=config.alpha)
         self._filter_stats = FilterStatistics()
@@ -100,19 +92,27 @@ class EDMStream(StreamClusterer):
 
         self._numeric = config.metric not in ("jaccard",)
         self._metric = get_metric(config.metric)
-        # One structure-of-arrays arena holds every cell the model owns;
-        # the two stores are population views over it, so activation and
-        # deactivation move positions, never cell state.
+        # One structure-of-arrays arena holds every cell the model owns.
+        # The DP-Tree is the active population and the outlier reservoir
+        # the inactive one, both views over it, so activation and
+        # deactivation move positions, never cell state.  ``_active`` and
+        # ``_inactive`` name the same two objects.
         self._cells = CellArrays(
             numeric=self._numeric,
             dtype=np.float32 if config.dtype == "float32" else np.float64,
         )
-        self._active = CellStore(
-            numeric=self._numeric, metric=self._metric, arrays=self._cells
+        self.tree = DPTree(numeric=self._numeric, metric=self._metric, arrays=self._cells)
+        self.reservoir = OutlierReservoir(
+            decay=self.decay,
+            beta=config.beta,
+            stream_rate=config.stream_rate,
+            delete_outdated=config.delete_outdated,
+            numeric=self._numeric,
+            metric=self._metric,
+            arrays=self._cells,
         )
-        self._inactive = CellStore(
-            numeric=self._numeric, metric=self._metric, arrays=self._cells
-        )
+        self._active = self.tree
+        self._inactive = self.reservoir
         # The per-point scan's view of both populations (see `_members`).
         self._union_key: Optional[Tuple[int, int]] = None
 
@@ -137,7 +137,6 @@ class EDMStream(StreamClusterer):
                 arena=self._cells,
                 active=self._active,
                 inactive=self._inactive,
-                reservoir=self.reservoir,
                 tier=tier,
                 memory_cap_bytes=config.memory_cap_bytes,
             )
@@ -402,11 +401,9 @@ class EDMStream(StreamClusterer):
             return view
         tau = self._effective_tau()
         view.tau = tau
-        assignment = self.tree.cluster_assignment(tau)
         ids = self._active.ids()
-        outlier = self.config.outlier_label
         view.cell_ids = ids
-        view.labels = [assignment.get(cell_id, outlier) for cell_id in ids]
+        view.labels = self.tree.cluster_roots(tau)
         view.densities = self._active.densities_at(now, self.decay)
         if self._numeric:
             view.seeds = self._active.seed_matrix()
@@ -523,8 +520,7 @@ class EDMStream(StreamClusterer):
     def _effective_tau(self) -> float:
         if self._tau is not None:
             return self._tau
-        deltas = self.tree.deltas()
-        return suggest_initial_tau(deltas) if deltas else 1.0
+        return suggest_initial_tau(self.tree.link_deltas().tolist())
 
     def _members(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Slots, ids and (numeric) seeds of active ∪ inactive, active rows first.
@@ -615,7 +611,6 @@ class EDMStream(StreamClusterer):
         if label is not None:
             cell.label_votes[label] = 1
         self.reservoir.add(cell)
-        self._inactive.add(cell)
         cell_id = cell.cell_id
         if (
             self._bounded is not None
@@ -644,10 +639,11 @@ class EDMStream(StreamClusterer):
         """Dependency update after the active cell at ``position`` absorbed a point.
 
         ``point_distances`` holds the point's distance to every active seed
-        (array order).  One density vector serves both steps:
+        (array order).  One density vector and one dominance mask serve both
+        steps:
 
         1. The absorber's own dependency.  If its current dependency still
-           has strictly higher density, the set of higher-density cells it
+           dominates it, the set of higher-density cells it
            sees (F) still contains the previous argmin, so δ is unchanged and
            the recomputation is skipped.
         2. The filtered update of Section 4.2 over the other active cells: a
@@ -660,9 +656,11 @@ class EDMStream(StreamClusterer):
         active = self._active
         densities = active.densities_at(now, self.decay)
         ids = active.ids_array()
+        # Only cells the absorber now dominates can ever point at it; this is
+        # part of the dependency definition (Eq. 7), not an optional filter.
+        dominated = dominates(rho_after, cell_id, densities, ids)
         dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
-        rho = densities[active.position_of(dependency)] if dependency in active else -math.inf
-        if rho < rho_after or (rho == rho_after and dependency > cell_id):
+        if dependency not in active or dominated[active.position_of(dependency)]:
             self._recompute_dependency(cell_id, now, densities)
 
         size = densities.size
@@ -670,9 +668,6 @@ class EDMStream(StreamClusterer):
             return
         stats = self._filter_stats
         stats.candidates += size - 1
-        # Only cells the absorber now dominates can ever point at it; this is
-        # part of the dependency definition (Eq. 7), not an optional filter.
-        dominated = (densities < rho_after) | ((densities == rho_after) & (ids > cell_id))
         if self.config.enable_density_filter:
             # Theorem 1: only cells for which the absorber *newly* entered the
             # higher-density set need re-examination, i.e. previously not
@@ -683,24 +678,26 @@ class EDMStream(StreamClusterer):
             kept = (ids != cell_id).nonzero()[0]
         if kept.size == 0:
             return
-        deltas = arrays.delta[active.slots()[kept]]
+        kept_slots = active.slots()[kept]
+        deltas = arrays.delta[kept_slots]
         if self.config.enable_triangle_filter:
             gap = np.abs(point_distances[kept] - float(point_distances[position]))
             close = gap <= deltas
             stats.triangle_filtered += kept.size - int(np.count_nonzero(close))
             kept = kept[close]
-            deltas = deltas[close]
             if kept.size == 0:
                 return
+            kept_slots = kept_slots[close]
+            deltas = deltas[close]
 
         seed_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
         stats.distance_computations += int(kept.size)
-        for distance, candidate_id, delta, is_dominated in zip(
-            seed_distances.tolist(), ids[kept].tolist(), deltas.tolist(), dominated[kept].tolist()
-        ):
-            if is_dominated and self._lex_improves(distance, cell_id, candidate_id, delta):
-                self.tree.set_dependency(candidate_id, cell_id, distance)
-                stats.dependency_changes += 1
+        winners = dominated[kept] & lex_improves(
+            seed_distances, cell_id, deltas, arrays.dep[kept_slots]
+        )
+        stats.dependency_changes += int(np.count_nonzero(winners))
+        arrays.dep[kept_slots[winners]] = cell_id
+        arrays.delta[kept_slots[winners]] = seed_distances[winners]
 
     def _recompute_dependency(
         self, cell_id: int, now: float, densities: Optional[np.ndarray] = None
@@ -719,8 +716,7 @@ class EDMStream(StreamClusterer):
         slot = arrays.slot_of(cell_id)
         ids = self._active.ids_array()
         rho = arrays.density_at(slot, now, self.decay)
-        higher = (densities > rho) | ((densities == rho) & (ids < cell_id))
-        higher &= ids != cell_id
+        higher = dominates(densities, ids, rho, cell_id) & (ids != cell_id)
         if not np.any(higher):
             self.tree.set_dependency(cell_id, None, math.inf)
             return
@@ -740,34 +736,14 @@ class EDMStream(StreamClusterer):
             self._filter_stats.dependency_changes += 1
         self.tree.set_dependency(cell_id, best_id, best_distance)
 
-    def _lex_improves(
-        self, distance: float, parent_id: int, candidate_id: int, current_delta: float
-    ) -> bool:
-        """Whether ``parent_id`` should replace the candidate's dependency.
-
-        Canonical rule: a new dominator wins when it is strictly closer, or
-        equally close with a smaller cell id than the current dependency.
-        Together with the tie-breaking in :meth:`_recompute_dependency` this
-        makes the dependency graph a pure function of the current densities
-        and (static) seed distances, independent of update order.
-        """
-        if distance != current_delta:
-            return distance < current_delta
-        current = self.tree.get(candidate_id).dependency
-        return current is None or parent_id < current
-
     # ------------------------------------------------------------------ #
     # internals: activation / deactivation
     # ------------------------------------------------------------------ #
     def _activate_cell(self, cell_id: int, now: float) -> None:
         """Move a cell from the outlier reservoir into the DP-Tree (emergence)."""
-        cell = self.reservoir.pop(cell_id)
-        self._inactive.remove(cell_id)
+        cell = self.reservoir.remove(cell_id)
         cell.refresh(now, self.decay)
-        cell.dependency = None
-        cell.delta = math.inf
-        self.tree.insert(cell)
-        self._active.add(cell)
+        self.tree.add(cell)
 
         started = _time.perf_counter()
         self._recompute_dependency(cell_id, now)
@@ -776,27 +752,24 @@ class EDMStream(StreamClusterer):
 
     def _repoint_lower_cells_to(self, new_cell: ClusterCell, now: float) -> None:
         """Lower-density active cells may now be closer to the newly active cell."""
-        size = len(self._active)
-        if size <= 1:
+        active = self._active
+        if len(active) <= 1:
             return
-        ids = self._active.ids_array()
-        densities = self._active.densities_at(now, self.decay)
-        deltas = self._active.deltas()
-        rho_new = new_cell.density
-        dominated = (densities < rho_new) | ((densities == rho_new) & (ids > new_cell.cell_id))
-        dominated &= ids != new_cell.cell_id
+        ids = active.ids_array()
+        densities = active.densities_at(now, self.decay)
+        new_id = new_cell.cell_id
+        dominated = dominates(new_cell.density, new_id, densities, ids) & (ids != new_id)
         positions = np.flatnonzero(dominated)
         if positions.size == 0:
             return
-        distances = self._active.distances_to_subset(new_cell.seed, positions)
+        distances = active.distances_to_subset(new_cell.seed, positions)
         self._filter_stats.distance_computations += int(positions.size)
-        for offset, position in enumerate(positions):
-            distance = float(distances[offset])
-            candidate_id = int(ids[position])
-            if not self._lex_improves(distance, new_cell.cell_id, candidate_id, deltas[position]):
-                continue
-            self.tree.set_dependency(candidate_id, new_cell.cell_id, distance)
-            self._filter_stats.dependency_changes += 1
+        arrays = self._cells
+        slots = active.slots()[positions]
+        winners = lex_improves(distances, new_id, arrays.delta[slots], arrays.dep[slots])
+        self._filter_stats.dependency_changes += int(np.count_nonzero(winners))
+        arrays.dep[slots[winners]] = new_id
+        arrays.delta[slots[winners]] = distances[winners]
 
     def _deactivate_cells(self, cell_ids: Sequence[int], now: float) -> None:
         """Move decayed cells from the DP-Tree to the outlier reservoir."""
@@ -812,12 +785,7 @@ class EDMStream(StreamClusterer):
         orphan_mask = np.isin(deps, removal_ids) & ~np.isin(ids, removal_ids)
         orphans = [int(cid) for cid in ids[orphan_mask]]
         for cell_id in removal:
-            cell = self.tree.remove(cell_id)
-            self._active.remove(cell_id)
-            cell.dependency = None
-            cell.delta = math.inf
-            self.reservoir.add(cell)
-            self._inactive.add(cell)
+            self.reservoir.add(self.tree.remove(cell_id))
         for cell_id in orphans:
             if cell_id in self.tree:
                 self._recompute_dependency(cell_id, now)
@@ -828,24 +796,23 @@ class EDMStream(StreamClusterer):
     def _initialize(self, now: float) -> None:
         """Build the initial DP-Tree from the cached cells (Section 4.1)."""
         threshold = self.active_threshold(now)
+        # Promote in creation (ascending id) order, whatever evictions did
+        # to the reservoir's array order.
+        cached = sorted(self._cells.cell_ids[self.reservoir.slots()].tolist())
         promotable = [
-            cell.cell_id
-            for cell in self.reservoir.cells()
-            if cell.density_at(now, self.decay) >= threshold
+            cell_id
+            for cell_id in cached
+            if self.reservoir.get(cell_id).density_at(now, self.decay) >= threshold
         ]
         if len(promotable) < 2:
             # Not enough dense cells yet: promote every cached cell so that a
             # primary clustering exists, mirroring the paper's initialisation
             # over all cached cluster-cells.
-            promotable = [cell.cell_id for cell in self.reservoir.cells()]
+            promotable = cached
         for cell_id in promotable:
-            cell = self.reservoir.pop(cell_id)
-            self._inactive.remove(cell_id)
+            cell = self.reservoir.remove(cell_id)
             cell.refresh(now, self.decay)
-            cell.dependency = None
-            cell.delta = math.inf
-            self.tree.insert(cell)
-            self._active.add(cell)
+            self.tree.add(cell)
 
         # Dependencies: process cells from the densest downwards.
         ordered = sorted(
@@ -855,9 +822,8 @@ class EDMStream(StreamClusterer):
         for cell in ordered:
             self._recompute_dependency(cell.cell_id, now)
 
-        deltas = self.tree.deltas()
         if self._tau is None:
-            self._tau = suggest_initial_tau(deltas) if deltas else 1.0
+            self._tau = suggest_initial_tau(self.tree.link_deltas().tolist())
         if self.config.adaptive_tau and self.tau_optimizer.alpha is None:
             tau_deltas = self._tau_deltas(now)
             if tau_deltas:
@@ -916,13 +882,7 @@ class EDMStream(StreamClusterer):
         self._deactivate_cells(to_deactivate, now)
         self.dependency_update_seconds += _time.perf_counter() - started
 
-        removed = self.reservoir.prune_outdated(now)
-        for cell in removed:
-            cell_id = cell.cell_id
-            self._inactive.remove(cell_id)
-            # The cell is gone for good: recycle its arena slot so
-            # steady-state ingestion allocates nothing new.
-            self._cells.release(cell_id)
+        self.reservoir.prune_outdated(now)
         if self._bounded is not None:
             self._bounded.enforce(now)
         self.reservoir_size_history.append((now, len(self.reservoir)))
@@ -939,11 +899,9 @@ class EDMStream(StreamClusterer):
         slots = self._active.slots()
         if slots.size == 0:
             return []
+        deltas = self.tree.link_deltas().tolist()
         dep = self._cells.dep[slots]
-        delta = self._cells.delta[slots]
         ids = self._active.ids_array()
-        linked = (dep != -1) & np.isfinite(delta)
-        deltas = delta[linked].tolist()
         roots = (dep == -1) | ~np.isin(dep, ids)
         for cell_id in ids[roots].tolist():
             distances = self._active.seed_distances(cell_id)

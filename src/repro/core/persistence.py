@@ -107,7 +107,11 @@ def _decode_cell(data: Dict[str, Any], numeric: bool) -> ClusterCell:
 
 
 def model_to_dict(model: EDMStream) -> Dict[str, Any]:
-    """Serialise an EDMStream model into a JSON-compatible dictionary."""
+    """Serialise an EDMStream model into a JSON-compatible dictionary.
+
+    Each population is written in its store's array order, so a restored
+    model publishes its snapshot rows in the order the saved one did.
+    """
     numeric = model._numeric
     active = [_encode_cell(cell, numeric) for cell in model.tree.cells()]
     inactive = [_encode_cell(cell, numeric) for cell in model.reservoir.cells()]
@@ -158,8 +162,7 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
         )
         cell.dependency = None
         cell.delta = float("inf")
-        model.tree.insert(cell)
-        model._active.add(cell)
+        model.tree.add(cell)
     for link in dependencies:
         if link["dependency"] is not None and link["dependency"] in model.tree:
             model.tree.set_dependency(link["cell_id"], link["dependency"], link["delta"])
@@ -168,7 +171,6 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
         cell = _decode_cell(cell_data, numeric)
         max_id = max(max_id, cell.cell_id)
         model.reservoir.add(cell)
-        model._inactive.add(cell)
 
     state = data["state"]
     model._tau = state["tau"]

@@ -6,18 +6,30 @@ reservoir because they may absorb new points and become active again.  An
 inactive cell that has not absorbed a point for the safe-deletion interval
 ΔT_del (Theorem 3) is *outdated* and can be deleted without affecting future
 results.  Section 4.4 bounds the reservoir size by ``ΔT_del · v + 1/β``.
+
+:class:`OutlierReservoir` *is* the inactive population: a
+:class:`~repro.core.cellstore.CellStore` over the model's arena plus the
+thresholds the decay model derives, with no per-cell container of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, List, Optional
+
+import numpy as np
 
 from repro.core.cell import ClusterCell
+from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
+from repro.core.soa import CellArrays
 
 
-class OutlierReservoir:
-    """Container for inactive cluster-cells with outdated-cell recycling."""
+class OutlierReservoir(CellStore):
+    """The inactive cluster-cells, with outdated-cell recycling.
+
+    ``numeric``, ``metric`` and ``arrays`` are the
+    :class:`~repro.core.cellstore.CellStore` parameters.
+    """
 
     def __init__(
         self,
@@ -26,6 +38,9 @@ class OutlierReservoir:
         stream_rate: float,
         delete_outdated: bool = True,
         deletion_interval: Optional[float] = None,
+        numeric: bool = True,
+        metric: Optional[Callable[[Any, Any], float]] = None,
+        arrays: Optional[CellArrays] = None,
     ) -> None:
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
@@ -35,12 +50,12 @@ class OutlierReservoir:
             raise ValueError(
                 f"deletion_interval must be positive when given, got {deletion_interval}"
             )
+        super().__init__(numeric=numeric, metric=metric, arrays=arrays)
         self._decay = decay
         self._beta = beta
         self._rate = stream_rate
         self._delete_outdated = delete_outdated
         self._deletion_interval = deletion_interval
-        self._cells: Dict[int, ClusterCell] = {}
         self.total_deleted = 0
 
     # ------------------------------------------------------------------ #
@@ -64,60 +79,28 @@ class OutlierReservoir:
         return self.deletion_interval * self._rate + 1.0 / self._beta
 
     # ------------------------------------------------------------------ #
-    # container protocol
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, cell_id: int) -> bool:
-        return cell_id in self._cells
-
-    def __iter__(self) -> Iterator[ClusterCell]:
-        return iter(self._cells.values())
-
-    def cells(self) -> Iterable[ClusterCell]:
-        """Iterate over the inactive cells."""
-        return self._cells.values()
-
-    def get(self, cell_id: int) -> ClusterCell:
-        """Return an inactive cell by id; raises ``KeyError`` if absent."""
-        return self._cells[cell_id]
-
-    # ------------------------------------------------------------------ #
     # membership updates
     # ------------------------------------------------------------------ #
     def add(self, cell: ClusterCell) -> None:
-        """Cache an inactive cell; raises ``KeyError`` if already present."""
-        if cell.cell_id in self._cells:
-            raise KeyError(f"cell {cell.cell_id} already in outlier reservoir")
+        """Add an inactive cell; raises ``KeyError`` if already present."""
+        super().add(cell)
         # Dependency information is meaningless outside the DP-Tree.
-        cell.dependency = None
-        cell.delta = float("inf")
-        self._cells[cell.cell_id] = cell
+        self._arrays.dep[cell._slot] = -1
+        self._arrays.delta[cell._slot] = np.inf
 
-    def pop(self, cell_id: int) -> ClusterCell:
-        """Remove and return a cell (e.g. because it became active)."""
-        if cell_id not in self._cells:
-            raise KeyError(f"cell {cell_id} not in outlier reservoir")
-        return self._cells.pop(cell_id)
+    def prune_outdated(self, now: float) -> List[int]:
+        """Delete cells idle for longer than ΔT_del (Section 4.4); returns their ids.
 
-    def is_active(self, cell: ClusterCell, now: float) -> bool:
-        """Whether a cell's timely density reaches the active threshold."""
-        return cell.density_at(now, self._decay) >= self.active_threshold
-
-    def promotable(self, now: float) -> List[ClusterCell]:
-        """Inactive cells whose density currently reaches the active threshold."""
-        return [cell for cell in self._cells.values() if self.is_active(cell, now)]
-
-    def prune_outdated(self, now: float) -> List[ClusterCell]:
-        """Delete and return cells idle for longer than ΔT_del (Section 4.4)."""
+        The deleted cells' arena slots go back to the free-list, so
+        steady-state ingestion allocates nothing new.
+        """
         if not self._delete_outdated:
             return []
-        horizon = self.deletion_interval
-        removed = [
-            cell for cell in self._cells.values() if cell.idle_time(now) > horizon
-        ]
-        for cell in removed:
-            del self._cells[cell.cell_id]
+        slots = self.slots()
+        idle = now - self._arrays.last_absorb[slots] > self.deletion_interval
+        removed = self._arrays.cell_ids[slots[idle]].tolist()
+        for cell_id in removed:
+            self.remove(cell_id)
+            self._arrays.release(cell_id)
         self.total_deleted += len(removed)
         return removed

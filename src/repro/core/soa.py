@@ -266,8 +266,8 @@ class CellArrays:
     def release(self, cell_id: int) -> None:
         """Return a cell's slot to the free-list and drop its side state.
 
-        The caller is responsible for first removing the cell from every
-        population view (and the DP-Tree / reservoir); releasing a slot
+        The caller is responsible for first removing the cell from its
+        population view (the DP-Tree or the reservoir); releasing a slot
         still referenced by a view would let the slot be recycled under it.
         """
         slot = self._slot_of.pop(cell_id)

@@ -1207,7 +1207,7 @@ def experiment_obs_overhead(
     )
 
     def canonical(model: EDMStream) -> Dict[Any, Any]:
-        seed_of = {cid: tuple(model.tree.get(cid).seed) for cid in model.tree.cell_ids()}
+        seed_of = {cid: tuple(model.tree.get(cid).seed) for cid in model.tree.ids()}
         return {
             seed_of[root]: frozenset(seed_of[member] for member in members)
             for root, members in model.partition_snapshot().items()

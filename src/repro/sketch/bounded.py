@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
-from repro.core.reservoir import OutlierReservoir
 from repro.core.soa import CellArrays
 from repro.obs.timing import NULL_TELEMETRY
 from repro.sketch.bloom import BloomFilter
@@ -195,7 +194,7 @@ class BoundedCellStore:
     """Hard-memory-cap enforcement over one arena and its population views.
 
     The class does not replace :class:`~repro.core.cellstore.CellStore` —
-    it wraps the arena plus both stores and the outlier reservoir, and is
+    it wraps the arena plus both population stores, and is
     consulted by the model at the two moments that matter: *before slots
     are claimed* (:meth:`ensure_headroom`, which evicts instead of letting
     the arena double past the cap) and *at maintenance boundaries*
@@ -204,10 +203,10 @@ class BoundedCellStore:
 
     Parameters
     ----------
-    arena, active, inactive, reservoir:
-        The model's storage: the shared arena, its two population views
-        and the outlier reservoir.  Only cells in ``inactive`` (equally:
-        in ``reservoir``) are evictable.
+    arena, active, inactive:
+        The model's storage: the shared arena and its two population views
+        (the DP-Tree and the outlier reservoir).  Only cells in
+        ``inactive`` are evictable.
     tier:
         The sketch tier evictions fold into.
     memory_cap_bytes:
@@ -219,7 +218,6 @@ class BoundedCellStore:
         arena: CellArrays,
         active: CellStore,
         inactive: CellStore,
-        reservoir: OutlierReservoir,
         tier: SketchTier,
         memory_cap_bytes: int,
     ) -> None:
@@ -236,7 +234,6 @@ class BoundedCellStore:
         self.arena = arena
         self.active = active
         self.inactive = inactive
-        self.reservoir = reservoir
         self.tier = tier
         self.memory_cap_bytes = int(memory_cap_bytes)
         #: Times the cap could not be honoured (nothing left to evict).
@@ -368,7 +365,6 @@ class BoundedCellStore:
                 elapsed = max(0.0, now - float(self.arena.last_update[slot]))
                 decayed = float(density[slot]) * decay_rate**elapsed
                 self.tier.evict(self.arena.seed_of(slot), decayed, now)
-                self.reservoir.pop(cell_id)
                 inactive.remove(cell_id)
                 self.arena.release(cell_id)
         if self.obs.enabled:

@@ -39,7 +39,7 @@ def canonical_seed(value):
 
 def canonical_partition(model):
     """Partition snapshot keyed by seeds instead of process-global cell ids."""
-    seed_of = {cid: canonical_seed(model.tree.get(cid).seed) for cid in model.tree.cell_ids()}
+    seed_of = {cid: canonical_seed(model.tree.get(cid).seed) for cid in model.tree.ids()}
     return {
         seed_of[root]: frozenset(seed_of[m] for m in members)
         for root, members in model.partition_snapshot().items()

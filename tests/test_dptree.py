@@ -1,15 +1,54 @@
 """Tests for the DP-Tree (Section 2.2, Definition 2)."""
 
 import math
+from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cell import ClusterCell
-from repro.core.dptree import DPTree
+from repro.core.dptree import DPTree, dominates, lex_improves
 
 
 def make_cell(seed, density):
     return ClusterCell(seed=seed, density=density)
+
+
+def write_link(tree, cell_id, dep, delta):
+    """Write a link straight into the arena columns, bypassing every check."""
+    slot = tree.arrays.slot_of(cell_id)
+    tree.arrays.dep[slot] = dep
+    tree.arrays.delta[slot] = delta
+
+
+def reference_clusters(tree: DPTree, tau: float) -> Dict[int, List[int]]:
+    """MSDSubTree extraction by walking down from every root.
+
+    The dict-of-children walk the DP-Tree used before extraction moved onto
+    the arena columns, kept as the oracle: a cell starts its own cluster
+    when its dependency is missing from the tree or its link is weak
+    (δ > τ), otherwise it joins its parent's cluster.
+    """
+    links: Dict[int, Tuple[int, float]] = {
+        cell.cell_id: (cell.dependency, cell.delta) for cell in tree.cells()
+    }
+    children: Dict[int, List[int]] = {}
+    for cid, (parent, _) in links.items():
+        if parent in links:
+            children.setdefault(parent, []).append(cid)
+    assignment: Dict[int, int] = {}
+    members: Dict[int, List[int]] = {}
+    for root in [cid for cid, (parent, _) in links.items() if parent not in links]:
+        stack = [root]
+        while stack:
+            cid = stack.pop()
+            parent, delta = links[cid]
+            cluster_root = cid if parent not in links or delta > tau else assignment[parent]
+            assignment[cid] = cluster_root
+            members.setdefault(cluster_root, []).append(cid)
+            stack.extend(children.get(cid, ()))
+    return {root: sorted(ids) for root, ids in members.items()}
 
 
 @pytest.fixture
@@ -21,7 +60,7 @@ def chain_tree():
     b = make_cell((1.5, 0.0), 3.0)
     c = make_cell((9.0, 0.0), 4.0)
     for cell in (root, a, b, c):
-        tree.insert(cell)
+        tree.add(cell)
     tree.set_dependency(a.cell_id, root.cell_id, 1.0)
     tree.set_dependency(b.cell_id, a.cell_id, 0.5)
     tree.set_dependency(c.cell_id, root.cell_id, 9.0)
@@ -29,40 +68,45 @@ def chain_tree():
 
 
 class TestStructure:
-    def test_insert_and_contains(self):
+    def test_add_and_contains(self):
         tree = DPTree()
         cell = make_cell((0.0,), 1.0)
-        tree.insert(cell)
+        tree.add(cell)
         assert cell.cell_id in tree
         assert len(tree) == 1
         assert tree.get(cell.cell_id) is cell
 
-    def test_duplicate_insert_rejected(self):
+    def test_duplicate_add_rejected(self):
         tree = DPTree()
         cell = make_cell((0.0,), 1.0)
-        tree.insert(cell)
+        tree.add(cell)
         with pytest.raises(KeyError):
-            tree.insert(cell)
+            tree.add(cell)
 
-    def test_insert_with_dangling_dependency_becomes_root(self):
+    def test_dangling_dependency_is_a_cluster_root(self):
         tree = DPTree()
         cell = make_cell((0.0,), 1.0)
-        cell.dependency = 424242  # does not exist
-        cell.delta = 1.0
-        tree.insert(cell)
-        assert cell.dependency is None
-        assert cell.delta == math.inf
+        tree.add(cell)
+        write_link(tree, cell.cell_id, 424242, 1.0)  # no such cell
+        assert tree.clusters(tau=10.0) == {cell.cell_id: [cell.cell_id]}
+        tree.validate()
 
-    def test_set_dependency_links_parent_and_child(self, chain_tree):
+    def test_set_dependency_writes_the_columns(self, chain_tree):
         tree, root, a, b, c = chain_tree
-        assert a.cell_id in tree.children_of(root.cell_id)
-        assert b.cell_id in tree.children_of(a.cell_id)
+        assert (a.dependency, a.delta) == (root.cell_id, 1.0)
+        assert (b.dependency, b.delta) == (a.cell_id, 0.5)
+        tree.set_dependency(b.cell_id, None, 3.0)
+        assert (b.dependency, b.delta) == (None, math.inf)
 
     def test_set_dependency_moves_child_between_parents(self, chain_tree):
         tree, root, a, b, c = chain_tree
-        tree.set_dependency(b.cell_id, root.cell_id, 1.5)
-        assert b.cell_id in tree.children_of(root.cell_id)
-        assert b.cell_id not in tree.children_of(a.cell_id)
+        tau = 1.2  # a's link (1.0) is strong, c's (9.0) weak
+        assert tree.clusters(tau)[root.cell_id] == sorted([root.cell_id, a.cell_id, b.cell_id])
+        tree.set_dependency(b.cell_id, c.cell_id, 1.1)
+        assert b.dependency == c.cell_id
+        clusters = tree.clusters(tau)
+        assert clusters[root.cell_id] == sorted([root.cell_id, a.cell_id])
+        assert clusters[c.cell_id] == sorted([c.cell_id, b.cell_id])
 
     def test_self_dependency_rejected(self, chain_tree):
         tree, root, *_ = chain_tree
@@ -74,38 +118,44 @@ class TestStructure:
         with pytest.raises(KeyError):
             tree.set_dependency(root.cell_id, 999999, 1.0)
 
-    def test_remove_detaches_and_orphans_children(self, chain_tree):
+    def test_dependency_of_unknown_cell_rejected(self, chain_tree):
+        tree, root, *_ = chain_tree
+        with pytest.raises(KeyError):
+            tree.set_dependency(999999, root.cell_id, 1.0)
+
+    def test_remove_leaves_children_as_cluster_roots(self, chain_tree):
         tree, root, a, b, c = chain_tree
         removed = tree.remove(a.cell_id)
         assert removed is a
         assert a.cell_id not in tree
-        # b was a child of a; it becomes a root until recomputed.
-        assert b.dependency is None
-        assert b.delta == math.inf
-        assert a.cell_id not in tree.children_of(root.cell_id)
+        # b still names a until the engine recomputes it; extraction cuts
+        # the dangling link, so b heads its own cluster meanwhile.
+        clusters = tree.clusters(tau=100.0)
+        assert clusters == {root.cell_id: sorted([root.cell_id, c.cell_id]), b.cell_id: [b.cell_id]}
+        tree.validate()
 
     def test_remove_unknown_cell_raises(self):
         tree = DPTree()
         with pytest.raises(KeyError):
             tree.remove(12345)
 
-    def test_subtree_ids(self, chain_tree):
-        tree, root, a, b, c = chain_tree
-        assert set(tree.subtree_ids(a.cell_id)) == {a.cell_id, b.cell_id}
-        assert set(tree.subtree_ids(root.cell_id)) == {
-            root.cell_id,
-            a.cell_id,
-            b.cell_id,
-            c.cell_id,
-        }
-
-    def test_depth(self, chain_tree):
-        tree, *_ = chain_tree
-        assert tree.depth() == 3
-
     def test_validate_passes_on_consistent_tree(self, chain_tree):
         tree, *_ = chain_tree
         tree.validate()
+
+    def test_validate_rejects_self_dependency(self, chain_tree):
+        tree, root, a, *_ = chain_tree
+        write_link(tree, a.cell_id, a.cell_id, 0.0)
+        with pytest.raises(AssertionError, match="depends on itself"):
+            tree.validate()
+
+    def test_validate_rejects_two_cycle(self, chain_tree):
+        tree, root, a, b, c = chain_tree
+        write_link(tree, a.cell_id, b.cell_id, 0.5)
+        with pytest.raises(AssertionError, match="cycle"):
+            tree.validate()
+        # Extraction over the corrupted links terminates rather than hanging.
+        tree.clusters(tau=100.0)
 
 
 class TestClusterExtraction:
@@ -126,7 +176,7 @@ class TestClusterExtraction:
         tree, *_ = chain_tree
         clusters = tree.clusters(tau=1.0)
         members = [cid for cluster in clusters.values() for cid in cluster]
-        assert sorted(members) == sorted(tree.cell_ids())
+        assert sorted(members) == sorted(tree.ids())
 
     def test_num_clusters_matches_weak_link_count_plus_roots(self, chain_tree):
         tree, root, a, b, c = chain_tree
@@ -144,16 +194,29 @@ class TestClusterExtraction:
             for member in members:
                 assert assignment[member] == root_id
 
+    def test_long_chain_is_one_cluster(self):
+        """Pointer jumping reaches the root of a chain 40 links deep."""
+        tree = DPTree()
+        cells = [make_cell((float(i),), 1.0) for i in range(41)]
+        for cell in reversed(cells):
+            tree.add(cell)
+        for child, parent in zip(cells[1:], cells):
+            tree.set_dependency(child.cell_id, parent.cell_id, 1.0)
+        ids = [cell.cell_id for cell in cells]
+        assert tree.clusters(tau=1.0) == {ids[0]: ids}
+        tree.validate()
+
     def test_empty_tree(self):
         tree = DPTree()
         assert tree.clusters(1.0) == {}
+        assert tree.cluster_assignment(1.0) == {}
         assert tree.num_clusters(1.0) == 0
-        assert tree.depth() == 0
-        assert tree.deltas() == []
+        assert tree.link_deltas().tolist() == []
+        tree.validate()
 
-    def test_deltas_excludes_roots(self, chain_tree):
+    def test_link_deltas_exclude_roots(self, chain_tree):
         tree, *_ = chain_tree
-        assert sorted(tree.deltas()) == [0.5, 1.0, 9.0]
+        assert sorted(tree.link_deltas().tolist()) == [0.5, 1.0, 9.0]
 
     def test_cluster_root_is_the_msdsubtree_root(self, chain_tree):
         tree, root, a, b, c = chain_tree
@@ -161,3 +224,97 @@ class TestClusterExtraction:
         # Definition 2: the root of an MSDSubTree is that cluster's centre.
         assert root.cell_id in clusters
         assert c.cell_id in clusters
+
+
+class TestDependencyRules:
+    @pytest.mark.parametrize(
+        "rho_a, id_a, rho_b, id_b, expected",
+        [
+            (2.0, 9, 1.0, 3, True),  # higher density
+            (1.0, 3, 2.0, 9, False),  # lower density
+            (1.0, 3, 1.0, 9, True),  # equal density, smaller id
+            (1.0, 9, 1.0, 3, False),  # equal density, larger id
+        ],
+    )
+    def test_dominates(self, rho_a, id_a, rho_b, id_b, expected):
+        assert bool(dominates(rho_a, id_a, rho_b, id_b)) is expected
+        mask = dominates(rho_a, id_a, np.array([rho_b, rho_b]), np.array([id_b, id_b]))
+        assert mask.tolist() == [expected, expected]
+
+    @pytest.mark.parametrize(
+        "distance, parent, delta, dep, expected",
+        [
+            (1.0, 9, 2.0, 3, True),  # strictly closer
+            (3.0, 1, 2.0, 3, False),  # farther
+            (2.0, 1, 2.0, 3, True),  # as close, smaller parent id
+            (2.0, 9, 2.0, 3, False),  # as close, larger parent id
+            (2.0, 9, 2.0, -1, True),  # no dependency loses every tie
+        ],
+    )
+    def test_lex_improves(self, distance, parent, delta, dep, expected):
+        assert bool(lex_improves(distance, parent, delta, dep)) is expected
+        mask = lex_improves(np.array([distance]), parent, np.array([delta]), np.array([dep]))
+        assert mask.tolist() == [expected]
+
+
+#: Link choices for the random forests: a parent of lower rank (index into
+#: the cells ranked so far), the cell ranked just before (long chains), no
+#: parent, or an id that is not in the tree.
+_parent = st.one_of(
+    st.tuples(st.just("rank"), st.integers(min_value=0, max_value=1 << 16)),
+    st.just(("chain", -1)),
+    st.just(("none", -1)),
+    st.tuples(st.just("dangling"), st.integers(min_value=1, max_value=3)),
+)
+_delta = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, math.inf]),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+_forest = st.tuples(
+    st.permutations(range(24)),
+    st.lists(st.tuples(_parent, _delta), min_size=0, max_size=24),
+    st.sets(st.integers(min_value=0, max_value=23), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forest, st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]))
+def test_extraction_matches_the_reference_walk(forest, tau):
+    """Pointer jumping over the columns equals the walk on random forests.
+
+    Cells are ranked by a random permutation and each links to a cell of
+    lower rank, so the forest is acyclic while parents carry smaller or
+    larger ids alike; some cells then leave the tree, leaving dangling
+    links and a swap-compacted array order.
+    """
+    ranks, links, removed = forest
+    tree = DPTree()
+    cells = [make_cell((float(i),), 1.0) for i in range(len(links))]
+    for cell in cells:
+        tree.add(cell)
+    ranked = sorted(range(len(cells)), key=lambda i: ranks[i])
+    for position, index in enumerate(ranked):
+        (kind, value), delta = links[index]
+        if kind in ("rank", "chain") and position > 0:
+            dep = cells[ranked[value % position]].cell_id
+        elif kind == "dangling":
+            dep = cells[-1].cell_id + value
+        else:
+            dep = -1
+        write_link(tree, cells[index].cell_id, dep, delta)
+    for index in sorted(removed):
+        if index < len(cells):
+            tree.remove(cells[index].cell_id)
+
+    tree.validate()
+    expected = reference_clusters(tree, tau)
+    clusters = tree.clusters(tau)
+    assert clusters == expected
+    assert list(clusters) == sorted(expected)
+    assert tree.cluster_assignment(tau) == {
+        cid: root for root, members in expected.items() for cid in members
+    }
+    assert tree.num_clusters(tau) == len(expected)
+    assert tree.cluster_roots(tau).tolist() == [
+        root for cid in tree.ids() for root, members in expected.items() if cid in members
+    ]

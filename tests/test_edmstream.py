@@ -94,7 +94,7 @@ class TestClustering:
         feed(model, two_blob_stream)
         clusters = model.clusters()
         members = [cid for cluster in clusters.values() for cid in cluster]
-        assert sorted(members) == sorted(model.tree.cell_ids())
+        assert sorted(members) == sorted(model.tree.ids())
 
     def test_predict_one_separates_the_blobs(self, two_blob_stream):
         model = EDMStream(radius=0.5, init_size=50, beta=0.001)

@@ -64,8 +64,8 @@ def test_dependencies_point_to_denser_cells(points):
 @given(point_lists)
 def test_cell_store_caches_stay_coherent(points):
     model = build_model(points)
-    model._active.validate(model.decay)
-    model._inactive.validate(model.decay)
+    model._active.validate()
+    model._inactive.validate()
 
 
 @settings(max_examples=25, deadline=None)
@@ -74,7 +74,7 @@ def test_clusters_partition_active_cells(points):
     model = build_model(points)
     clusters = model.clusters()
     members = [cid for cluster in clusters.values() for cid in cluster]
-    assert sorted(members) == sorted(model.tree.cell_ids())
+    assert sorted(members) == sorted(model.tree.ids())
     assert len(members) == len(set(members)), "no cell may appear in two clusters"
 
 
@@ -82,7 +82,7 @@ def test_clusters_partition_active_cells(points):
 @given(point_lists)
 def test_every_cell_is_active_xor_inactive(points):
     model = build_model(points)
-    active_ids = set(model.tree.cell_ids())
+    active_ids = set(model.tree.ids())
     inactive_ids = {cell.cell_id for cell in model.reservoir.cells()}
     assert not (active_ids & inactive_ids)
     assert len(model._active) == len(active_ids)

@@ -49,7 +49,7 @@ def make_model(telemetry=None, **kwargs):
 
 
 def canonical_partition(model):
-    seed_of = {cid: tuple(model.tree.get(cid).seed) for cid in model.tree.cell_ids()}
+    seed_of = {cid: tuple(model.tree.get(cid).seed) for cid in model.tree.ids()}
     return {
         seed_of[root]: frozenset(seed_of[member] for member in members)
         for root, members in model.partition_snapshot().items()

@@ -14,6 +14,7 @@ from repro.core.persistence import (
     save_model,
 )
 from repro.obs import Telemetry
+from repro.streams.synthetic import SDSGenerator
 
 
 def trained_model(stream, **kwargs):
@@ -88,6 +89,20 @@ class TestRoundTrip:
             restored_cell = restored.tree.get(cell.cell_id)
             assert restored_cell.dependency == cell.dependency
             assert restored_cell.delta == pytest.approx(cell.delta)
+
+
+    def test_restored_snapshot_rows_keep_their_order(self, tmp_path):
+        """Each population is saved in store order, so snapshot rows line up."""
+        stream = SDSGenerator(n_points=8000, rate=1000.0, seed=1).generate()
+        model = EDMStream(radius=0.3, beta=0.0021, stream_rate=1000.0)
+        model.learn_many(stream)
+        restored = load_model(save_model(model, tmp_path / "model.json"))
+        saved, loaded = model.request_clustering(), restored.request_clustering()
+        assert loaded.cell_ids.tolist() == saved.cell_ids.tolist()
+        assert loaded.labels.tolist() == saved.labels.tolist()
+        assert np.array_equal(loaded.seeds, saved.seeds)
+        assert restored._active.ids() == model._active.ids()
+        assert restored._inactive.ids() == model._inactive.ids()
 
 
 class TestUninitialisedAndEdgeCases:

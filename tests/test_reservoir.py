@@ -66,39 +66,25 @@ class TestMembership:
         with pytest.raises(KeyError):
             reservoir.add(cell)
 
-    def test_pop_removes(self, reservoir):
+    def test_remove(self, reservoir):
         cell = ClusterCell(seed=(0.0,))
         reservoir.add(cell)
-        popped = reservoir.pop(cell.cell_id)
-        assert popped is cell
+        removed = reservoir.remove(cell.cell_id)
+        assert removed is cell
         assert len(reservoir) == 0
 
-    def test_pop_unknown_raises(self, reservoir):
+    def test_remove_unknown_raises(self, reservoir):
         with pytest.raises(KeyError):
-            reservoir.pop(9999)
+            reservoir.remove(9999)
 
     def test_iteration(self, reservoir):
         cells = [ClusterCell(seed=(float(i),)) for i in range(3)]
         for cell in cells:
             reservoir.add(cell)
-        assert set(c.cell_id for c in reservoir) == {c.cell_id for c in cells}
+        assert [c.cell_id for c in reservoir.cells()] == [c.cell_id for c in cells]
 
 
-class TestActivationAndPruning:
-    def test_is_active_threshold(self, reservoir):
-        dense = ClusterCell(seed=(0.0,), density=2000.0, last_update=0.0)
-        sparse = ClusterCell(seed=(1.0,), density=10.0, last_update=0.0)
-        assert reservoir.is_active(dense, now=0.0)
-        assert not reservoir.is_active(sparse, now=0.0)
-
-    def test_promotable_lists_only_dense_cells(self, reservoir):
-        dense = ClusterCell(seed=(0.0,), density=2000.0, last_update=0.0)
-        sparse = ClusterCell(seed=(1.0,), density=10.0, last_update=0.0)
-        reservoir.add(dense)
-        reservoir.add(sparse)
-        promotable = reservoir.promotable(now=0.0)
-        assert [c.cell_id for c in promotable] == [dense.cell_id]
-
+class TestPruning:
     def test_prune_outdated_removes_idle_cells(self):
         reservoir = OutlierReservoir(
             decay=DecayModel(), beta=0.0021, stream_rate=1000.0, deletion_interval=10.0
@@ -107,10 +93,23 @@ class TestActivationAndPruning:
         fresh = ClusterCell(seed=(1.0,), last_absorb=95.0)
         reservoir.add(stale)
         reservoir.add(fresh)
+        stale_id = stale.cell_id
         removed = reservoir.prune_outdated(now=100.0)
-        assert [c.cell_id for c in removed] == [stale.cell_id]
+        assert removed == [stale_id]
         assert fresh.cell_id in reservoir
         assert reservoir.total_deleted == 1
+        # The outdated cell is gone for good: its arena slot is recycled.
+        assert stale_id not in reservoir.arrays
+        assert reservoir.arrays.n_free == 1
+        reservoir.validate()
+
+    def test_idle_exactly_the_interval_is_kept(self):
+        reservoir = OutlierReservoir(
+            decay=DecayModel(), beta=0.0021, stream_rate=1000.0, deletion_interval=10.0
+        )
+        reservoir.add(ClusterCell(seed=(0.0,), last_absorb=90.0))
+        assert reservoir.prune_outdated(now=100.0) == []
+        assert len(reservoir) == 1
 
     def test_prune_disabled(self):
         reservoir = OutlierReservoir(

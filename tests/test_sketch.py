@@ -13,7 +13,6 @@ import pytest
 from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
 from repro.core.edmstream import EDMStream
-from repro.core.reservoir import OutlierReservoir
 from repro.core.soa import CellArrays
 from repro.distance import get_metric
 from repro.sketch import (
@@ -182,7 +181,7 @@ class TestSketchTier:
 
 
 def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
-    """An arena + stores + reservoir + tier holding ``n_cells`` inactive cells.
+    """An arena + stores + tier holding ``n_cells`` inactive cells.
 
     Returns ``(bounded, ids)``: the cell ids in creation (= coldness) order.
     Cell ``i`` has ``last_update = i``, so lower indices are colder.
@@ -192,13 +191,11 @@ def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
     arena = CellArrays(numeric=True)
     active = CellStore(numeric=True, metric=metric, arrays=arena)
     inactive = CellStore(numeric=True, metric=metric, arrays=arena)
-    reservoir = OutlierReservoir(decay=decay, beta=0.0021, stream_rate=1000.0)
     tier = SketchTier.auto_sized(decay=decay, radius=radius, memory_cap_bytes=cap)
     bounded = BoundedCellStore(
         arena=arena,
         active=active,
         inactive=inactive,
-        reservoir=reservoir,
         tier=tier,
         memory_cap_bytes=cap,
     )
@@ -211,7 +208,6 @@ def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
             last_update=float(i),
         )
         inactive.add(cell)
-        reservoir.add(cell)
         ids.append(cell.cell_id)
     return bounded, ids
 
@@ -232,7 +228,7 @@ class TestBoundedCellStore:
         # The first three created cells had the stalest last_update.
         assert all(cell_id not in bounded.arena for cell_id in ids[:3])
         assert all(cell_id in bounded.arena for cell_id in ids[3:])
-        assert len(bounded.reservoir) == 7
+        assert len(bounded.inactive) == 7
         assert bounded.tier.evictions == 3
 
     def test_eviction_folds_decayed_density(self):
@@ -297,7 +293,6 @@ class TestMassEviction:
         assert len(arena) == 0
         assert arena.n_free == high_water
         assert len(bounded.inactive) == 0
-        assert len(bounded.reservoir) == 0
         arena.validate()
         # Reallocation drains the free-list without growing the arena.
         capacity = arena.capacity
@@ -329,7 +324,6 @@ class TestMassEviction:
         bounded, _ = _bounded_fixture(self.N)
         arena = bounded.arena
         inactive = bounded.inactive
-        reservoir = bounded.reservoir
         next_id = self.N
         rng = np.random.default_rng(11)
         for round_no in range(6):
@@ -342,11 +336,10 @@ class TestMassEviction:
                     last_update=float(next_id),
                 )
                 inactive.add(cell)
-                reservoir.add(cell)
                 next_id += 1
             arena.validate()
             inactive.validate()
-        assert len(arena) == len(inactive) == len(reservoir)
+        assert len(arena) == len(inactive)
 
 
 def _cluster_stream(n, seed=0):

@@ -202,4 +202,4 @@ class TestFloat32Mode:
             sequential.learn_one(point)
         batched.learn_many(points, batch_size=64)
         assert batched.n_clusters == sequential.n_clusters
-        assert sorted(batched.tree.cell_ids()) == sorted(sequential.tree.cell_ids())
+        assert sorted(batched.tree.ids()) == sorted(sequential.tree.ids())
