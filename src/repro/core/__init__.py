@@ -3,10 +3,11 @@
 The sub-modules follow the structure of the paper:
 
 * :mod:`repro.core.decay` — the exponential decay model (Section 3.1).
-* :mod:`repro.core.cell` — the cluster-cell summary structure (Definition 4).
 * :mod:`repro.core.soa` / :mod:`repro.core.cellstore` — the
-  structure-of-arrays arena that holds every cell, and the population
-  views over it.
+  structure-of-arrays arena in which every cluster-cell (Definition 4) is
+  one row, created by ``CellArrays.create`` and addressed by id, and the
+  population views over it.
+* :mod:`repro.core.cell` — the read-only view of one cell.
 * :mod:`repro.core.dptree` — the Dependency Tree (Section 2.2): the active
   population, whose links are the arena's ``dep``/``delta`` columns, with
   MSDSubTree extraction by pointer jumping (Definition 2) and the

@@ -127,7 +127,7 @@ class BatchIngestor:
         obs = model.obs
         obs.counter("ingest_points_total").inc(len(points))
         obs.counter("ingest_batches_total").inc()
-        times, labels = self._timeline(points)
+        times = self._timeline(points)
         if model._start_time is None:
             first = points[0].timestamp
             model._start_time = float(times[0] if first is None else first)
@@ -135,7 +135,7 @@ class BatchIngestor:
         assigned: List[int] = [0] * len(points)
         start = 0
         for end, kind in self._chunk_plan(times):
-            self._process_chunk(values, times, labels, start, end, assigned)
+            self._process_chunk(values, times, start, end, assigned)
             now = float(times[end])
             if kind == _INIT:
                 model._initialize(now)
@@ -149,17 +149,16 @@ class BatchIngestor:
     # ------------------------------------------------------------------ #
     # timeline and chunk planning
     # ------------------------------------------------------------------ #
-    def _timeline(self, points: Sequence[StreamPoint]) -> Tuple[np.ndarray, List[Optional[int]]]:
+    def _timeline(self, points: Sequence[StreamPoint]) -> np.ndarray:
         """Per-point observation times (running max, as ``learn_one`` sees)."""
         model = self.model
         now = model._now
-        labels = [point.label for point in points]
         raw = [point.timestamp for point in points]
         if None not in raw:
             times = np.asarray(raw, dtype=float)
             if times[0] <= now or np.any(np.diff(times) < 0.0):
                 np.maximum.accumulate(np.maximum(times, now), out=times)
-            return times, labels
+            return times
         n_points = model._n_points
         rate = model.config.stream_rate
         times = np.empty(len(points), dtype=float)
@@ -170,7 +169,7 @@ class BatchIngestor:
                 now = timestamp
             times[i] = now
             n_points += 1
-        return times, labels
+        return times
 
     def _chunk_plan(self, times: np.ndarray) -> List[Tuple[int, Optional[str]]]:
         """Split the batch where the sequential path would run boundary work.
@@ -230,7 +229,6 @@ class BatchIngestor:
         self,
         values: Any,
         times: np.ndarray,
-        labels: List[Optional[int]],
         start: int,
         end: int,
         assigned: List[int],
@@ -250,9 +248,9 @@ class BatchIngestor:
 
         obs = model.obs
         with obs.phase("assign"):
-            groups = self._assign_chunk(chunk_values, chunk_times, labels, start, assigned)
+            groups = self._assign_chunk(chunk_values, chunk_times, start, assigned)
         with obs.phase("absorb"):
-            dirty = self._apply_absorptions(groups, chunk_times, labels, start)
+            dirty = self._apply_absorptions(groups, chunk_times)
 
         if self._revived and model._initialized:
             # Revived cells can come back above the active threshold without
@@ -260,11 +258,11 @@ class BatchIngestor:
             # creation, the batch path at its usual chunk boundary.
             now = float(chunk_times[-1])
             threshold = model.active_threshold(now)
+            arena = model._cells
             for cell_id in self._revived:
                 if cell_id not in model.reservoir:
                     continue  # already activated by an absorption crossing
-                cell = model.reservoir.get(cell_id)
-                if cell.density_at(now, model.decay) >= threshold:
+                if arena.density_at(arena.slot_of(cell_id), now, model.decay) >= threshold:
                     model._activate_cell(cell_id, now)
 
         if model._initialized and dirty:
@@ -277,7 +275,6 @@ class BatchIngestor:
         self,
         chunk_values: Any,
         chunk_times: np.ndarray,
-        labels: List[Optional[int]],
         offset: int,
         assigned: List[int],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -382,7 +379,7 @@ class BatchIngestor:
                     density = 1.0
                     if bounded is not None:
                         density += bounded.revival_density(seed, float(chunk_times[j]))
-                    cell = model._cells.create(
+                    cell_id = model._cells.create(
                         seed,
                         density=density,
                         created_at=float(chunk_times[j]),
@@ -390,12 +387,9 @@ class BatchIngestor:
                         last_absorb=float(chunk_times[j]),
                     )
                     if density > 1.0:
-                        self._revived.append(cell.cell_id)
-                    label = labels[offset + j]
-                    if label is not None:
-                        cell.label_votes[label] = 1
-                    model.reservoir.add(cell)
-                    absorber[j] = cell.cell_id
+                        self._revived.append(cell_id)
+                    model.reservoir.add(cell_id)
+                    absorber[j] = cell_id
                     created[j] = True
                     if j + 1 >= size:
                         continue
@@ -406,7 +400,7 @@ class BatchIngestor:
                     distances = candidate_rows[row, j + 1 :]
                     better = distances < fresh_best[j + 1 :]
                     fresh_best[j + 1 :][better] = distances[better]
-                    fresh_id[j + 1 :][better] = cell.cell_id
+                    fresh_id[j + 1 :][better] = cell_id
                 tail = np.arange(first_create, size)
                 tail = tail[~created[first_create:]]
                 if tail.size:
@@ -433,18 +427,15 @@ class BatchIngestor:
                         absorber[j] = best_id
                         continue
 
-                    cell = model._cells.create(
+                    cell_id = model._cells.create(
                         value,
                         density=1.0,
                         created_at=float(chunk_times[j]),
                         last_update=float(chunk_times[j]),
                         last_absorb=float(chunk_times[j]),
                     )
-                    label = labels[offset + j]
-                    if label is not None:
-                        cell.label_votes[label] = 1
-                    model.reservoir.add(cell)
-                    absorber[j] = cell.cell_id
+                    model.reservoir.add(cell_id)
+                    absorber[j] = cell_id
                     created[j] = True
                     if j + 1 >= size:
                         continue
@@ -454,7 +445,7 @@ class BatchIngestor:
                     )
                     better = distances < fresh_best[j + 1 :]
                     fresh_best[j + 1 :][better] = distances[better]
-                    fresh_id[j + 1 :][better] = cell.cell_id
+                    fresh_id[j + 1 :][better] = cell_id
 
         assigned[offset : offset + size] = absorber.tolist()
         # Group the absorbed points by absorbing cell with one stable sort;
@@ -476,8 +467,6 @@ class BatchIngestor:
         self,
         groups: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
         chunk_times: np.ndarray,
-        labels: List[Optional[int]],
-        offset: int,
     ) -> List[int]:
         """Apply per-(cell, chunk) density updates; returns the dirty cells.
 
@@ -513,7 +502,7 @@ class BatchIngestor:
         # plus one grouped freshness sum (``np.add.reduceat`` over the
         # concatenated arrivals) — the closed form of
         # ``DecayModel.batch_absorb``; a single-point group contributes
-        # ``a^0 = 1.0`` exactly, matching ``ClusterCell.absorb``.
+        # ``a^0 = 1.0`` exactly, matching the per-point step in ``EDMStream._assign``.
         arrivals = chunk_times[order]
         fresh = a ** (lam * (np.repeat(last_times, counts) - arrivals))
         increments = np.add.reduceat(fresh, starts)
@@ -587,87 +576,12 @@ class BatchIngestor:
         arena.last_absorb[slots] = last_times
         arena.points_absorbed[slots] += counts
 
-        chunk_len = chunk_times.shape[0]
-        chunk_labels = labels[offset : offset + chunk_len]
-        if any(label is not None for label in chunk_labels):
-            self._tally_votes(chunk_labels, group_ids, slots, starts, counts, order)
-
         dirty = [cid for cid, flag in zip(id_list, in_tree) if flag]
         to_activate = sorted((crossing, cid) for cid, crossing in crossings.items())
         for _, cell_id in to_activate:
             tree.add(model.reservoir.remove(cell_id))
             dirty.append(cell_id)
         return dirty
-
-    def _tally_votes(
-        self,
-        chunk_labels: List[Optional[int]],
-        group_ids: np.ndarray,
-        slots: np.ndarray,
-        starts: np.ndarray,
-        counts: np.ndarray,
-        order: np.ndarray,
-    ) -> None:
-        """Accumulate label votes for one chunk's absorptions.
-
-        Integer labels aggregate through one ``np.unique`` over encoded
-        (group, label) pairs — a handful of dictionary updates per chunk
-        instead of one per labelled point; non-integer labels fall back to
-        the per-point loop.
-        """
-        arena = self.model._cells
-        n = group_ids.shape[0]
-        # Fully labelled integer chunks (the common case) convert in one C
-        # pass; chunks with ``None`` holes get an explicit mask, and anything
-        # non-integer falls through to the per-point loop.
-        codes = np.asarray(chunk_labels)
-        has_label = None
-        if codes.dtype.kind in "iub":
-            codes = codes.astype(np.int64, copy=False)
-        else:
-            filled = np.asarray(
-                [-1 if label is None else label for label in chunk_labels]
-            )
-            if filled.dtype.kind in "iu":
-                codes = filled.astype(np.int64, copy=False)
-                has_label = np.asarray(
-                    [label is not None for label in chunk_labels], dtype=bool
-                )
-            else:
-                codes = None
-        if codes is not None:
-            picked = codes[order]
-            group_of = np.repeat(np.arange(n), counts)
-            if has_label is not None:
-                keep = has_label[order]
-                if not keep.any():
-                    return
-                group_of = group_of[keep]
-                picked = picked[keep]
-            low = int(picked.min())
-            span = int(picked.max()) - low + 1
-            if n * span >= np.iinfo(np.int64).max:  # pragma: no cover - huge labels
-                codes = None
-        if codes is not None:
-            combos, tallies = np.unique(group_of * span + (picked - low), return_counts=True)
-            for combo, tally in zip(combos.tolist(), tallies.tolist()):
-                group, label = divmod(combo, span)
-                label += low
-                votes = arena.label_votes_of(int(slots[group]))
-                votes[label] = votes.get(label, 0) + tally
-            return
-        votes_cache: List[Optional[Dict[int, int]]] = [None] * n
-        group_of = np.repeat(np.arange(n), counts)
-        for k, point in enumerate(order.tolist()):
-            label = chunk_labels[point]
-            if label is None:
-                continue
-            g = int(group_of[k])
-            votes = votes_cache[g]
-            if votes is None:
-                votes = arena.label_votes_of(int(slots[g]))
-                votes_cache[g] = votes
-            votes[label] = votes.get(label, 0) + 1
 
     def _thresholds_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`EDMStream.active_threshold` over several times."""

@@ -91,7 +91,7 @@ class CellStore:
         return cell_id in self._pos
 
     def cells(self) -> Iterable[ClusterCell]:
-        """Iterate over the stored cells in insertion (array) order."""
+        """Read-only views of the stored cells, in array order."""
         return (self._arrays.view(cid) for cid in self._ids)
 
     def ids(self) -> List[int]:
@@ -99,7 +99,7 @@ class CellStore:
         return list(self._ids)
 
     def get(self, cell_id: int) -> ClusterCell:
-        """Return a stored cell by id."""
+        """A read-only view of a stored cell; ``KeyError`` if it is not here."""
         if cell_id not in self._pos:
             raise KeyError(f"cell {cell_id} not in store")
         return self._arrays.view(cell_id)
@@ -133,8 +133,8 @@ class CellStore:
     def seed_view(self) -> Optional[np.ndarray]:
         """The population's seed matrix in array order (cached, read-only).
 
-        Seeds are written only when a cell is allocated or adopted — never
-        while it sits in a store — so the gather out of the arena is a pure
+        Seeds are written only when a cell is allocated — never while it
+        sits in a store — so the gather out of the arena is a pure
         function of the membership and can be cached until the next
         :meth:`add` / :meth:`remove`.  The sequential ingestion path
         concatenates both populations' views into its scan matrix whenever
@@ -170,34 +170,31 @@ class CellStore:
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
-    def add(self, cell: ClusterCell) -> None:
-        """Add a cell; raises ``KeyError`` if its id is already stored.
+    def add(self, cell_id: int) -> None:
+        """Add a cell of this store's arena by id.
 
-        A cell backed by a different arena (e.g. a standalone cell in the
-        detached arena) is first adopted into this store's arena; the view
-        object keeps its identity, so ``store.get(cell.cell_id) is cell``.
+        Raises ``KeyError`` if the id owns no slot in the arena or already
+        belongs to a population.
         """
-        cell_id = cell.cell_id
-        if cell_id in self._pos:
-            raise KeyError(f"cell {cell_id} already in store")
-        if cell._arrays is not self._arrays:
-            self._arrays.adopt(cell)
+        slot = self._arrays.slot_of(cell_id)
+        if self._arrays.status[slot] == MEMBER:
+            raise KeyError(f"cell {cell_id} already in a population")
         if self._size >= self._slots.shape[0]:
             grown = np.empty(self._slots.shape[0] * 2, dtype=np.int64)
             grown[: self._size] = self._slots[: self._size]
             self._slots = grown
         position = self._size
-        self._slots[position] = cell._slot
+        self._slots[position] = slot
         self._pos[cell_id] = position
         self._ids.append(cell_id)
         self._ids_cache = None
         self._seed_cache = None
-        self._arrays.status[cell._slot] = MEMBER
+        self._arrays.status[slot] = MEMBER
         self._size += 1
         self.version += 1
 
-    def remove(self, cell_id: int) -> ClusterCell:
-        """Remove a cell by id (swap-with-last compaction); returns the cell.
+    def remove(self, cell_id: int) -> int:
+        """Remove a cell by id (swap-with-last compaction); returns the id.
 
         The cell's arena slot is *not* released — the cell usually moves to
         the other population.  Callers that are deleting the cell for good
@@ -219,7 +216,7 @@ class CellStore:
         self._size -= 1
         self.version += 1
         self._arrays.status[slot] = DETACHED
-        return self._arrays.view(cell_id)
+        return cell_id
 
     # ------------------------------------------------------------------ #
     # bulk queries

@@ -12,8 +12,8 @@ weak link.
 links are the arena's ``dep``/``delta`` columns.  It keeps no per-cell
 container of its own.  Cluster extraction cuts the links with δ > τ and
 pointer-jumps every active slot to its cluster root in O(n log n) array
-work.  Density maintenance lives in :class:`~repro.core.cell.ClusterCell`
-and dependency *selection* in the two engines, which share the rules
+work.  Density maintenance (Equation 8 on the arena columns) and
+dependency *selection* live in the two engines, which share the rules
 below.
 """
 

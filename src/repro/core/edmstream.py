@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.api import ClusterSnapshot, ServingView, StreamClusterer, as_stream_points
 from repro.core.adaptive_tau import TauOptimizer, suggest_initial_tau
-from repro.core.cell import ClusterCell
 from repro.core.config import EDMStreamConfig
 from repro.core.decay import DecayModel
 from repro.core.dptree import DPTree, dominates, lex_improves
@@ -259,7 +258,11 @@ class EDMStream(StreamClusterer):
     def learn_one(
         self, values: Any, timestamp: Optional[float] = None, label: Optional[int] = None
     ) -> int:
-        """Ingest one point; returns the id of the cell that absorbed it."""
+        """Ingest one point; returns the id of the cell that absorbed it.
+
+        ``label`` is accepted for the :class:`~repro.api.StreamClusterer`
+        protocol and ignored: EDMStream keeps no per-label state.
+        """
         point = self._prepare(values)
         if timestamp is None:
             timestamp = self._now + 1.0 / self.config.stream_rate if self._n_points else 0.0
@@ -269,7 +272,7 @@ class EDMStream(StreamClusterer):
         self._n_points += 1
         self._obs_points.inc()
 
-        cell_id = self._assign(point, self._now, label)
+        cell_id = self._assign(point, self._now)
 
         if not self._initialized:
             if self._n_points >= self.config.init_size:
@@ -408,7 +411,8 @@ class EDMStream(StreamClusterer):
         if self._numeric:
             view.seeds = self._active.seed_matrix()
         else:
-            view.seed_objects = [self._active.get(cell_id).seed for cell_id in ids]
+            seed_of = self._cells.seed_of
+            view.seed_objects = [seed_of(slot) for slot in self._active.slots().tolist()]
         return view
 
     def predict_one(self, values: Any) -> int:
@@ -446,9 +450,11 @@ class EDMStream(StreamClusterer):
     def decision_graph(self) -> List[Tuple[float, float, int]]:
         """(ρ, δ, cell id) triples of the active cells — the decision graph of Fig. 2b."""
         now = self._now
-        graph = []
-        for cell in self.tree.cells():
-            graph.append((cell.density_at(now, self.decay), cell.delta, cell.cell_id))
+        arrays = self._cells
+        graph = [
+            (arrays.density_at(slot, now, self.decay), float(arrays.delta[slot]), cell_id)
+            for slot, cell_id in zip(self.tree.slots().tolist(), self.tree.ids())
+        ]
         graph.sort(key=lambda item: (-item[0], item[1]))
         return graph
 
@@ -539,7 +545,7 @@ class EDMStream(StreamClusterer):
             self._union_key = key
         return self._union
 
-    def _assign(self, point: Any, now: float, label: Optional[int]) -> int:
+    def _assign(self, point: Any, now: float) -> int:
         """Absorb ``point`` into the nearest cell within ``r``, or seed a new cell.
 
         One distance vector covers both populations.  Canonical tie-breaking:
@@ -551,7 +557,7 @@ class EDMStream(StreamClusterer):
         """
         slots, ids, seeds = self._members()
         if slots.size == 0:
-            return self._create_cell(point, now, label)
+            return self._create_cell(point, now)
         if seeds is not None:
             query = np.asarray(point, dtype=seeds.dtype).reshape(1, -1)
             distances = pairwise_euclidean(query, seeds)[0]
@@ -562,7 +568,7 @@ class EDMStream(StreamClusterer):
         position = int(distances.argmin())
         nearest = distances[position]
         if float(nearest) > self.config.radius:
-            return self._create_cell(point, now, label)
+            return self._create_cell(point, now)
         tied = (distances == nearest).nonzero()[0]
         if tied.size > 1:
             position = int(tied[np.argmin(ids[tied])])
@@ -577,9 +583,6 @@ class EDMStream(StreamClusterer):
         arrays.last_update[slot] = now
         arrays.last_absorb[slot] = now
         arrays.points_absorbed[slot] += 1
-        if label is not None:
-            votes = arrays.label_votes_of(slot)
-            votes[label] = votes.get(label, 0) + 1
 
         n_active = len(self._active)
         if position >= n_active:
@@ -593,7 +596,7 @@ class EDMStream(StreamClusterer):
             self.dependency_update_seconds += _time.perf_counter() - started
         return cell_id
 
-    def _create_cell(self, point: Any, now: float, label: Optional[int]) -> int:
+    def _create_cell(self, point: Any, now: float) -> int:
         density = 1.0
         if self._bounded is not None:
             # Evict before allocating so the arena never doubles past the
@@ -601,17 +604,14 @@ class EDMStream(StreamClusterer):
             # point re-enters a region whose cells were evicted.
             self._bounded.ensure_headroom(1, now)
             density += self._bounded.revival_density(point, now)
-        cell = self._cells.create(
+        cell_id = self._cells.create(
             point,
             density=density,
             created_at=now,
             last_update=now,
             last_absorb=now,
         )
-        if label is not None:
-            cell.label_votes[label] = 1
-        self.reservoir.add(cell)
-        cell_id = cell.cell_id
+        self.reservoir.add(cell_id)
         if (
             self._bounded is not None
             and self._initialized
@@ -741,30 +741,38 @@ class EDMStream(StreamClusterer):
     # ------------------------------------------------------------------ #
     def _activate_cell(self, cell_id: int, now: float) -> None:
         """Move a cell from the outlier reservoir into the DP-Tree (emergence)."""
-        cell = self.reservoir.remove(cell_id)
-        cell.refresh(now, self.decay)
-        self.tree.add(cell)
+        self.reservoir.remove(cell_id)
+        self._refresh(cell_id, now)
+        self.tree.add(cell_id)
 
         started = _time.perf_counter()
         self._recompute_dependency(cell_id, now)
-        self._repoint_lower_cells_to(cell, now)
+        self._repoint_lower_cells_to(cell_id, now)
         self.dependency_update_seconds += _time.perf_counter() - started
 
-    def _repoint_lower_cells_to(self, new_cell: ClusterCell, now: float) -> None:
+    def _refresh(self, cell_id: int, now: float) -> None:
+        """Decay a cell's stored density up to ``now`` in the arena columns."""
+        arrays = self._cells
+        slot = arrays.slot_of(cell_id)
+        arrays.density[slot] = arrays.density_at(slot, now, self.decay)
+        arrays.last_update[slot] = now
+
+    def _repoint_lower_cells_to(self, new_id: int, now: float) -> None:
         """Lower-density active cells may now be closer to the newly active cell."""
         active = self._active
         if len(active) <= 1:
             return
+        arrays = self._cells
+        new_slot = arrays.slot_of(new_id)
         ids = active.ids_array()
         densities = active.densities_at(now, self.decay)
-        new_id = new_cell.cell_id
-        dominated = dominates(new_cell.density, new_id, densities, ids) & (ids != new_id)
+        rho = float(arrays.density[new_slot])
+        dominated = dominates(rho, new_id, densities, ids) & (ids != new_id)
         positions = np.flatnonzero(dominated)
         if positions.size == 0:
             return
-        distances = active.distances_to_subset(new_cell.seed, positions)
+        distances = active.distances_to_subset(arrays.seed_of(new_slot), positions)
         self._filter_stats.distance_computations += int(positions.size)
-        arrays = self._cells
         slots = active.slots()[positions]
         winners = lex_improves(distances, new_id, arrays.delta[slots], arrays.dep[slots])
         self._filter_stats.dependency_changes += int(np.count_nonzero(winners))
@@ -798,29 +806,25 @@ class EDMStream(StreamClusterer):
         threshold = self.active_threshold(now)
         # Promote in creation (ascending id) order, whatever evictions did
         # to the reservoir's array order.
-        cached = sorted(self._cells.cell_ids[self.reservoir.slots()].tolist())
-        promotable = [
-            cell_id
-            for cell_id in cached
-            if self.reservoir.get(cell_id).density_at(now, self.decay) >= threshold
-        ]
-        if len(promotable) < 2:
+        ids = self.reservoir.ids_array()
+        order = np.argsort(ids)
+        cached = ids[order]
+        promotable = cached[self.reservoir.densities_at(now, self.decay)[order] >= threshold]
+        if promotable.size < 2:
             # Not enough dense cells yet: promote every cached cell so that a
             # primary clustering exists, mirroring the paper's initialisation
             # over all cached cluster-cells.
             promotable = cached
-        for cell_id in promotable:
-            cell = self.reservoir.remove(cell_id)
-            cell.refresh(now, self.decay)
-            self.tree.add(cell)
+        for cell_id in promotable.tolist():
+            self.reservoir.remove(cell_id)
+            self._refresh(cell_id, now)
+            self.tree.add(cell_id)
 
-        # Dependencies: process cells from the densest downwards.
-        ordered = sorted(
-            self.tree.cells(),
-            key=lambda c: (-c.density, c.cell_id),
-        )
-        for cell in ordered:
-            self._recompute_dependency(cell.cell_id, now)
+        # Dependencies: process cells from the densest downwards, smallest
+        # id first among equal densities.
+        ids = self.tree.ids_array()
+        for cell_id in ids[np.lexsort((ids, -self.tree.raw_densities()))].tolist():
+            self._recompute_dependency(cell_id, now)
 
         if self._tau is None:
             self._tau = suggest_initial_tau(self.tree.link_deltas().tolist())

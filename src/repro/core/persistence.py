@@ -9,10 +9,12 @@ and the current τ — into a plain JSON-compatible dictionary:
 * :func:`model_to_dict` / :func:`model_from_dict` — in-memory round trip,
 * :func:`save_model` / :func:`load_model` — JSON file round trip.
 
-Cell seeds are stored as coordinate lists for numeric metrics and as token
-lists for the Jaccard metric; evolution history and performance counters are
-intentionally *not* persisted (they describe the past run, not the state
-needed to continue clustering).
+Cells are written from their arena rows and restored straight into the new
+model's arena under their saved ids.  Cell seeds are stored as coordinate
+lists for numeric metrics and as token lists for the Jaccard metric;
+evolution history and performance counters are intentionally *not*
+persisted (they describe the past run, not the state needed to continue
+clustering).
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, Union
 
-from repro.core.cell import ClusterCell, ensure_cell_id_floor
+from repro.core.cell import ClusterCell
 from repro.core.config import EDMStreamConfig
 from repro.core.edmstream import EDMStream
+from repro.core.soa import ensure_cell_id_floor
 from repro.distance.text import TokenSetPoint
 
 #: Format version written into every snapshot, checked on load.
@@ -87,23 +90,26 @@ def _encode_cell(cell: ClusterCell, numeric: bool) -> Dict[str, Any]:
         "dependency": cell.dependency,
         "delta": _encode_value(cell.delta),
         "points_absorbed": cell.points_absorbed,
-        "label_votes": {str(k): v for k, v in cell.label_votes.items()},
     }
 
 
-def _decode_cell(data: Dict[str, Any], numeric: bool) -> ClusterCell:
-    return ClusterCell(
-        seed=_decode_seed(data["seed"], numeric),
+def _restore_cell(model: EDMStream, data: Dict[str, Any]) -> int:
+    """Allocate one saved cell, without its dependency, in the model's arena.
+
+    Cells saved by earlier versions also carry a ``label_votes`` histogram,
+    which nothing reads; it is ignored.
+    """
+    cell_id = int(data["cell_id"])
+    model._cells.allocate(
+        cell_id,
+        _decode_seed(data["seed"], model._numeric),
         density=float(data["density"]),
         created_at=float(data["created_at"]),
         last_update=float(data["last_update"]),
         last_absorb=float(data["last_absorb"]),
-        dependency=data["dependency"],
-        delta=_decode_value(data["delta"]),
         points_absorbed=int(data["points_absorbed"]),
-        cell_id=int(data["cell_id"]),
-        label_votes={int(k): int(v) for k, v in data.get("label_votes", {}).items()},
     )
+    return cell_id
 
 
 def model_to_dict(model: EDMStream) -> Dict[str, Any]:
@@ -148,29 +154,20 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
         **{k: v for k, v in data["config"].items() if k not in _RETIRED_CONFIG_KEYS}
     )
     model = EDMStream(config)
-    numeric = model._numeric
 
-    # Restore active cells first (without dependencies), then wire the
-    # dependency links once every node exists.
-    dependencies: List[Dict[str, Any]] = []
-    max_id = 0
+    # Each population in its saved order: the active cells first, without
+    # dependencies, then the links once every node exists.  A link whose
+    # target is not in the tree stays cut.
     for cell_data in data["active_cells"]:
-        cell = _decode_cell(cell_data, numeric)
-        max_id = max(max_id, cell.cell_id)
-        dependencies.append(
-            {"cell_id": cell.cell_id, "dependency": cell.dependency, "delta": cell.delta}
-        )
-        cell.dependency = None
-        cell.delta = float("inf")
-        model.tree.add(cell)
-    for link in dependencies:
-        if link["dependency"] is not None and link["dependency"] in model.tree:
-            model.tree.set_dependency(link["cell_id"], link["dependency"], link["delta"])
-
+        model.tree.add(_restore_cell(model, cell_data))
+    for cell_data in data["active_cells"]:
+        dependency = cell_data["dependency"]
+        if dependency is not None and dependency in model.tree:
+            model.tree.set_dependency(
+                int(cell_data["cell_id"]), dependency, _decode_value(cell_data["delta"])
+            )
     for cell_data in data["inactive_cells"]:
-        cell = _decode_cell(cell_data, numeric)
-        max_id = max(max_id, cell.cell_id)
-        model.reservoir.add(cell)
+        model.reservoir.add(_restore_cell(model, cell_data))
 
     state = data["state"]
     model._tau = state["tau"]
@@ -185,7 +182,7 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
     if model._tau is not None:
         model.tau_history.append((model._now, model._tau))
 
-    ensure_cell_id_floor(max_id)
+    ensure_cell_id_floor(max(model._cells.ids(), default=0))
     return model
 
 

@@ -18,7 +18,6 @@ from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from repro.core.cell import ClusterCell
 from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
 from repro.core.soa import CellArrays
@@ -81,12 +80,13 @@ class OutlierReservoir(CellStore):
     # ------------------------------------------------------------------ #
     # membership updates
     # ------------------------------------------------------------------ #
-    def add(self, cell: ClusterCell) -> None:
-        """Add an inactive cell; raises ``KeyError`` if already present."""
-        super().add(cell)
+    def add(self, cell_id: int) -> None:
+        """Add an inactive cell by id and clear its dependency link."""
+        super().add(cell_id)
         # Dependency information is meaningless outside the DP-Tree.
-        self._arrays.dep[cell._slot] = -1
-        self._arrays.delta[cell._slot] = np.inf
+        slot = self._arrays.slot_of(cell_id)
+        self._arrays.dep[slot] = -1
+        self._arrays.delta[slot] = np.inf
 
     def prune_outdated(self, now: float) -> List[int]:
         """Delete cells idle for longer than ΔT_del (Section 4.4); returns their ids.

@@ -10,16 +10,17 @@ beyond the occasional capacity doubling.
 
 The design splits responsibilities three ways:
 
-* **CellArrays (this module)** owns the storage: slot allocation, the
-  column arrays, and the :class:`~repro.core.cell.ClusterCell` views that
-  give each slot an object-shaped API.
+* **CellArrays (this module)** owns the storage: the cell-id counter,
+  slot allocation and the column arrays.  :meth:`CellArrays.create` is the
+  one way a new cell comes into being; it returns the cell's id, and
+  every other layer addresses the cell by that id.
 * **CellStore** (:mod:`repro.core.cellstore`) is a *population view* over
   one ``CellArrays``: it maintains a dense array of slots (the active or
   the inactive population) and answers vectorised bulk queries against
   that subset.  Populations share the backbone, so moving a cell between
   them never copies cell state.
-* **ClusterCell** (:mod:`repro.core.cell`) is a thin per-slot view whose
-  attributes read and write the columns in place.
+* **ClusterCell** (:mod:`repro.core.cell`) is a read-only view of one
+  cell id, which resolves its slot on every read.
 
 The storage-layout contract (column dtypes, invariants, free-list
 semantics) is documented in ``docs/ARCHITECTURE.md``; the serving tier
@@ -28,22 +29,24 @@ builds on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.cell import ClusterCell
 from repro.core.decay import DecayModel
 
-__all__ = ["CellArrays", "FREE", "DETACHED", "MEMBER"]
+__all__ = ["CellArrays", "FREE", "DETACHED", "MEMBER", "ensure_cell_id_floor"]
 
 #: Slot status codes (``CellArrays.status`` column).
 FREE = 0
-#: The slot belongs to a cell not (yet) tracked by any population view —
-#: either a standalone cell in the detached arena or a model cell between
-#: population moves.
+#: The slot belongs to a cell not (yet) tracked by any population view: a
+#: cell just created, or one between population moves.
 DETACHED = 1
-#: The slot belongs to a cell tracked by at least one population view.
+#: The slot belongs to a cell tracked by a population view (by exactly one:
+#: ``CellStore.add`` refuses a cell that is already a member).
 MEMBER = 2
 
 _INITIAL_CAPACITY = 64
@@ -60,6 +63,20 @@ _SCALAR_COLUMNS = (
     ("cell_ids", np.int64, -1),
     ("status", np.int8, FREE),
 )
+
+
+_cell_id_counter = itertools.count(1)
+
+
+def ensure_cell_id_floor(minimum: int) -> None:
+    """Advance the global cell-id counter so new ids start above ``minimum``.
+
+    Used when restoring a persisted model (:mod:`repro.core.persistence`):
+    cells created after the restore must not collide with the restored ids.
+    """
+    global _cell_id_counter
+    current = next(_cell_id_counter)
+    _cell_id_counter = itertools.count(max(current, minimum + 1))
 
 
 class CellArrays:
@@ -108,13 +125,9 @@ class CellArrays:
         self._top = 0
         #: cell id -> slot for every live (non-FREE) slot.
         self._slot_of: Dict[int, int] = {}
-        #: cell id -> view object, created lazily and kept stable.
-        self._views: Dict[int, Any] = {}
         #: slot -> original seed object (tuple / token set), the exact value
-        #: handed to :meth:`create`; the matrix row is its dtype-cast copy.
+        #: handed to :meth:`allocate`; the matrix row is its dtype-cast copy.
         self._seed_obj: Dict[int, Any] = {}
-        #: slot -> ground-truth label histogram (allocated on first vote).
-        self._label_votes: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------ #
     # container protocol
@@ -232,11 +245,15 @@ class CellArrays:
         created_at: float = 0.0,
         last_update: float = 0.0,
         last_absorb: float = 0.0,
-        dependency: Optional[int] = None,
-        delta: float = np.inf,
         points_absorbed: int = 1,
     ) -> int:
-        """Claim a slot for ``cell_id`` (recycling the free-list) and fill it."""
+        """Claim a slot for ``cell_id`` (recycling the free-list) and fill it.
+
+        Returns the slot, marked ``DETACHED`` and without a dependency:
+        every unused slot holds ``dep = -1``, ``delta = inf`` (the fill
+        values, which :meth:`release` restores).  New cells come from
+        :meth:`create`; persistence calls this directly to restore saved ids.
+        """
         if cell_id in self._slot_of:
             raise KeyError(f"cell {cell_id} already allocated")
         if self._free:
@@ -256,19 +273,19 @@ class CellArrays:
         self.created_at[slot] = created_at
         self.last_update[slot] = last_update
         self.last_absorb[slot] = last_absorb
-        self.delta[slot] = delta
-        self.dep[slot] = -1 if dependency is None else dependency
         self.points_absorbed[slot] = points_absorbed
         self.cell_ids[slot] = cell_id
         self.status[slot] = DETACHED
         return slot
 
     def release(self, cell_id: int) -> None:
-        """Return a cell's slot to the free-list and drop its side state.
+        """Return a cell's slot to the free-list and drop its seed object.
 
         The caller is responsible for first removing the cell from its
-        population view (the DP-Tree or the reservoir); releasing a slot
-        still referenced by a view would let the slot be recycled under it.
+        population view (the DP-Tree or the reservoir); releasing a slot a
+        population still lists would let the slot be recycled under it.
+        A :class:`~repro.core.cell.ClusterCell` view of the released id
+        raises ``KeyError`` from then on, even once the slot is reused.
         """
         slot = self._slot_of.pop(cell_id)
         self.status[slot] = FREE
@@ -276,78 +293,38 @@ class CellArrays:
         self.dep[slot] = -1
         self.delta[slot] = np.inf
         self._seed_obj.pop(slot, None)
-        self._label_votes.pop(slot, None)
-        view = self._views.pop(cell_id, None)
-        if view is not None:
-            view._arrays = None
-            view._slot = -1
         self._free.append(slot)
 
     # ------------------------------------------------------------------ #
-    # views and adoption
+    # cells
     # ------------------------------------------------------------------ #
-    def create(self, seed: Any, **fields: Any) -> Any:
-        """Allocate a slot and return its :class:`ClusterCell` view."""
-        from repro.core.cell import ClusterCell
+    def create(
+        self,
+        seed: Any,
+        density: float = 1.0,
+        created_at: float = 0.0,
+        last_update: float = 0.0,
+        last_absorb: float = 0.0,
+    ) -> int:
+        """Create a cell with a fresh id from the process counter; returns the id.
 
-        return ClusterCell(seed=seed, _arena=self, **fields)
-
-    def view(self, cell_id: int) -> Any:
-        """The stable :class:`ClusterCell` view for a live cell id."""
-        cell = self._views.get(cell_id)
-        if cell is None:
-            from repro.core.cell import ClusterCell
-
-            cell = ClusterCell.__new__(ClusterCell)
-            cell._arrays = self
-            cell._slot = self._slot_of[cell_id]
-            self._views[cell_id] = cell
-        return cell
-
-    def register_view(self, cell_id: int, view: Any) -> None:
-        """Record ``view`` as the canonical view object for ``cell_id``."""
-        self._views[cell_id] = view
-
-    def adopt(self, cell: Any) -> int:
-        """Move a cell's state from another arena into this one.
-
-        The cell's view object is repointed at the new slot (object identity
-        is preserved — ``store.get(cell.cell_id) is cell`` keeps holding),
-        and its slot in the source arena is released.  Returns the new slot.
+        The new cell has no dependency and one absorbed point, and its slot
+        is ``DETACHED`` until a population view adds it.
         """
-        source = cell._arrays
-        if source is self:
-            return cell._slot
-        cell_id = cell.cell_id
-        slot = self.allocate(
+        cell_id = next(_cell_id_counter)
+        self.allocate(
             cell_id,
-            cell.seed,
-            density=cell.density,
-            created_at=cell.created_at,
-            last_update=cell.last_update,
-            last_absorb=cell.last_absorb,
-            dependency=cell.dependency,
-            delta=cell.delta,
-            points_absorbed=cell.points_absorbed,
+            seed,
+            density=density,
+            created_at=created_at,
+            last_update=last_update,
+            last_absorb=last_absorb,
         )
-        votes = source._label_votes.get(cell._slot)
-        if votes:
-            self._label_votes[slot] = votes
-        if source is not None:
-            source._views.pop(cell_id, None)
-            source.release(cell_id)
-        cell._arrays = self
-        cell._slot = slot
-        self._views[cell_id] = cell
-        return slot
+        return cell_id
 
-    def label_votes_of(self, slot: int) -> Dict[int, int]:
-        """The (lazily created) label histogram of a slot."""
-        votes = self._label_votes.get(slot)
-        if votes is None:
-            votes = {}
-            self._label_votes[slot] = votes
-        return votes
+    def view(self, cell_id: int) -> ClusterCell:
+        """A read-only :class:`~repro.core.cell.ClusterCell` view of a cell id."""
+        return ClusterCell(self, cell_id)
 
     def density_at(self, slot: int, now: float, decay: DecayModel) -> float:
         """Timely density of the cell at ``slot`` at time ``now`` (lazy decay)."""
@@ -379,14 +356,3 @@ class CellArrays:
         assert self._top <= self.capacity
         assert len(self._slot_of) + len(free) == self._top
 
-
-#: Shared arena backing standalone :class:`ClusterCell` objects — cells
-#: constructed directly (tests, deserialisation) before a model adopts them
-#: into its own arena.  Non-numeric so it accepts seeds of any type or
-#: dimension.
-_DETACHED_ARENA = CellArrays(numeric=False)
-
-
-def detached_arena() -> CellArrays:
-    """The process-wide arena for standalone cells."""
-    return _DETACHED_ARENA

@@ -28,7 +28,7 @@ unbounded build.
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -404,7 +404,8 @@ def cell_state_footprint(
 
     ``arena`` is capacity-based (the columns are allocated storage whether
     slots are live or free); ``side_state`` estimates the Python-side
-    per-cell objects (seed tuples, id maps, views) from live-cell counts;
+    per-cell objects (seed objects and the id → slot map) from live-cell
+    counts;
     ``stores`` covers the population views' position bookkeeping;
     ``sketch`` is the fixed-size approximate tier (0 in exact mode).
     """
@@ -424,10 +425,11 @@ def _side_state_bytes(arena: CellArrays) -> int:
     """Estimated Python-side bytes the arena holds per live cell.
 
     Seed objects dominate (a d-tuple of floats is ~``56 + 32·d`` bytes);
-    the id→slot map, view cache and label votes are estimated from their
-    container sizes.  An estimate is all the cap needs — the goal is to
-    scale eviction pressure with the live population, not to audit the
-    allocator.
+    the id → slot map and the seed-object table add a fixed 200 bytes per
+    cell.  The allowance is a calibrated constant: changing it changes
+    which cells a cap evicts.  An estimate is all the cap needs — the goal
+    is to scale eviction pressure with the live population, not to audit
+    the allocator.
     """
     live = len(arena)
     if live == 0:
@@ -437,5 +439,5 @@ def _side_state_bytes(arena: CellArrays) -> int:
         seed_bytes = sys.getsizeof(sample) + 24 * len(sample)
     else:
         seed_bytes = sys.getsizeof(sample) if sample is not None else 64
-    per_cell = seed_bytes + 200  # dict entries (slot_of, seed_obj) + view share
+    per_cell = seed_bytes + 200  # dict entries (slot_of, seed_obj), fixed allowance
     return live * per_cell

@@ -55,7 +55,6 @@ def canonical_cells(model):
             cell.last_update,
             cell.cell_id in model.tree,
             cell.points_absorbed,
-            dict(cell.label_votes),
         )
     return cells
 
@@ -85,20 +84,15 @@ def assert_same_cells(sequential, batched):
     batch) where the sequential path applies Equation 8 per point — the same
     quantity evaluated in a different float association, so densities agree
     to rounding rather than bit-for-bit.  Everything discrete (membership,
-    absorption counts, label votes, update times) must match exactly.
+    absorption counts, update times) must match exactly.
     """
     seq_cells = canonical_cells(sequential)
     bat_cells = canonical_cells(batched)
     assert set(bat_cells) == set(seq_cells)
-    for seed, (density, last_update, active, absorbed, votes) in seq_cells.items():
-        b_density, b_last_update, b_active, b_absorbed, b_votes = bat_cells[seed]
+    for seed, (density, last_update, active, absorbed) in seq_cells.items():
+        b_density, b_last_update, b_active, b_absorbed = bat_cells[seed]
         assert b_density == pytest.approx(density, rel=1e-9)
-        assert (b_last_update, b_active, b_absorbed, b_votes) == (
-            last_update,
-            active,
-            absorbed,
-            votes,
-        )
+        assert (b_last_update, b_active, b_absorbed) == (last_update, active, absorbed)
 
 
 def assert_equivalent(sequential, batched, sequential_ids=None, batched_ids=None):
@@ -315,13 +309,11 @@ class TestBatchedDecay:
 # --------------------------------------------------------------------- #
 class TestCellStoreBulkQueries:
     def make_store(self, n=300, dim=5, seed=0):
-        from repro.core.cell import ClusterCell
-
         rng = np.random.default_rng(seed)
         store = CellStore(numeric=True)
         points = rng.normal(size=(n, dim))
         for row in points:
-            store.add(ClusterCell(seed=tuple(row)))
+            store.add(store.arrays.create(tuple(row)))
         return store, points, rng
 
     def test_distances_to_many_rows_match_distances_to(self):

@@ -1,9 +1,16 @@
-"""Tests for the cluster-cell summary structure (Definition 4)."""
+"""Tests for the cluster-cell summary structure (Definition 4).
+
+A cell is its row in the arena: ``CellArrays.create`` makes one and returns
+its id, the engines update the columns, and ``ClusterCell`` is a read-only
+view of the row.
+"""
 
 import pytest
 
 from repro.core.cell import ClusterCell
 from repro.core.decay import DecayModel
+from repro.core.edmstream import EDMStream
+from repro.core.soa import CellArrays
 
 
 @pytest.fixture
@@ -11,63 +18,69 @@ def decay() -> DecayModel:
     return DecayModel(a=0.5, lam=1.0)  # fast decay makes the arithmetic obvious
 
 
+@pytest.fixture
+def arena() -> CellArrays:
+    return CellArrays(numeric=True)
+
+
 class TestDensityMaintenance:
-    def test_new_cell_has_unit_density(self):
-        cell = ClusterCell(seed=(0.0, 0.0))
+    def test_new_cell_has_unit_density(self, arena):
+        cell = arena.view(arena.create((0.0, 0.0)))
         assert cell.density == 1.0
         assert cell.points_absorbed == 1
 
-    def test_density_at_decays_lazily(self, decay):
-        cell = ClusterCell(seed=(0.0, 0.0), density=8.0, last_update=0.0)
-        assert cell.density_at(3.0, decay) == pytest.approx(1.0)
-        # The stored value is untouched until refresh/absorb.
-        assert cell.density == 8.0
+    def test_density_at_decays_lazily(self, arena, decay):
+        cell_id = arena.create((0.0, 0.0), density=8.0, last_update=0.0)
+        slot = arena.slot_of(cell_id)
+        assert arena.density_at(slot, 3.0, decay) == pytest.approx(1.0)
+        assert arena.view(cell_id).density_at(3.0, decay) == pytest.approx(1.0)
+        # The stored value is untouched until the engine writes the column.
+        assert arena.density[slot] == 8.0
 
-    def test_density_at_does_not_undecay_on_clock_skew(self, decay):
-        cell = ClusterCell(seed=(0.0,), density=4.0, last_update=10.0)
-        assert cell.density_at(5.0, decay) == 4.0
+    def test_density_at_does_not_undecay_on_clock_skew(self, arena, decay):
+        cell_id = arena.create((0.0,), density=4.0, last_update=10.0)
+        assert arena.density_at(arena.slot_of(cell_id), 5.0, decay) == 4.0
 
-    def test_refresh_updates_stored_density(self, decay):
-        cell = ClusterCell(seed=(0.0,), density=8.0, last_update=0.0)
-        cell.refresh(1.0, decay)
-        assert cell.density == pytest.approx(4.0)
-        assert cell.last_update == 1.0
-
-    def test_absorb_follows_equation_8(self, decay):
-        cell = ClusterCell(seed=(0.0,), density=8.0, last_update=0.0)
-        cell.absorb(1.0, decay)
-        assert cell.density == pytest.approx(4.0 + 1.0)
-        assert cell.last_absorb == 1.0
+    def test_absorb_follows_equation_8(self):
+        model = EDMStream(radius=1.0, decay_a=0.5, decay_lambda=1.0, init_size=100)
+        cell_id = model.learn_one((0.0,), timestamp=0.0)
+        assert model.learn_one((0.0,), timestamp=1.0) == cell_id
+        cell = model.reservoir.get(cell_id)
+        assert cell.density == pytest.approx(0.5 * 1.0 + 1.0)
+        assert cell.last_update == cell.last_absorb == 1.0
         assert cell.points_absorbed == 2
 
-    def test_absorb_with_weight(self, decay):
-        cell = ClusterCell(seed=(0.0,), density=2.0, last_update=0.0)
-        cell.absorb(0.0, decay, weight=0.5)
-        assert cell.density == pytest.approx(2.5)
 
+class TestView:
+    def test_cell_ids_are_unique_across_arenas(self, arena):
+        other = CellArrays(numeric=True)
+        ids = [arena.create((0.0,)), other.create((0.0,)), arena.create((1.0,))]
+        assert len(set(ids)) == 3
 
-class TestBookkeeping:
-    def test_label_votes_and_majority(self, decay):
-        cell = ClusterCell(seed=(0.0,))
-        cell.absorb(1.0, decay, label=3)
-        cell.absorb(2.0, decay, label=3)
-        cell.absorb(3.0, decay, label=5)
-        assert cell.majority_label() == 3
-
-    def test_majority_label_none_without_votes(self):
-        assert ClusterCell(seed=(0.0,)).majority_label() is None
-
-    def test_idle_time(self):
-        cell = ClusterCell(seed=(0.0,), last_absorb=10.0)
-        assert cell.idle_time(14.0) == pytest.approx(4.0)
-        assert cell.idle_time(5.0) == 0.0
-
-    def test_cell_ids_are_unique(self):
-        a = ClusterCell(seed=(0.0,))
-        b = ClusterCell(seed=(1.0,))
-        assert a.cell_id != b.cell_id
-
-    def test_default_dependency_is_root_like(self):
-        cell = ClusterCell(seed=(0.0,))
+    def test_default_dependency_is_root_like(self, arena):
+        cell = arena.view(arena.create((0.0,)))
         assert cell.dependency is None
         assert cell.delta == float("inf")
+
+    def test_view_reads_the_columns(self, arena):
+        cell_id = arena.create((1.0, 2.0), density=3.0, created_at=4.0, last_absorb=5.0)
+        cell = ClusterCell(arena, cell_id)
+        arena.dep[arena.slot_of(cell_id)] = 7
+        arena.delta[arena.slot_of(cell_id)] = 0.25
+        assert cell.cell_id == cell_id
+        assert cell.seed == (1.0, 2.0)
+        assert (cell.density, cell.created_at, cell.last_absorb) == (3.0, 4.0, 5.0)
+        assert (cell.dependency, cell.delta) == (7, 0.25)
+
+    def test_view_is_read_only(self, arena):
+        cell = arena.view(arena.create((0.0,)))
+        for name in ("density", "last_update", "dependency", "delta", "cell_id"):
+            with pytest.raises(AttributeError):
+                setattr(cell, name, 1.0)
+
+    def test_view_of_released_cell_raises(self, arena):
+        cell_id = arena.create((0.0,))
+        cell = arena.view(cell_id)
+        arena.release(cell_id)
+        with pytest.raises(KeyError):
+            _ = cell.density

@@ -6,47 +6,60 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cell import ClusterCell
 from repro.core.cellstore import CellStore
 from repro.core.decay import DecayModel
+from repro.core.soa import CellArrays
 from repro.distance import jaccard_distance
 
 
-def make_cell(seed, density=1.0):
-    return ClusterCell(seed=seed, density=density)
+def add_cell(store, seed, **fields):
+    """Create a cell in the store's arena and add it; returns the id."""
+    cell_id = store.arrays.create(seed, **fields)
+    store.add(cell_id)
+    return cell_id
 
 
 class TestMembership:
     def test_add_and_lookup(self):
         store = CellStore()
-        cell = make_cell((1.0, 2.0))
-        store.add(cell)
+        cell_id = add_cell(store, (1.0, 2.0))
         assert len(store) == 1
-        assert cell.cell_id in store
-        assert store.get(cell.cell_id) is cell
-        assert store.ids() == [cell.cell_id]
+        assert cell_id in store
+        assert store.get(cell_id).seed == (1.0, 2.0)
+        assert store.ids() == [cell_id]
 
     def test_duplicate_add_rejected(self):
         store = CellStore()
-        cell = make_cell((1.0, 2.0))
-        store.add(cell)
+        cell_id = add_cell(store, (1.0, 2.0))
         with pytest.raises(KeyError):
-            store.add(cell)
+            store.add(cell_id)
+
+    def test_add_requires_an_allocated_id(self):
+        with pytest.raises(KeyError):
+            CellStore().add(424242)
+
+    def test_cell_belongs_to_one_population(self):
+        arena = CellArrays()
+        first, second = CellStore(arrays=arena), CellStore(arrays=arena)
+        cell_id = add_cell(first, (1.0, 2.0))
+        with pytest.raises(KeyError):
+            second.add(cell_id)
+        second.add(first.remove(cell_id))
+        assert cell_id in second and cell_id not in first
 
     def test_dimension_mismatch_rejected(self):
         store = CellStore()
-        store.add(make_cell((1.0, 2.0)))
+        add_cell(store, (1.0, 2.0))
         with pytest.raises(ValueError):
-            store.add(make_cell((1.0, 2.0, 3.0)))
+            store.arrays.create((1.0, 2.0, 3.0))
 
     def test_remove_swaps_last_into_place(self):
         store = CellStore()
-        cells = [make_cell((float(i), 0.0)) for i in range(5)]
-        for cell in cells:
-            store.add(cell)
-        store.remove(cells[1].cell_id)
+        ids = [add_cell(store, (float(i), 0.0)) for i in range(5)]
+        assert store.remove(ids[1]) == ids[1]
         assert len(store) == 4
-        assert cells[1].cell_id not in store
+        assert ids[1] not in store
+        assert store.ids() == [ids[0], ids[4], ids[2], ids[3]]
         store.validate()
 
     def test_remove_unknown_raises(self):
@@ -55,9 +68,8 @@ class TestMembership:
 
     def test_growth_beyond_initial_capacity(self):
         store = CellStore()
-        cells = [make_cell((float(i),)) for i in range(200)]
-        for cell in cells:
-            store.add(cell)
+        for i in range(200):
+            add_cell(store, (float(i),))
         assert len(store) == 200
         store.validate()
 
@@ -69,46 +81,31 @@ class TestMembership:
 class TestQueries:
     def test_distances_to(self):
         store = CellStore()
-        store.add(make_cell((0.0, 0.0)))
-        store.add(make_cell((3.0, 4.0)))
+        add_cell(store, (0.0, 0.0))
+        add_cell(store, (3.0, 4.0))
         distances = store.distances_to((0.0, 0.0))
         assert distances == pytest.approx([0.0, 5.0])
 
     def test_distances_to_subset(self):
         store = CellStore()
-        cells = [make_cell((float(i), 0.0)) for i in range(4)]
-        for cell in cells:
-            store.add(cell)
+        for i in range(4):
+            add_cell(store, (float(i), 0.0))
         subset = store.distances_to_subset((0.0, 0.0), np.asarray([1, 3]))
         assert subset == pytest.approx([1.0, 3.0])
 
     def test_densities_at_applies_lazy_decay(self):
         decay = DecayModel(a=0.5, lam=1.0)
         store = CellStore()
-        cell = make_cell((0.0,), density=8.0)
-        cell.last_update = 0.0
-        store.add(cell)
+        add_cell(store, (0.0,), density=8.0, last_update=0.0)
         densities = store.densities_at(2.0, decay)
         assert densities == pytest.approx([2.0])
 
-    def test_update_density_and_delta_keep_cache_coherent(self):
-        decay = DecayModel()
+    def test_queries_read_the_live_columns(self):
         store = CellStore()
-        cell = make_cell((0.0,))
-        store.add(cell)
-        cell.absorb(1.0, decay)
-        cell.delta = 0.7
-        store.validate()
-        assert store.raw_densities()[0] == cell.density
-        assert store.deltas()[0] == 0.7
-
-    def test_sync_mirrors_all_fields(self):
-        store = CellStore()
-        cell = make_cell((0.0,))
-        store.add(cell)
-        cell.density = 9.0
-        cell.last_update = 4.0
-        cell.delta = 1.25
+        slot = store.arrays.slot_of(add_cell(store, (0.0,)))
+        store.arrays.density[slot] = 9.0
+        store.arrays.last_update[slot] = 4.0
+        store.arrays.delta[slot] = 1.25
         store.validate()
         assert store.raw_densities()[0] == 9.0
         assert store.last_updates()[0] == 4.0
@@ -116,15 +113,13 @@ class TestQueries:
 
     def test_jaccard_store_falls_back_to_metric_loop(self):
         store = CellStore(numeric=False, metric=jaccard_distance)
-        a = make_cell(frozenset({"x", "y"}))
-        b = make_cell(frozenset({"x", "z"}))
-        store.add(a)
-        store.add(b)
+        a = add_cell(store, frozenset({"x", "y"}))
+        add_cell(store, frozenset({"x", "z"}))
         distances = store.distances_to(frozenset({"x", "y"}))
         assert distances[0] == pytest.approx(0.0)
         assert distances[1] == pytest.approx(2.0 / 3.0)
         _, keys = store.nearest_many([frozenset({"x", "y"})])
-        assert keys[0] == a.cell_id
+        assert keys[0] == a
 
 
 class TestPropertyBased:
@@ -146,12 +141,11 @@ class TestPropertyBased:
     )
     def test_nearest_matches_brute_force(self, seeds, query):
         store = CellStore()
-        cells = [make_cell(seed) for seed in seeds]
-        for cell in cells:
-            store.add(cell)
+        for seed in seeds:
+            add_cell(store, seed)
         distances, _ = store.nearest_many([query])
-        brute = min(cells, key=lambda c: math.dist(c.seed, query))
-        assert distances[0] == pytest.approx(math.dist(brute.seed, query))
+        brute = min(math.dist(seed, query) for seed in seeds)
+        assert distances[0] == pytest.approx(brute)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60))
@@ -160,11 +154,8 @@ class TestPropertyBased:
         alive = []
         for op in operations:
             if op < 7 or not alive:
-                cell = make_cell((float(op), float(len(alive))))
-                store.add(cell)
-                alive.append(cell)
+                alive.append(add_cell(store, (float(op), float(len(alive)))))
             else:
-                victim = alive.pop(op % len(alive))
-                store.remove(victim.cell_id)
+                store.remove(alive.pop(op % len(alive)))
         assert len(store) == len(alive)
         store.validate()

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cell import ClusterCell
 from repro.core.dptree import DPTree, dominates, lex_improves
 
 
-def make_cell(seed, density):
-    return ClusterCell(seed=seed, density=density)
+def make_cell(tree, seed, density):
+    """A view of a new cell in the tree's arena, not yet added to the tree."""
+    return tree.arrays.view(tree.arrays.create(seed, density=density))
 
 
 def write_link(tree, cell_id, dep, delta):
@@ -55,12 +55,12 @@ def reference_clusters(tree: DPTree, tau: float) -> Dict[int, List[int]]:
 def chain_tree():
     """A small tree:  root(10) <- a(5) <- b(3);  root <- c(4) with a weak link."""
     tree = DPTree()
-    root = make_cell((0.0, 0.0), 10.0)
-    a = make_cell((1.0, 0.0), 5.0)
-    b = make_cell((1.5, 0.0), 3.0)
-    c = make_cell((9.0, 0.0), 4.0)
+    root = make_cell(tree, (0.0, 0.0), 10.0)
+    a = make_cell(tree, (1.0, 0.0), 5.0)
+    b = make_cell(tree, (1.5, 0.0), 3.0)
+    c = make_cell(tree, (9.0, 0.0), 4.0)
     for cell in (root, a, b, c):
-        tree.add(cell)
+        tree.add(cell.cell_id)
     tree.set_dependency(a.cell_id, root.cell_id, 1.0)
     tree.set_dependency(b.cell_id, a.cell_id, 0.5)
     tree.set_dependency(c.cell_id, root.cell_id, 9.0)
@@ -70,23 +70,23 @@ def chain_tree():
 class TestStructure:
     def test_add_and_contains(self):
         tree = DPTree()
-        cell = make_cell((0.0,), 1.0)
-        tree.add(cell)
+        cell = make_cell(tree, (0.0,), 1.0)
+        tree.add(cell.cell_id)
         assert cell.cell_id in tree
         assert len(tree) == 1
-        assert tree.get(cell.cell_id) is cell
+        assert tree.get(cell.cell_id).seed == (0.0,)
 
     def test_duplicate_add_rejected(self):
         tree = DPTree()
-        cell = make_cell((0.0,), 1.0)
-        tree.add(cell)
+        cell = make_cell(tree, (0.0,), 1.0)
+        tree.add(cell.cell_id)
         with pytest.raises(KeyError):
-            tree.add(cell)
+            tree.add(cell.cell_id)
 
     def test_dangling_dependency_is_a_cluster_root(self):
         tree = DPTree()
-        cell = make_cell((0.0,), 1.0)
-        tree.add(cell)
+        cell = make_cell(tree, (0.0,), 1.0)
+        tree.add(cell.cell_id)
         write_link(tree, cell.cell_id, 424242, 1.0)  # no such cell
         assert tree.clusters(tau=10.0) == {cell.cell_id: [cell.cell_id]}
         tree.validate()
@@ -125,8 +125,7 @@ class TestStructure:
 
     def test_remove_leaves_children_as_cluster_roots(self, chain_tree):
         tree, root, a, b, c = chain_tree
-        removed = tree.remove(a.cell_id)
-        assert removed is a
+        assert tree.remove(a.cell_id) == a.cell_id
         assert a.cell_id not in tree
         # b still names a until the engine recomputes it; extraction cuts
         # the dangling link, so b heads its own cluster meanwhile.
@@ -197,9 +196,9 @@ class TestClusterExtraction:
     def test_long_chain_is_one_cluster(self):
         """Pointer jumping reaches the root of a chain 40 links deep."""
         tree = DPTree()
-        cells = [make_cell((float(i),), 1.0) for i in range(41)]
+        cells = [make_cell(tree, (float(i),), 1.0) for i in range(41)]
         for cell in reversed(cells):
-            tree.add(cell)
+            tree.add(cell.cell_id)
         for child, parent in zip(cells[1:], cells):
             tree.set_dependency(child.cell_id, parent.cell_id, 1.0)
         ids = [cell.cell_id for cell in cells]
@@ -289,9 +288,9 @@ def test_extraction_matches_the_reference_walk(forest, tau):
     """
     ranks, links, removed = forest
     tree = DPTree()
-    cells = [make_cell((float(i),), 1.0) for i in range(len(links))]
+    cells = [make_cell(tree, (float(i),), 1.0) for i in range(len(links))]
     for cell in cells:
-        tree.add(cell)
+        tree.add(cell.cell_id)
     ranked = sorted(range(len(cells)), key=lambda i: ranks[i])
     for position, index in enumerate(ranked):
         (kind, value), delta = links[index]

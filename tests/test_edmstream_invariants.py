@@ -7,15 +7,19 @@ invariants that must hold after any sequence of arrivals:
 * every dependency points to a cell with (weakly) higher timely density;
 * the vectorised cell-store caches stay coherent with the cell objects;
 * the MSDSubTree extraction partitions the active cells;
-* every cell lives in exactly one of {DP-Tree, outlier reservoir}.
+* every cell lives in exactly one of {DP-Tree, outlier reservoir};
+* the arena holds exactly those cells, through any mix of public calls.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EDMStream
+from repro.core.soa import MEMBER
+from repro.streams.point import StreamPoint
 
 
 point_lists = st.lists(
@@ -133,3 +137,82 @@ def test_number_of_clusters_monotone_in_tau(points, tau):
     small = model.tree.num_clusters(tau)
     large = model.tree.num_clusters(tau * 2.0)
     assert large <= small
+
+
+#: One arrival: a new point after a short step, a duplicate of the previous
+#: point, a burst (same timestamp as the previous point) or an idle gap
+#: longer than the reservoir's deletion interval.  Points scatter around a
+#: few centres, so cells absorb, activate and decay as well as appear.
+arrivals = st.lists(
+    st.tuples(
+        st.sampled_from(["step", "step", "step", "duplicate", "burst", "gap"]),
+        st.tuples(
+            st.sampled_from([(0.0, 0.0), (0.0, 5.0), (5.0, 0.0), (9.0, 9.0)]),
+            st.floats(min_value=-1.5, max_value=1.5),
+            st.floats(min_value=-1.5, max_value=1.5),
+        ),
+    ),
+    min_size=5,
+    max_size=160,
+)
+
+#: How the arrivals are fed: runs of ``learn_one`` calls ("one") or
+#: ``learn_many`` calls with a batch size (``None`` = the per-point engine).
+calls = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=40), st.sampled_from(["one", None, 1, 7, 64])),
+    min_size=1,
+    max_size=12,
+)
+
+
+def assert_arena_accounting(model):
+    model.tree.validate()
+    model.reservoir.validate()
+    arena = model._cells
+    assert len(arena) == len(model.tree) + len(model.reservoir)
+    live = [arena.slot_of(cell_id) for cell_id in arena.ids()]
+    assert np.all(arena.status[live] == MEMBER), "a live cell belongs to no population"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrivals,
+    calls,
+    st.sampled_from([None, 12_000, 25_000]),
+    st.sampled_from(["float64", "float32"]),
+)
+def test_arena_accounting_under_churn(arrivals, calls, memory_cap_bytes, dtype):
+    """Creation, activation, deactivation, pruning and eviction keep the books."""
+    model = EDMStream(
+        radius=0.8,
+        init_size=5,
+        beta=0.01,
+        stream_rate=100.0,
+        memory_cap_bytes=memory_cap_bytes,
+        dtype=dtype,
+    )
+    gap = 1.5 * model.reservoir.deletion_interval
+    points, t, values = [], 0.0, None
+    for kind, ((x, y), dx, dy) in arrivals:
+        if kind == "gap":
+            t += gap
+        elif kind != "burst":
+            t += 0.01
+        if kind != "duplicate" or values is None:
+            values = (x + dx, y + dy)
+        points.append(StreamPoint(values=values, timestamp=t))
+
+    start = 0
+    while start < len(points):
+        for size, mode in calls:
+            chunk = points[start : start + size]
+            if not chunk:
+                break
+            if mode == "one":
+                for point in chunk:
+                    model.learn_one(point.values, timestamp=point.timestamp)
+                    assert_arena_accounting(model)
+            else:
+                model.learn_many(chunk, batch_size=mode)
+                assert_arena_accounting(model)
+            start += size

@@ -108,11 +108,11 @@ def test_duplicate_seeds_across_populations(dtype):
     now = model.now
     # Twin seeds: the older twin inactive and the younger active at (10, 10),
     # the other way round at (20, 20).
-    older_inactive = model._create_cell((10.0, 10.0), now, None)
-    model._activate_cell(model._create_cell((10.0, 10.0), now, None), now)
-    older_active = model._create_cell((20.0, 20.0), now, None)
+    older_inactive = model._create_cell((10.0, 10.0), now)
+    model._activate_cell(model._create_cell((10.0, 10.0), now), now)
+    older_active = model._create_cell((20.0, 20.0), now)
     model._activate_cell(older_active, now)
-    model._create_cell((20.0, 20.0), now, None)
+    model._create_cell((20.0, 20.0), now)
     twins = [(10.0, 10.0), (10.2, 10.1), (20.0, 20.0), (19.9, 20.3)]
     points = [
         StreamPoint(values=values, timestamp=now + 0.001 * (i + 1))

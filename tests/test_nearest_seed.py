@@ -15,22 +15,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cell import ClusterCell
 from repro.core.cellstore import CellStore, nearest_over_slots
 from repro.core.soa import CellArrays
 from repro.distance import jaccard_distance
 from repro.distance.metrics import manhattan
 
 
-def make_cell(seed):
-    return ClusterCell(seed=seed, density=1.0)
+def make_cell(store, seed):
+    """A view of a new cell in the store's arena, not yet added to the store."""
+    return store.arrays.view(store.arrays.create(seed))
 
 
 def store_of(seeds, dtype=np.float64):
     store = CellStore(arrays=CellArrays(numeric=True, dtype=dtype))
-    cells = [make_cell(tuple(float(v) for v in seed)) for seed in seeds]
+    cells = [make_cell(store, tuple(float(v) for v in seed)) for seed in seeds]
     for cell in cells:
-        store.add(cell)
+        store.add(cell.cell_id)
     return store, cells
 
 
@@ -64,10 +64,10 @@ class TestSingleQueries:
         assert nearest_one(store, (3.0, 4.0)) == (0.0, cells[1].cell_id)
 
     def test_exact_tie_resolves_to_the_smallest_id(self):
-        first, second = make_cell((-1.0, 0.0)), make_cell((1.0, 0.0))
         store = CellStore()
-        store.add(second)  # array order opposite to id order
-        store.add(first)
+        first, second = make_cell(store, (-1.0, 0.0)), make_cell(store, (1.0, 0.0))
+        store.add(second.cell_id)  # array order opposite to id order
+        store.add(first.cell_id)
         assert first.cell_id < second.cell_id
         assert nearest_one(store, (0.0, 0.0)) == (1.0, first.cell_id)
 
@@ -101,7 +101,7 @@ class TestRemoval:
         store, (a, b) = store_of([(0.0, 0.0), (4.0, 4.0)])
         store.remove(a.cell_id)
         assert nearest_one(store, (0.0, 0.0))[1] == b.cell_id
-        store.add(a)
+        store.add(a.cell_id)
         assert nearest_one(store, (0.0, 0.0)) == (0.0, a.cell_id)
 
     def test_heavy_deletion_keeps_answers_exact(self):
@@ -150,10 +150,10 @@ class TestWithin:
 class TestNonEuclideanStores:
     def test_jaccard_store_answers_several_queries(self):
         store = CellStore(numeric=False, metric=jaccard_distance)
-        tech = make_cell(frozenset({"google", "android"}))
-        sport = make_cell(frozenset({"football", "goal"}))
-        store.add(tech)
-        store.add(sport)
+        tech = make_cell(store, frozenset({"google", "android"}))
+        sport = make_cell(store, frozenset({"football", "goal"}))
+        store.add(tech.cell_id)
+        store.add(sport.cell_id)
         distances, ids = store.nearest_many(
             [frozenset({"google", "pixel"}), frozenset({"goal", "match"})]
         )
@@ -162,9 +162,9 @@ class TestNonEuclideanStores:
 
     def test_custom_metric_is_used_instead_of_euclidean(self):
         store = CellStore(numeric=False, metric=manhattan)
-        a, b = make_cell((3.0, 0.0)), make_cell((2.0, 2.0))
-        store.add(a)
-        store.add(b)
+        a, b = make_cell(store, (3.0, 0.0)), make_cell(store, (2.0, 2.0))
+        store.add(a.cell_id)
+        store.add(b.cell_id)
         # Euclidean would pick b (2.83 < 3); Manhattan picks a (3 < 4).
         assert nearest_one(store, (0.0, 0.0)) == (3.0, a.cell_id)
 

@@ -14,6 +14,7 @@ from repro.core.persistence import (
     save_model,
 )
 from repro.obs import Telemetry
+from repro.streams.point import StreamPoint
 from repro.streams.synthetic import SDSGenerator
 
 
@@ -136,11 +137,30 @@ class TestUninitialisedAndEdgeCases:
         assert restored.config.enable_triangle_filter is False
         assert restored.config.maintenance_interval == 2.5
 
-    def test_label_votes_round_trip(self, two_blob_stream):
+    @pytest.mark.parametrize("label", ["normal", 0.5])
+    @pytest.mark.parametrize("batch_size", [256, None])
+    def test_non_integer_labels_survive_reload(self, two_blob_stream, tmp_path, label, batch_size):
+        """Labels are ignored, so no label value can break a reload."""
+        model = EDMStream(radius=0.5, beta=0.001, stream_rate=1000.0, init_size=100)
+        model.learn_many(
+            [StreamPoint(p.values, p.timestamp, label=label) for p in two_blob_stream],
+            batch_size=batch_size,
+        )
+        restored = load_model(save_model(model, tmp_path / "model.json"))
+        assert restored.clusters() == model.clusters()
+        restored.learn_one((0.0, 0.0), timestamp=restored.now + 0.001, label=label)
+        assert restored.n_points == model.n_points + 1
+
+    def test_snapshot_with_label_votes_loads(self, two_blob_stream):
+        """Cells saved with a ``label_votes`` histogram (older files) still load."""
         model = trained_model(two_blob_stream)
-        restored = model_from_dict(model_to_dict(model))
-        for cell in model.tree.cells():
-            assert restored.tree.get(cell.cell_id).label_votes == cell.label_votes
+        payload = json.loads(json.dumps(model_to_dict(model)))
+        for cell in payload["active_cells"] + payload["inactive_cells"]:
+            assert "label_votes" not in cell
+            cell["label_votes"] = {"0": 3, "1": 1}
+        restored = model_from_dict(payload)
+        assert restored.clusters() == model.clusters()
+        assert restored.tau == model.tau
 
 
 class TestSnapshotCompatibilityAndSafety:
@@ -183,3 +203,50 @@ class TestSnapshotCompatibilityAndSafety:
         assert restored.config.memory_cap_bytes == 1 << 20
         assert not hasattr(restored.config, "sketch_width")
         assert restored.clusters() == model.clusters()
+
+
+@pytest.fixture(scope="module")
+def sds_12k():
+    return list(SDSGenerator(n_points=12_000, rate=1000.0, seed=1).generate())
+
+
+def seed_keyed_state(model):
+    """Every cell by seed, the seed-keyed partition, τ and α (ids differ between models)."""
+    cells = sorted(
+        (
+            tuple(cell.seed),
+            cell.cell_id in model.tree,
+            cell.density,
+            cell.last_update,
+            cell.last_absorb,
+            cell.points_absorbed,
+        )
+        for cell in list(model.tree.cells()) + list(model.reservoir.cells())
+    )
+    seed_of = {cell.cell_id: tuple(cell.seed) for cell in model.tree.cells()}
+    partition = frozenset(
+        frozenset(seed_of[member] for member in members) for members in model.clusters().values()
+    )
+    return cells, partition, model.tau, model.alpha
+
+
+class TestMidStreamRestore:
+    """A model saved mid-stream and restored continues exactly like the original."""
+
+    @pytest.mark.parametrize(
+        ("split", "batch_size", "dtype"),
+        [
+            (split, batch_size, "float64")
+            for split in (300, 3001, 6000, 9137)
+            for batch_size in (256, None)
+        ]
+        + [(6000, 256, "float32")],
+    )
+    def test_restored_model_continues_exactly(self, sds_12k, tmp_path, split, batch_size, dtype):
+        model = EDMStream(radius=0.3, beta=0.0021, stream_rate=1000.0, dtype=dtype)
+        model.learn_many(sds_12k[:split], batch_size=batch_size)
+        restored = load_model(save_model(model, tmp_path / "model.json"))
+        assert restored.initialized == (split >= model.config.init_size)
+        model.learn_many(sds_12k[split:], batch_size=batch_size)
+        restored.learn_many(sds_12k[split:], batch_size=batch_size)
+        assert seed_keyed_state(restored) == seed_keyed_state(model)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.cell import ClusterCell
 from repro.core.decay import DecayModel
 from repro.core.reservoir import OutlierReservoir
 
@@ -46,42 +45,48 @@ class TestThresholds:
             OutlierReservoir(decay=DecayModel(), beta=0.5, stream_rate=0.0)
 
 
+def add_cell(reservoir, seed, **fields):
+    """Create a cell in the reservoir's arena and add it; returns the id."""
+    cell_id = reservoir.arrays.create(seed, **fields)
+    reservoir.add(cell_id)
+    return cell_id
+
+
 class TestMembership:
     def test_add_and_get(self, reservoir):
-        cell = ClusterCell(seed=(0.0,), density=3.0)
-        reservoir.add(cell)
-        assert cell.cell_id in reservoir
+        cell_id = add_cell(reservoir, (0.0,), density=3.0)
+        assert cell_id in reservoir
         assert len(reservoir) == 1
-        assert reservoir.get(cell.cell_id) is cell
+        assert reservoir.get(cell_id).density == 3.0
 
     def test_add_clears_dependency_information(self, reservoir):
-        cell = ClusterCell(seed=(0.0,), density=3.0, dependency=42, delta=1.0)
-        reservoir.add(cell)
+        arena = reservoir.arrays
+        cell_id = arena.create((0.0,), density=3.0)
+        arena.dep[arena.slot_of(cell_id)] = 42
+        arena.delta[arena.slot_of(cell_id)] = 1.0
+        reservoir.add(cell_id)
+        cell = reservoir.get(cell_id)
         assert cell.dependency is None
         assert cell.delta == float("inf")
 
     def test_duplicate_add_rejected(self, reservoir):
-        cell = ClusterCell(seed=(0.0,))
-        reservoir.add(cell)
+        cell_id = add_cell(reservoir, (0.0,))
         with pytest.raises(KeyError):
-            reservoir.add(cell)
+            reservoir.add(cell_id)
 
     def test_remove(self, reservoir):
-        cell = ClusterCell(seed=(0.0,))
-        reservoir.add(cell)
-        removed = reservoir.remove(cell.cell_id)
-        assert removed is cell
+        cell_id = add_cell(reservoir, (0.0,))
+        assert reservoir.remove(cell_id) == cell_id
         assert len(reservoir) == 0
+        assert cell_id in reservoir.arrays  # the slot is not released
 
     def test_remove_unknown_raises(self, reservoir):
         with pytest.raises(KeyError):
             reservoir.remove(9999)
 
     def test_iteration(self, reservoir):
-        cells = [ClusterCell(seed=(float(i),)) for i in range(3)]
-        for cell in cells:
-            reservoir.add(cell)
-        assert [c.cell_id for c in reservoir.cells()] == [c.cell_id for c in cells]
+        ids = [add_cell(reservoir, (float(i),)) for i in range(3)]
+        assert [c.cell_id for c in reservoir.cells()] == ids
 
 
 class TestPruning:
@@ -89,14 +94,11 @@ class TestPruning:
         reservoir = OutlierReservoir(
             decay=DecayModel(), beta=0.0021, stream_rate=1000.0, deletion_interval=10.0
         )
-        stale = ClusterCell(seed=(0.0,), last_absorb=0.0)
-        fresh = ClusterCell(seed=(1.0,), last_absorb=95.0)
-        reservoir.add(stale)
-        reservoir.add(fresh)
-        stale_id = stale.cell_id
+        stale_id = add_cell(reservoir, (0.0,), last_absorb=0.0)
+        fresh_id = add_cell(reservoir, (1.0,), last_absorb=95.0)
         removed = reservoir.prune_outdated(now=100.0)
         assert removed == [stale_id]
-        assert fresh.cell_id in reservoir
+        assert fresh_id in reservoir
         assert reservoir.total_deleted == 1
         # The outdated cell is gone for good: its arena slot is recycled.
         assert stale_id not in reservoir.arrays
@@ -107,7 +109,7 @@ class TestPruning:
         reservoir = OutlierReservoir(
             decay=DecayModel(), beta=0.0021, stream_rate=1000.0, deletion_interval=10.0
         )
-        reservoir.add(ClusterCell(seed=(0.0,), last_absorb=90.0))
+        add_cell(reservoir, (0.0,), last_absorb=90.0)
         assert reservoir.prune_outdated(now=100.0) == []
         assert len(reservoir) == 1
 
@@ -119,6 +121,6 @@ class TestPruning:
             delete_outdated=False,
             deletion_interval=1.0,
         )
-        reservoir.add(ClusterCell(seed=(0.0,), last_absorb=0.0))
+        add_cell(reservoir, (0.0,), last_absorb=0.0)
         assert reservoir.prune_outdated(now=100.0) == []
         assert len(reservoir) == 1

@@ -201,14 +201,14 @@ def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
     )
     ids = []
     for i in range(n_cells):
-        cell = arena.create(
+        cell_id = arena.create(
             seed=(float(i), float(-i)),
             density=1.0 + (i % 7),
             created_at=float(i),
             last_update=float(i),
         )
-        inactive.add(cell)
-        ids.append(cell.cell_id)
+        inactive.add(cell_id)
+        ids.append(cell_id)
     return bounded, ids
 
 
@@ -329,13 +329,13 @@ class TestMassEviction:
         for round_no in range(6):
             bounded.evict_coldest(250, now=float(self.N + round_no))
             for _ in range(int(rng.integers(50, 150))):
-                cell = arena.create(
+                cell_id = arena.create(
                     seed=(float(next_id % 97), float(next_id % 89)),
                     density=1.0,
                     created_at=float(next_id),
                     last_update=float(next_id),
                 )
-                inactive.add(cell)
+                inactive.add(cell_id)
                 next_id += 1
             arena.validate()
             inactive.validate()

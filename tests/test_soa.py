@@ -8,7 +8,6 @@ mode's tolerance envelope against the exact float64 arena.
 import numpy as np
 import pytest
 
-from repro.core.cell import ClusterCell
 from repro.core.cellstore import CellStore
 from repro.core.edmstream import EDMStream
 from repro.core.soa import DETACHED, FREE, MEMBER, CellArrays
@@ -48,20 +47,37 @@ class TestFreeListReuse:
         arena = seeded_arena(1)
         arena.delta[arena.slot_of(0)] = 0.25
         arena.dep[arena.slot_of(0)] = 7
-        arena.label_votes_of(arena.slot_of(0))[3] = 5
         arena.release(0)
         slot = arena.allocate(42, (9.0, 9.0))
         assert arena.dep[slot] == -1
         assert np.isinf(arena.delta[slot])
-        assert arena.label_votes_of(slot) == {}
+        assert arena.seed_of(slot) == (9.0, 9.0)
         np.testing.assert_allclose(arena.seeds[slot], [9.0, 9.0])
 
     def test_release_invalidates_live_views(self):
         arena = seeded_arena(2)
-        view = arena.view(0)
+        view, kept = arena.view(0), arena.view(1)
         assert view.density == 1.0
+        slot = arena.slot_of(0)
         arena.release(0)
-        assert view._arrays is None  # the thin view is detached, not dangling
+        with pytest.raises(KeyError):
+            _ = view.density
+        # The slot goes to a new cell; the old view still refuses to read it.
+        assert arena.allocate(7, (5.0, 5.0), density=9.0) == slot
+        with pytest.raises(KeyError):
+            _ = view.density
+        assert arena.view(7).density == 9.0
+        assert kept.density == 2.0
+
+    def test_create_takes_fresh_ids_and_leaves_the_cell_detached(self):
+        arena = CellArrays(numeric=True)
+        first = arena.create((0.0, 0.0), density=2.0, created_at=1.0)
+        second = arena.create((1.0, 1.0))
+        assert second > first
+        slot = arena.slot_of(first)
+        assert arena.status[slot] == DETACHED
+        assert (arena.density[slot], arena.created_at[slot]) == (2.0, 1.0)
+        assert (arena.dep[slot], arena.points_absorbed[slot]) == (-1, 1)
 
     def test_outlier_deletion_recycles_slots_in_model(self):
         """End-to-end: reservoir pruning returns slots to the free-list."""
@@ -90,7 +106,8 @@ class TestGrowthBoundaries:
     def test_growth_preserves_all_columns(self):
         arena = CellArrays(numeric=True, capacity=4)
         for i in range(4):
-            arena.allocate(i, (float(i), 0.0), density=2.0 * i, delta=0.5 * i)
+            arena.allocate(i, (float(i), 0.0), density=2.0 * i)
+            arena.delta[arena.slot_of(i)] = 0.5 * i
         assert arena.capacity == 4
         arena.allocate(4, (4.0, 0.0))  # crosses the boundary
         assert arena.capacity == 8
@@ -125,15 +142,14 @@ class TestGrowthBoundaries:
 
     def test_store_growth_keeps_positions_coherent(self):
         store = CellStore()
-        cells = [ClusterCell(seed=(float(i), float(i))) for i in range(130)]
-        for cell in cells:
-            store.add(cell)
-        for cell in cells[::3]:
-            store.remove(cell.cell_id)
+        ids = [store.arrays.create((float(i), float(i))) for i in range(130)]
+        for cell_id in ids:
+            store.add(cell_id)
+        for cell_id in ids[::3]:
+            store.remove(cell_id)
         store.validate()
-        remaining = [c.cell_id for c in cells if c.cell_id not in
-                     {x.cell_id for x in cells[::3]}]
-        assert sorted(store.ids()) == sorted(remaining)
+        remaining = [cell_id for i, cell_id in enumerate(ids) if i % 3]
+        assert sorted(store.ids()) == remaining
 
 
 class TestFloat32Mode:
