@@ -66,8 +66,8 @@ import numpy as np
 
 from repro.distance.metrics import (
     GRAM_MAX_DIM,
-    GRAM_SLACK,
     float32_kernel_slack,
+    gram_screen,
     pairwise_euclidean,
 )
 
@@ -106,12 +106,6 @@ _SCREEN_MIN_DIM = 8
 #: rows the screen ran at 0.35-1.22x the exact kernel's speed on blocks
 #: below 2¹⁷ and at 1.45-13x on blocks above it.
 _SCREEN_MIN_WORK = 2**17
-
-#: Open range of ``‖q‖² + max‖s‖²`` over which the screen decides rows.  It
-#: keeps every squared distance of both kernels, float32 included, far from
-#: overflow and the screen's tolerance far above the absolute rounding of
-#: subnormal results; rows outside it go to the exact kernel.
-_SCREEN_NORM_RANGE = (2.0**-100, 2.0**100)
 
 
 def _frozen_array(values: Any, dtype: Any) -> Optional[np.ndarray]:
@@ -474,24 +468,13 @@ class ClusterSnapshot:
     def _screen(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Gram-matrix labels of a query block, and the rows left undecided.
 
-        ``g = ‖s‖² - 2q·s`` comes from one float64 product (float32 queries
-        and seeds are widened exactly), so ``h = ‖q‖² + g`` is each squared
-        distance to within ``cN``, ``N = ‖q‖² + max‖s‖²`` (see
-        :data:`~repro.distance.metrics.GRAM_SLACK`).  With the tolerance
-        ``t = cN + w·|h_p|`` — ``w`` is
+        ``g = ‖s‖² - 2q·s`` comes from one float64 product with
+        :attr:`_lifted_seeds`; :func:`~repro.distance.metrics.gram_screen`
+        decides a row only when the exact kernel provably picks the same
+        nearest seed and the same side of its coverage (widened by
         :func:`~repro.distance.metrics.float32_kernel_slack` on float32
-        snapshots, whose kernel errs relative to the distance itself, and 0
-        on float64 ones — a row is decided only when
-
-        * every other seed's ``g`` exceeds the row minimum ``g_p`` by more
-          than ``2t``, so the exact kernel's nearest seed is ``p`` as well
-          (in particular no exact tie is decided here), and
-        * ``h_p`` lies more than ``t`` from ``coverage_p²``, so the exact
-          kernel's ``best <= coverage_p`` comes out the same way.
-
-        Rows whose ``N`` falls outside :data:`_SCREEN_NORM_RANGE` — NaN and
-        infinite rows among them — are never decided, which keeps every
-        operation of both kernels clear of overflow and underflow.
+        snapshots).  A negative coverage covers nothing, like a zero one
+        does beyond distance 0; a NaN one leaves its rows undecided.
         """
         n, dim = rows.shape
         lifted = self._lifted_seeds
@@ -500,30 +483,16 @@ class ClusterSnapshot:
         lifted_rows[:, dim] = 1.0
         with np.errstate(all="ignore"):
             gram = lifted_rows @ lifted
-            index = np.arange(n)
-            positions = np.argmin(gram, axis=1)
-            nearest = gram[index, positions]
-            # The runner-up through a second argmin: numpy's argmin along a
-            # short last axis is several times faster than its min.
-            gram[index, positions] = np.inf
-            runner_up = gram[index, np.argmin(gram, axis=1)]
             query_norm2 = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
-            squared = query_norm2 + nearest
-            scale = query_norm2 + lifted[dim].max()
-            tolerance = GRAM_SLACK * scale
-            if rows.dtype == np.float32:
-                tolerance += float32_kernel_slack(dim) * np.abs(squared)
-            # A negative coverage covers nothing, like a zero one does
-            # beyond distance 0; NaN stays NaN and leaves the row undecided.
-            reach2 = np.square(np.maximum(self._coverage_at(positions), 0.0))
-            low, high = _SCREEN_NORM_RANGE
-            decided = (
-                (runner_up - nearest > 2.0 * tolerance)
-                & (np.abs(squared - reach2) > tolerance)
-                & (scale > low)
-                & (scale < high)
-            )
-        labels = np.where(squared < reach2, self.labels[positions], self.outlier_label)
+            reach2 = np.square(np.maximum(self.coverage, 0.0))
+        positions, covered, decided = gram_screen(
+            gram,
+            query_norm2,
+            query_norm2 + lifted[dim].max(),
+            reach2,
+            float32_kernel_slack(dim) if rows.dtype == np.float32 else 0.0,
+        )
+        labels = np.where(covered, self.labels[positions], self.outlier_label)
         return labels, np.flatnonzero(~decided)
 
     def _predict_objects(self, points: Sequence[Any]) -> np.ndarray:

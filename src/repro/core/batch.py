@@ -9,8 +9,10 @@ from three observations about the per-point work of Section 4:
    depends only on the set of seeds (seeds never move, Definition 4), so the
    point→seed distances of a whole batch can be computed as one vectorised
    matrix operation against the :class:`~repro.core.cellstore.CellStore`
-   seed matrix.  Points that fall outside every existing cell are replayed
-   against the (few) seeds created earlier in the same batch.
+   seed matrix, and a Gram-matrix screen settles most points without the
+   exact kernel.  The points that fall outside every existing cell pick the
+   chunk's new seeds among themselves, in arrival order, from one distance
+   block, and all of them become cells in one arena call.
 
 2. **Density updates compose.**  A cell absorbing ``k`` points inside a
    batch ends at ``ρ·a^{λΔ} + Σ a^{λ(t_k - t_i)}`` (Equation 8 applied ``k``
@@ -278,175 +280,19 @@ class BatchIngestor:
         offset: int,
         assigned: List[int],
     ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorised nearest-seed assignment for one chunk.
+        """Nearest-seed assignment for one chunk, creating its new cells.
 
-        Existing seeds are queried through one distance-matrix computation
-        per store.  Each seed created inside the chunk updates the remaining
-        points' best-new-seed distance with one vectorised pass, so later
-        points of the same chunk can still be absorbed by it, exactly as in
-        the sequential path.  Returns the absorbed points grouped by
-        absorbing cell as ``(group_ids, starts, counts, order)`` arrays —
-        ``order`` holds chunk-local point indices sorted by absorbing cell
-        (ascending within each group), ``starts``/``counts`` delimit the
-        groups — or ``None`` when no point was absorbed.
+        Returns the absorbed points grouped by absorbing cell as
+        ``(group_ids, starts, counts, order)`` arrays — ``order`` holds
+        chunk-local point indices sorted by absorbing cell (ascending within
+        each group), ``starts``/``counts`` delimit the groups — or ``None``
+        when no point was absorbed.
         """
-        model = self.model
-        radius = model.config.radius
-        numeric = model._numeric
-        metric = model._metric
-
-        size = len(chunk_values)
-        arena = model._cells
-        if numeric and arena.seeds is not None:
-            # One scan over the union of both populations: same distances,
-            # same smallest-id tie rule as querying the stores separately
-            # and combining, but with a single kernel invocation per block.
-            slots = np.concatenate((model._active.slots(), model._inactive.slots()))
-            if slots.size == 0:
-                store_best = store_best_id = None
-            else:
-                ids = np.concatenate(
-                    (model._active.ids_array(), model._inactive.ids_array())
-                )
-                queries = np.asarray(chunk_values, dtype=arena.seed_dtype)
-                store_best, store_best_id = nearest_over_slots(
-                    arena,
-                    slots,
-                    ids,
-                    queries,
-                    within=radius,
-                    prune_threshold=model._active.prune_threshold,
-                )
+        if self.model._numeric:
+            absorber, created = self._assign_numeric(chunk_values, chunk_times)
         else:
-            active_best, active_best_id = model._active.nearest_many(
-                chunk_values, within=radius
-            )
-            inactive_best, inactive_best_id = model._inactive.nearest_many(
-                chunk_values, within=radius
-            )
-            # Canonical combine of the two stores, vectorised across the chunk.
-            if active_best is None:
-                store_best, store_best_id = inactive_best, inactive_best_id
-            elif inactive_best is None:
-                store_best, store_best_id = active_best, active_best_id
-            else:
-                take = (inactive_best < active_best) | (
-                    (inactive_best == active_best)
-                    & (inactive_best_id < active_best_id)
-                )
-                store_best = np.where(take, inactive_best, active_best)
-                store_best_id = np.where(take, inactive_best_id, active_best_id)
-
-        # Per-point absorbing cell id; points that seed a new cell instead are
-        # flagged in ``created`` and excluded from the absorption groups.
-        absorber = np.empty(size, dtype=np.int64)
-        created = np.zeros(size, dtype=bool)
-        # Up to the first point that seeds a new cell, assignments depend
-        # only on the pre-chunk stores and resolve without a Python loop —
-        # in steady state that is the entire chunk.
-        if store_best is None:
-            first_create = 0
-        else:
-            outside = store_best > radius
-            first_create = int(np.argmax(outside)) if outside.any() else size
-        if first_create:
-            absorber[:first_create] = store_best_id[:first_create]
-
-        if first_create < size:
-            # Nearest chunk-created seed per point; strictly-smaller updates
-            # keep the earliest-created (smallest-id) seed on exact ties, and
-            # since chunk-created cells carry the largest ids overall, a tie
-            # against a pre-existing seed also resolves canonically.
-            fresh_best = np.full(size, math.inf)
-            fresh_id = np.zeros(size, dtype=np.int64)
-            if numeric:
-                # Only points outside every pre-existing cell can create a
-                # seed, so the Python loop visits just those; each created
-                # seed updates the later points' best-fresh-seed distance
-                # with one vectorised pass over its row of the (outside,
-                # chunk) distance matrix — same shared kernel as the store
-                # queries, for bit-identical distances.
-                if store_best is None:
-                    candidates = np.arange(size)
-                else:
-                    candidates = np.flatnonzero(outside)
-                candidate_rows: Optional[np.ndarray] = None
-                bounded = model._bounded
-                for row, j in enumerate(candidates.tolist()):
-                    if fresh_best[j] <= radius:
-                        continue  # absorbed by a seed created earlier in the chunk
-                    seed = tuple(chunk_values[j].tolist())
-                    density = 1.0
-                    if bounded is not None:
-                        density += bounded.revival_density(seed, float(chunk_times[j]))
-                    cell_id = model._cells.create(
-                        seed,
-                        density=density,
-                        created_at=float(chunk_times[j]),
-                        last_update=float(chunk_times[j]),
-                        last_absorb=float(chunk_times[j]),
-                    )
-                    if density > 1.0:
-                        self._revived.append(cell_id)
-                    model.reservoir.add(cell_id)
-                    absorber[j] = cell_id
-                    created[j] = True
-                    if j + 1 >= size:
-                        continue
-                    if candidate_rows is None:
-                        candidate_rows = pairwise_euclidean(
-                            chunk_values[candidates], chunk_values
-                        )
-                    distances = candidate_rows[row, j + 1 :]
-                    better = distances < fresh_best[j + 1 :]
-                    fresh_best[j + 1 :][better] = distances[better]
-                    fresh_id[j + 1 :][better] = cell_id
-                tail = np.arange(first_create, size)
-                tail = tail[~created[first_create:]]
-                if tail.size:
-                    if store_best is None:
-                        absorber[tail] = fresh_id[tail]
-                    else:
-                        use_fresh = fresh_best[tail] < store_best[tail]
-                        absorber[tail] = np.where(
-                            use_fresh, fresh_id[tail], store_best_id[tail]
-                        )
-            else:
-                for j in range(first_create, size):
-                    value = chunk_values[j]
-                    best_id: Optional[int] = None
-                    best_distance = math.inf
-                    if store_best is not None:
-                        best_id = int(store_best_id[j])
-                        best_distance = float(store_best[j])
-                    if fresh_best[j] < best_distance:
-                        best_id = int(fresh_id[j])
-                        best_distance = float(fresh_best[j])
-
-                    if best_id is not None and best_distance <= radius:
-                        absorber[j] = best_id
-                        continue
-
-                    cell_id = model._cells.create(
-                        value,
-                        density=1.0,
-                        created_at=float(chunk_times[j]),
-                        last_update=float(chunk_times[j]),
-                        last_absorb=float(chunk_times[j]),
-                    )
-                    model.reservoir.add(cell_id)
-                    absorber[j] = cell_id
-                    created[j] = True
-                    if j + 1 >= size:
-                        continue
-                    distances = np.asarray(
-                        [metric(chunk_values[i], value) for i in range(j + 1, size)],
-                        dtype=float,
-                    )
-                    better = distances < fresh_best[j + 1 :]
-                    fresh_best[j + 1 :][better] = distances[better]
-                    fresh_id[j + 1 :][better] = cell_id
-
+            absorber, created = self._assign_objects(chunk_values, chunk_times)
+        size = absorber.shape[0]
         assigned[offset : offset + size] = absorber.tolist()
         # Group the absorbed points by absorbing cell with one stable sort;
         # within each group the chunk-local indices stay ascending (arrival
@@ -462,6 +308,208 @@ class BatchIngestor:
         starts = np.concatenate(([0], np.flatnonzero(gids[1:] != gids[:-1]) + 1))
         counts = np.diff(np.append(starts, order.size))
         return gids[starts], starts, counts, order
+
+    def _assign_numeric(
+        self, chunk_values: np.ndarray, chunk_times: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Absorbing cell per point of a numeric chunk, and which points seed one.
+
+        One screened scan over both populations finds each point's nearest
+        old seed within ``r`` (:func:`~repro.core.cellstore.nearest_over_slots`
+        with ``exact=False``: a row the Gram screen decides comes back with
+        its id but no distance).  The points outside every old cell then
+        pick the chunk's *leaders* — the points that seed a new cell — in
+        arrival order from one distance block, and the leaders become cells
+        with one :meth:`~repro.core.soa.CellArrays.create_many` call.  Every
+        distance is measured on the arena-dtype rows, as the per-point path
+        measures a point against stored seeds.
+        """
+        model = self.model
+        radius = model.config.radius
+        arena = model._cells
+        obs = model.obs
+        size = chunk_values.shape[0]
+        queries = np.asarray(chunk_values, dtype=arena.seed_dtype)
+        absorber = np.empty(size, dtype=np.int64)
+        created = np.zeros(size, dtype=bool)
+        store_best = None
+        with obs.phase("assign_scan"):
+            slots = np.concatenate((model._active.slots(), model._inactive.slots()))
+            if slots.size:
+                ids = np.concatenate((model._active.ids_array(), model._inactive.ids_array()))
+                store_best, store_best_id = nearest_over_slots(
+                    arena,
+                    slots,
+                    ids,
+                    queries,
+                    within=radius,
+                    prune_threshold=model._active.prune_threshold,
+                    exact=False,
+                )
+        if store_best is None:
+            candidates = np.arange(size)
+        else:
+            # Compared in float64, as the per-point path compares; a NaN
+            # (decided within r) is not outside.
+            store_best = store_best.astype(np.float64, copy=False)
+            candidates = np.flatnonzero(store_best > radius)
+            absorber[:] = store_best_id
+        if candidates.size == 0:
+            return absorber, created
+
+        with obs.phase("assign_create"):
+            first = int(candidates[0])
+            # Candidate -> row distances for every row from the first
+            # candidate on; the one kernel call of the creation block.
+            block = pairwise_euclidean(queries[candidates], queries[first:])
+            block = block.astype(np.float64, copy=False)
+            # Leaders in arrival order: a candidate seeds a cell unless an
+            # earlier leader lies within r.  Row i of ``reach`` is the bit
+            # set of the candidates within r of candidate i.
+            reach = np.packbits(block[:, candidates - first] <= radius, axis=1, bitorder="little")
+            width = reach.shape[1]
+            packed = reach.tobytes()
+            leaders: List[int] = []
+            covered = 0
+            for i in range(candidates.size):
+                if not covered >> i & 1:
+                    leaders.append(i)
+                    covered |= int.from_bytes(packed[i * width : (i + 1) * width], "little")
+            rows = candidates[leaders]
+            times = chunk_times[rows]
+            density: Any = 1.0
+            bounded = model._bounded
+            if bounded is not None:
+                density = np.asarray(
+                    [
+                        1.0 + bounded.revival_density(tuple(chunk_values[j].tolist()), float(t))
+                        for j, t in zip(rows.tolist(), times.tolist())
+                    ]
+                )
+            new_ids = arena.create_many(
+                chunk_values[rows],
+                density=density,
+                created_at=times,
+                last_update=times,
+                last_absorb=times,
+            )
+            if bounded is not None:
+                self._revived.extend(new_ids[density > 1.0].tolist())
+            model.reservoir.add_many(new_ids)
+            absorber[rows] = new_ids
+            created[rows] = True
+
+            # Nearest earlier leader of every later row.  argmin takes the
+            # first minimum: the earliest leader, which has the smallest id,
+            # as the per-point path's tie rule wants.
+            later = rows[:, None] < np.arange(first, size)[None, :]
+            fresh = np.where(later, block[leaders], np.inf)
+            nearest = np.argmin(fresh, axis=0)
+            fresh_best = fresh[nearest, np.arange(size - first)]
+            take = (fresh_best <= radius) & ~created[first:]
+            if store_best is not None:
+                # A row within r of an old seed as well goes to the leader
+                # only when it is strictly nearer (an exact tie keeps the old,
+                # smaller id).  Only these rows need their scan distance, and
+                # a screened row gets it here from the exact kernel.
+                both = np.flatnonzero(take & ~(store_best[first:] > radius))
+                if both.size:
+                    points = first + both
+                    old = store_best[points]
+                    unknown = np.flatnonzero(np.isnan(old))
+                    if unknown.size:
+                        seed_slots = [
+                            arena.slot_of(cell_id)
+                            for cell_id in store_best_id[points[unknown]].tolist()
+                        ]
+                        exact = pairwise_euclidean(
+                            queries[points[unknown]], arena.seeds[seed_slots]
+                        )
+                        old[unknown] = np.diagonal(exact)
+                    take[both] = fresh_best[both] < old
+            columns = first + np.flatnonzero(take)
+            absorber[columns] = new_ids[nearest[columns - first]]
+        return absorber, created
+
+    def _assign_objects(
+        self, chunk_values: Sequence[Any], chunk_times: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Absorbing cell per point of a non-numeric chunk, and which points seed one.
+
+        Both stores answer through :meth:`CellStore.nearest_many`; points
+        outside every old cell then replay, in arrival order, against the
+        cells created earlier in the chunk.
+        """
+        model = self.model
+        radius = model.config.radius
+        metric = model._metric
+        size = len(chunk_values)
+        active_best, active_best_id = model._active.nearest_many(chunk_values, within=radius)
+        inactive_best, inactive_best_id = model._inactive.nearest_many(chunk_values, within=radius)
+        # Canonical combine of the two stores, vectorised across the chunk.
+        if active_best is None:
+            store_best, store_best_id = inactive_best, inactive_best_id
+        elif inactive_best is None:
+            store_best, store_best_id = active_best, active_best_id
+        else:
+            take = (inactive_best < active_best) | (
+                (inactive_best == active_best) & (inactive_best_id < active_best_id)
+            )
+            store_best = np.where(take, inactive_best, active_best)
+            store_best_id = np.where(take, inactive_best_id, active_best_id)
+
+        absorber = np.empty(size, dtype=np.int64)
+        created = np.zeros(size, dtype=bool)
+        # Up to the first point that seeds a new cell, assignments depend
+        # only on the pre-chunk stores.
+        if store_best is None:
+            first_create = 0
+        else:
+            outside = store_best > radius
+            first_create = int(np.argmax(outside)) if outside.any() else size
+        if first_create:
+            absorber[:first_create] = store_best_id[:first_create]
+        # Nearest chunk-created seed per point; strictly-smaller updates keep
+        # the earliest-created (smallest-id) seed on exact ties, and since
+        # chunk-created cells carry the largest ids overall, a tie against a
+        # pre-existing seed also resolves canonically.
+        fresh_best = np.full(size, math.inf)
+        fresh_id = np.zeros(size, dtype=np.int64)
+        for j in range(first_create, size):
+            value = chunk_values[j]
+            best_id: Optional[int] = None
+            best_distance = math.inf
+            if store_best is not None:
+                best_id = int(store_best_id[j])
+                best_distance = float(store_best[j])
+            if fresh_best[j] < best_distance:
+                best_id = int(fresh_id[j])
+                best_distance = float(fresh_best[j])
+
+            if best_id is not None and best_distance <= radius:
+                absorber[j] = best_id
+                continue
+
+            cell_id = model._cells.create(
+                value,
+                density=1.0,
+                created_at=float(chunk_times[j]),
+                last_update=float(chunk_times[j]),
+                last_absorb=float(chunk_times[j]),
+            )
+            model.reservoir.add(cell_id)
+            absorber[j] = cell_id
+            created[j] = True
+            if j + 1 >= size:
+                continue
+            distances = np.asarray(
+                [metric(chunk_values[i], value) for i in range(j + 1, size)],
+                dtype=float,
+            )
+            better = distances < fresh_best[j + 1 :]
+            fresh_best[j + 1 :][better] = distances[better]
+            fresh_id[j + 1 :][better] = cell_id
+        return absorber, created
 
     def _apply_absorptions(
         self,

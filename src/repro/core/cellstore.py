@@ -27,9 +27,33 @@ import numpy as np
 from repro.core.cell import ClusterCell
 from repro.core.decay import DecayModel
 from repro.core.soa import DETACHED, MEMBER, CellArrays
-from repro.distance.metrics import GRAM_SLACK, float32_kernel_slack, pairwise_euclidean
+from repro.distance.metrics import (
+    GRAM_MAX_DIM,
+    GRAM_SLACK,
+    float32_kernel_slack,
+    gram_screen,
+    pairwise_euclidean,
+)
 
 _INITIAL_CAPACITY = 64
+
+#: Smallest ``within`` scan below ``prune_threshold``, counted as
+#: rows x seeds x dim, that :func:`nearest_over_slots` screens with one
+#: Gram product instead of running the exact kernel on every pair.  The
+#: screen costs 55-105 µs per call whatever its size (2-core Xeon,
+#: OpenBLAS), so the exact kernel wins on small scans: on the 2-d SDS
+#: stream (122-427 seeds) and the 34-d KDD surrogate (88-210 seeds) the
+#: screen ran at 0.45-0.9x its speed below 2¹⁵ and at 1.1-4.1x above 2¹⁷.
+#: Summed over the per-call fastest of 8 runs, a full ingest's scans took,
+#: in ms:
+#:
+#: =================  =====  ====  ====  ====
+#: floor              none   2¹⁵   2¹⁶   2¹⁷
+#: =================  =====  ====  ====  ====
+#: SDS 20k, 98 scans  31.6   20.9  20.1  27.9
+#: KDD 12k, 58 scans  58.9   50.9  50.2  50.1
+#: =================  =====  ====  ====  ====
+_SCAN_SCREEN_MIN_WORK = 2**16
 
 
 class CellStore:
@@ -171,27 +195,46 @@ class CellStore:
     # membership
     # ------------------------------------------------------------------ #
     def add(self, cell_id: int) -> None:
-        """Add a cell of this store's arena by id.
+        """Add a cell of this store's arena by id (see :meth:`add_many`)."""
+        self.add_many((cell_id,))
 
-        Raises ``KeyError`` if the id owns no slot in the arena or already
-        belongs to a population.
+    def add_many(self, cell_ids: Sequence[int]) -> None:
+        """Add cells of this store's arena by id, in order.
+
+        Leaves the store as one :meth:`add` per id would.  Raises
+        ``KeyError``, before any change, if an id owns no slot in the arena,
+        already belongs to a population or repeats.
         """
-        slot = self._arrays.slot_of(cell_id)
-        if self._arrays.status[slot] == MEMBER:
-            raise KeyError(f"cell {cell_id} already in a population")
-        if self._size >= self._slots.shape[0]:
-            grown = np.empty(self._slots.shape[0] * 2, dtype=np.int64)
-            grown[: self._size] = self._slots[: self._size]
+        if isinstance(cell_ids, np.ndarray):
+            cell_ids = cell_ids.tolist()
+        slot_of = self._arrays._slot_of
+        status = self._arrays.status
+        slots: List[int] = []
+        seen = set()
+        for cell_id in cell_ids:
+            slot = slot_of[cell_id]
+            if status[slot] == MEMBER or cell_id in seen:
+                raise KeyError(f"cell {cell_id} already in a population")
+            seen.add(cell_id)
+            slots.append(slot)
+        count = len(slots)
+        size = self._size
+        capacity = self._slots.shape[0]
+        if size + count > capacity:
+            while size + count > capacity:
+                capacity *= 2
+            grown = np.empty(capacity, dtype=np.int64)
+            grown[:size] = self._slots[:size]
             self._slots = grown
-        position = self._size
-        self._slots[position] = slot
-        self._pos[cell_id] = position
-        self._ids.append(cell_id)
+        added = self._slots[size : size + count]
+        added[:] = slots
+        self._pos.update(zip(cell_ids, range(size, size + count)))
+        self._ids.extend(cell_ids)
         self._ids_cache = None
         self._seed_cache = None
-        self._arrays.status[slot] = MEMBER
-        self._size += 1
-        self.version += 1
+        status[added] = MEMBER
+        self._size += count
+        self.version += count
 
     def remove(self, cell_id: int) -> int:
         """Remove a cell by id (swap-with-last compaction); returns the id.
@@ -411,6 +454,7 @@ def nearest_over_slots(
     within: Optional[float] = None,
     prune_threshold: int = 512,
     seeds: Optional[np.ndarray] = None,
+    exact: bool = True,
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Per-query nearest seed over arbitrary arena ``slots`` (numeric only).
 
@@ -420,24 +464,38 @@ def nearest_over_slots(
     stores with a single scan.  Ties resolve to the smallest cell id, the
     canonical rule shared with the per-point assignment (``EDMStream._assign``).
 
-    When ``within`` is given and the selection is larger than
-    ``prune_threshold``, the pruned scan is used: any result at most
-    ``within`` away is the exact global nearest (with exact tie-breaking),
-    while a result beyond ``within`` only promises that *no* seed lies
-    within ``within``.  Queries go in groups of 64 by norm.  A group's
-    candidates are the seeds in its norm window (``|‖q‖ - ‖s‖| ≤ r``), cut
-    down by one float64 matmul: with ``a_q = ((1-c)‖q‖² - r²)/2`` and
-    ``b_s = (1-c)‖s‖²/2``, the lifted rows ``[q, -a_q]`` and ``[s, 1]``
-    give ``q̃·s̃ = q·s - a_q``, and a seed is kept iff
-    ``max_q q̃·s̃ ≥ b_s``, i.e. iff ``‖q - s‖² ≤ r² + c(‖q‖² + ‖s‖²)`` for
-    some query of the group.  The exact kernel then runs on the kept seeds
-    only, so every distance it returns is the one the sequential path sees.
+    When ``within`` is given, any result at most ``within`` away is the
+    exact global nearest (with exact tie-breaking and its exact kernel
+    distance), while a result beyond ``within`` only promises that *no*
+    seed lies within ``within`` (its distance/id may be those of a
+    non-nearest seed, or ``inf``/-1).  Two paths skip work there, chosen by
+    the input size:
 
-    Why no seed within ``r`` is ever dropped (``N = ‖q‖² + ‖s‖²``, ``D``
-    the true distance; the error terms are those derived at
+    * above ``prune_threshold`` seeds, the *windowed* screen: queries go in
+      groups of 64 by norm, and a group sees only the seeds of its norm
+      window (``|‖q‖ - ‖s‖| ≤ r``);
+    * below it, when rows × seeds × dim reaches
+      :data:`_SCAN_SCREEN_MIN_WORK`, the same screen over all seeds.
+
+    Either way one float64 product gives ``g = ‖s‖² - 2q·s`` for every
+    (query, seed) pair the group sees, and
+    :func:`~repro.distance.metrics.gram_screen` decides the rows whose
+    nearest seed and side of ``within`` the exact kernel provably shares.
+    A row decided beyond ``within`` is done (``inf``, -1).  A row decided
+    within it has its nearest id; with ``exact=False`` it is done too and
+    reports ``NaN`` for its distance (the micro-batch engine computes the
+    few distances it needs), with ``exact=True`` it joins the undecided
+    rows.  Those rows run the exact kernel on the seeds that pass one
+    bound: ``‖q - s‖² ≤ r² + c(‖q‖² + ‖s‖²)`` for some row of the group,
+    evaluated as ``(1-c)‖q‖² + g ≤ r² + c‖s‖²``, with a slack ``c`` that
+    provably covers rounding.  So every distance within ``within`` that
+    comes back is the one the sequential path sees.
+
+    Why the bound never drops a seed within ``r`` (``N = ‖q‖² + ‖s‖²``,
+    ``D`` the true distance; the error terms are those derived at
     :data:`~repro.distance.metrics.GRAM_SLACK`): the kernel reporting
     ``≤ r`` means ``D² ≤ r²(1 + δ)``.  The computed test differs from
-    ``(r² + cN - D²)/2`` by at most ``κ(N + r²)/2``.  If ``N < r²/4`` then
+    ``r² + cN - D²`` by at most ``κ(N + r²)``.  If ``N < r²/4`` then
     ``D² ≤ 2N < r²/2`` and the margin ``r²/2`` dwarfs the error.  Otherwise
     ``r² ≤ 4N`` and the slack ``cN`` must cover
     ``δr² + κ(N + r²) ≤ (4δ + 5κ)N``, which ``c = 2⁻³⁰`` does for any
@@ -445,9 +503,10 @@ def nearest_over_slots(
     by up to ``(d+5)·2⁻²⁴`` relative (plus the rounding of ``r`` to float32
     in the caller's comparison), so there ``r²`` is first widened by
     :func:`~repro.distance.metrics.float32_kernel_slack`, for both the norm
-    window and the test; the test itself still runs in float64 on the exact
-    float32 values.  A query row with a NaN would poison its group's
-    maximum, which is one reason the model rejects non-finite input before
+    window and the bound, and the screen's decisions use the same factor;
+    the product itself still runs in float64 on the exact float32 values.
+    A query row with a NaN is never decided and would poison its group's
+    bound, which is one reason the model rejects non-finite input before
     it gets here.
 
     ``seeds`` optionally supplies the already-gathered ``(size, dim)`` seed
@@ -457,11 +516,15 @@ def nearest_over_slots(
     size = int(slots.shape[0])
     if size == 0 or queries.shape[0] == 0:
         return None, None
-    if within is not None and size > prune_threshold:
-        return _nearest_pruned(arrays, slots, seeds, ids, queries, within)
+    n, dim = queries.shape
+    if within is not None and dim < GRAM_MAX_DIM:
+        if size > prune_threshold or n * size * dim >= _SCAN_SCREEN_MIN_WORK:
+            return _nearest_screened(
+                arrays, slots, seeds, ids, queries, within, exact, windowed=size > prune_threshold
+            )
     if seeds is None:
         seeds = arrays.seeds[slots]
-    block = max(1, 8_000_000 // max(1, 8 * queries.shape[0]))
+    block = max(1, 8_000_000 // max(1, 8 * n))
     best = best_id = None
     for start in range(0, size, block):
         stop = min(size, start + block)
@@ -470,66 +533,96 @@ def nearest_over_slots(
     return best, best_id
 
 
-def _nearest_pruned(
+def _nearest_screened(
     arrays: CellArrays,
     slots: np.ndarray,
     seeds: Optional[np.ndarray],
     ids: np.ndarray,
     queries: np.ndarray,
     within: float,
+    exact: bool,
+    windowed: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Norm-windowed, Gram-bounded nearest query (see :func:`nearest_over_slots`).
+    """Gram-screened nearest query (see :func:`nearest_over_slots`).
 
-    Queries are processed in norm-sorted groups of 64.  Seeds are sorted by
-    norm once, so each group's norm window (padded by a relative epsilon so
-    float rounding of the norms can never exclude a seed within reach) is a
-    contiguous slice of the lifted seed matrix, and the Gram test is one
-    matmul over that slice.
+    Windowed, seeds and queries are sorted by norm once, so each group of 64
+    queries sees a contiguous slice of the lifted seed matrix: its norm
+    window, padded by a relative epsilon so float rounding of the norms can
+    never exclude a seed within reach.  Unwindowed, groups of 256 queries
+    in arrival order see every seed.
     """
     n, dim = queries.shape
+    size = slots.shape[0]
+    slack = float32_kernel_slack(dim) if queries.dtype == np.float32 else 0.0
     reach2 = within * within
-    if queries.dtype == np.float32:
-        reach2 *= 1.0 + float32_kernel_slack(dim)
-    reach = math.sqrt(reach2)
-    # Seeds in norm order (the order among equal norms is immaterial: ties
-    # between kept seeds resolve by id), lifted to [s, 1], with b_s.
+    wide2 = reach2 * (1.0 + slack)
     seed_norm2 = arrays.seed_norm2[slots]
-    seed_order = np.argsort(seed_norm2)
-    seed_norm2 = seed_norm2[seed_order]
-    seed_norm = np.sqrt(seed_norm2)
-    ordered = arrays.seeds[slots[seed_order]] if seeds is None else seeds[seed_order]
-    ordered_ids = ids[seed_order]
-    lifted_seeds = np.empty((ordered.shape[0], dim + 1))
-    lifted_seeds[:, :dim] = ordered
-    lifted_seeds[:, dim] = 1.0
-    seed_bound = (0.5 * (1.0 - GRAM_SLACK)) * seed_norm2
-    # Queries in norm order, lifted to [q, -a_q] with ‖q‖² in float64.
     query_norm2 = np.einsum("ij,ij->i", queries, queries, dtype=np.float64)
-    query_order = np.argsort(query_norm2)
-    query_norm2 = query_norm2[query_order]
-    sorted_queries = queries[query_order]
+    query_order = None
+    if windowed:
+        # The order among equal norms is immaterial: ties between seeds the
+        # exact kernel sees resolve by id.
+        seed_order = np.argsort(seed_norm2)
+        seed_norm2 = seed_norm2[seed_order]
+        seeds = arrays.seeds[slots[seed_order]] if seeds is None else seeds[seed_order]
+        ids = ids[seed_order]
+        seed_norm = np.sqrt(seed_norm2)
+        query_order = np.argsort(query_norm2)
+        query_norm2 = query_norm2[query_order]
+        queries = queries[query_order]
+        query_norm = np.sqrt(query_norm2)
+        reach = math.sqrt(wide2)
+    elif seeds is None:
+        seeds = arrays.seeds[slots]
+    # Seeds lifted to [-2s, ‖s‖²] and queries to [q, 1], in float64: one
+    # product gives g = ‖s‖² - 2q·s.
+    lifted_seeds = np.empty((size, dim + 1))
+    np.multiply(seeds, -2.0, out=lifted_seeds[:, :dim])
+    lifted_seeds[:, dim] = seed_norm2
     lifted_queries = np.empty((n, dim + 1))
-    lifted_queries[:, :dim] = sorted_queries
-    lifted_queries[:, dim] = 0.5 * (reach2 - (1.0 - GRAM_SLACK) * query_norm2)
-    query_norm = np.sqrt(query_norm2)
+    lifted_queries[:, :dim] = queries
+    lifted_queries[:, dim] = 1.0
+    seed_bound = wide2 + GRAM_SLACK * seed_norm2
     best = np.full(n, np.inf)
     best_id = np.full(n, -1, dtype=np.int64)
-    for start in range(0, n, 64):
-        stop = min(n, start + 64)
-        low = float(query_norm[start])
-        high = float(query_norm[stop - 1])
-        margin = reach + 1e-9 * (high + reach)
-        first = int(np.searchsorted(seed_norm, low - margin, side="left"))
-        last = int(np.searchsorted(seed_norm, high + margin, side="right"))
-        if first >= last:
-            continue
+    group = 64 if windowed else 256
+    first, last = 0, size
+    for start in range(0, n, group):
+        stop = min(n, start + group)
+        if windowed:
+            low = float(query_norm[start])
+            high = float(query_norm[stop - 1])
+            margin = reach + 1e-9 * (high + reach)
+            first = int(np.searchsorted(seed_norm, low - margin, side="left"))
+            last = int(np.searchsorted(seed_norm, high + margin, side="right"))
+            if first >= last:
+                continue
+        norm2 = query_norm2[start:stop]
         gram = lifted_queries[start:stop] @ lifted_seeds[first:last].T
-        keep = first + np.flatnonzero(gram.max(axis=0) >= seed_bound[first:last])
-        if keep.size == 0:
-            continue
-        distances = pairwise_euclidean(sorted_queries[start:stop], ordered[keep])
-        rows = query_order[start:stop]
-        best[rows], best_id[rows] = _merge_minima(distances, ordered_ids[keep], None, None)
+        positions, covered, decided = gram_screen(
+            gram, norm2, norm2 + seed_norm2[first:last].max(), reach2, slack
+        )
+        group_best = np.full(stop - start, np.inf)
+        group_id = np.full(stop - start, -1, dtype=np.int64)
+        inside = decided & covered
+        group_id[inside] = ids[first + positions[inside]]
+        if exact:
+            sent = np.flatnonzero(~decided | covered)
+        else:
+            group_best[inside] = np.nan
+            sent = np.flatnonzero(~decided)
+        if sent.size:
+            # The seeds some sent row may reach (the bound derived above),
+            # and each sent row's nearest, which the screen left at inf.
+            reachable = gram[sent] + ((1.0 - GRAM_SLACK) * norm2[sent])[:, None]
+            kept = reachable.min(axis=0) <= seed_bound[first:last]
+            kept[positions[sent]] = True
+            keep = first + np.flatnonzero(kept)
+            distances = pairwise_euclidean(queries[start + sent], seeds[keep])
+            group_best[sent], group_id[sent] = _merge_minima(distances, ids[keep], None, None)
+        rows = slice(start, stop) if query_order is None else query_order[start:stop]
+        best[rows] = group_best
+        best_id[rows] = group_id
     return best, best_id
 
 

@@ -14,7 +14,7 @@ thresholds the decay model derives, with no per-cell container of its own.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,13 +80,13 @@ class OutlierReservoir(CellStore):
     # ------------------------------------------------------------------ #
     # membership updates
     # ------------------------------------------------------------------ #
-    def add(self, cell_id: int) -> None:
-        """Add an inactive cell by id and clear its dependency link."""
-        super().add(cell_id)
+    def add_many(self, cell_ids: Sequence[int]) -> None:
+        """Add inactive cells by id and clear their dependency links."""
+        super().add_many(cell_ids)
         # Dependency information is meaningless outside the DP-Tree.
-        slot = self._arrays.slot_of(cell_id)
-        self._arrays.dep[slot] = -1
-        self._arrays.delta[slot] = np.inf
+        slots = self._slots[self._size - len(cell_ids) : self._size]
+        self._arrays.dep[slots] = -1
+        self._arrays.delta[slots] = np.inf
 
     def prune_outdated(self, now: float) -> List[int]:
         """Delete cells idle for longer than ΔT_del (Section 4.4); returns their ids.

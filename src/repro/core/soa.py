@@ -11,9 +11,10 @@ beyond the occasional capacity doubling.
 The design splits responsibilities three ways:
 
 * **CellArrays (this module)** owns the storage: the cell-id counter,
-  slot allocation and the column arrays.  :meth:`CellArrays.create` is the
-  one way a new cell comes into being; it returns the cell's id, and
-  every other layer addresses the cell by that id.
+  slot allocation and the column arrays.  :meth:`CellArrays.create_many`
+  (with :meth:`CellArrays.create`, its one-seed case) is the one way new
+  cells come into being; it returns the cells' ids, and every other layer
+  addresses a cell by its id.
 * **CellStore** (:mod:`repro.core.cellstore`) is a *population view* over
   one ``CellArrays``: it maintains a dense array of slots (the active or
   the inactive population) and answers vectorised bulk queries against
@@ -50,6 +51,9 @@ DETACHED = 1
 MEMBER = 2
 
 _INITIAL_CAPACITY = 64
+
+#: Row types :meth:`CellArrays.check_rows` converts with one ``np.fromiter``.
+_PLAIN_ROWS = frozenset((tuple, list))
 
 #: Scalar columns grown in lock-step; name -> (dtype, fill value).
 _SCALAR_COLUMNS = (
@@ -126,7 +130,8 @@ class CellArrays:
         #: cell id -> slot for every live (non-FREE) slot.
         self._slot_of: Dict[int, int] = {}
         #: slot -> original seed object (tuple / token set), the exact value
-        #: handed to :meth:`allocate`; the matrix row is its dtype-cast copy.
+        #: handed to :meth:`create_many` or :meth:`allocate`; the matrix row is
+        #: its dtype-cast copy.
         self._seed_obj: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------ #
@@ -185,22 +190,6 @@ class CellArrays:
             setattr(self, name, grown)
         self.capacity = new_capacity
 
-    def _set_seed(self, slot: int, seed: Any) -> None:
-        if self.numeric:
-            if self.seeds is None:
-                self.dim = len(seed)
-                self.seeds = np.zeros((self.capacity, self.dim), dtype=self.seed_dtype)
-            elif len(seed) != self.dim:
-                raise ValueError(
-                    f"seed dimension {len(seed)} does not match arena dimension {self.dim}"
-                )
-            row = self.seeds[slot]
-            row[:] = seed
-            # Squared norm of the stored (dtype-cast) row, in float64 even for
-            # float32 seeds: the pruned scan's bounds rely on that accuracy.
-            self.seed_norm2[slot] = math.hypot(*row.tolist()) ** 2
-        self._seed_obj[slot] = seed
-
     def check_rows(self, rows: Sequence[Any], first_row: int = 0) -> np.ndarray:
         """Stack numeric input rows into a float64 matrix under the input contract.
 
@@ -214,11 +203,26 @@ class CellArrays:
         """
         if len(rows) == 0:
             return np.empty((0, self.dim or 0))
-        try:
-            matrix = np.asarray(rows, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged or non-numeric rows
-            matrix = None
         dim = self.dim
+        matrix = None
+        if type(rows[0]) in _PLAIN_ROWS:
+            width = len(rows[0]) if dim is None else dim
+            if set(map(type, rows)) <= _PLAIN_ROWS and set(map(len, rows)) == {width}:
+                # Tuples and lists of one length: one pass over the chained
+                # values.  An element that is not a scalar fails the
+                # conversion and takes the general path below, which names
+                # the row.
+                try:
+                    matrix = np.fromiter(
+                        itertools.chain.from_iterable(rows), np.float64, count=len(rows) * width
+                    ).reshape(len(rows), width)
+                except (TypeError, ValueError, OverflowError):
+                    matrix = None
+        if matrix is None:
+            try:
+                matrix = np.asarray(rows, dtype=np.float64)
+            except (TypeError, ValueError):  # ragged or non-numeric rows
+                matrix = None
         if matrix is None or matrix.ndim != 2 or dim not in (None, matrix.shape[1]):
             expected = np.size(rows[0]) if dim is None else dim
             for i, row in enumerate(rows):
@@ -237,6 +241,76 @@ class CellArrays:
             )
         return matrix
 
+    def _claim(self, count: int) -> List[int]:
+        """Slots for ``count`` new cells, in the order ``count`` single claims pick.
+
+        The free-list first (LIFO), then never-used slots above the
+        high-water mark, doubling the columns as often as that needs.
+        """
+        reused = min(count, len(self._free))
+        split = len(self._free) - reused
+        slots = self._free[split:][::-1]
+        del self._free[split:]
+        fresh = count - reused
+        while self._top + fresh > self.capacity:
+            self._grow()
+        slots.extend(range(self._top, self._top + fresh))
+        self._top += fresh
+        return slots
+
+    def _fill(
+        self,
+        cell_ids: Sequence[int],
+        seeds: Any,
+        density: Any,
+        created_at: Any,
+        last_update: Any,
+        last_absorb: Any,
+        points_absorbed: Any,
+    ) -> List[int]:
+        """Claim a slot per id and fill the rows; returns the slots.
+
+        The arguments are those of :meth:`create_many`, plus the ids.  A
+        seed of the wrong dimension raises ``ValueError`` before any state
+        changes.
+        """
+        rows = None
+        if isinstance(seeds, np.ndarray):
+            rows = seeds
+            seeds = list(map(tuple, seeds.tolist()))
+        if not cell_ids:
+            return []
+        dim = self.dim
+        if self.numeric:
+            expected = len(seeds[0]) if dim is None else dim
+            for seed in seeds:
+                if len(seed) != expected:
+                    raise ValueError(
+                        f"seed dimension {len(seed)} does not match arena dimension {expected}"
+                    )
+            rows = np.asarray(seeds if rows is None else rows, dtype=self.seed_dtype)
+        slots = self._claim(len(cell_ids))
+        index = np.asarray(slots)
+        if self.numeric:
+            if self.seeds is None:
+                self.dim = expected
+                self.seeds = np.zeros((self.capacity, expected), dtype=self.seed_dtype)
+            self.seeds[index] = rows
+            # Squared norms of the stored (dtype-cast) rows, in float64 even
+            # for float32 seeds: the screened scan's bounds rely on that
+            # accuracy.
+            self.seed_norm2[index] = [math.hypot(*row) ** 2 for row in rows.tolist()]
+        self._slot_of.update(zip(cell_ids, slots))
+        self._seed_obj.update(zip(slots, seeds))
+        self.density[index] = density
+        self.created_at[index] = created_at
+        self.last_update[index] = last_update
+        self.last_absorb[index] = last_absorb
+        self.points_absorbed[index] = points_absorbed
+        self.cell_ids[index] = cell_ids
+        self.status[index] = DETACHED
+        return slots
+
     def allocate(
         self,
         cell_id: int,
@@ -252,31 +326,15 @@ class CellArrays:
         Returns the slot, marked ``DETACHED`` and without a dependency:
         every unused slot holds ``dep = -1``, ``delta = inf`` (the fill
         values, which :meth:`release` restores).  New cells come from
-        :meth:`create`; persistence calls this directly to restore saved ids.
+        :meth:`create_many`; persistence calls this directly to restore
+        saved ids.
         """
         if cell_id in self._slot_of:
             raise KeyError(f"cell {cell_id} already allocated")
-        if self._free:
-            slot = self._free.pop()
-        else:
-            if self._top >= self.capacity:
-                self._grow()
-            slot = self._top
-            self._top += 1
-        try:
-            self._set_seed(slot, seed)
-        except ValueError:
-            self._free.append(slot)
-            raise
-        self._slot_of[cell_id] = slot
-        self.density[slot] = density
-        self.created_at[slot] = created_at
-        self.last_update[slot] = last_update
-        self.last_absorb[slot] = last_absorb
-        self.points_absorbed[slot] = points_absorbed
-        self.cell_ids[slot] = cell_id
-        self.status[slot] = DETACHED
-        return slot
+        slots = self._fill(
+            [cell_id], [seed], density, created_at, last_update, last_absorb, points_absorbed
+        )
+        return slots[0]
 
     def release(self, cell_id: int) -> None:
         """Return a cell's slot to the free-list and drop its seed object.
@@ -298,6 +356,29 @@ class CellArrays:
     # ------------------------------------------------------------------ #
     # cells
     # ------------------------------------------------------------------ #
+    def create_many(
+        self,
+        seeds: Any,
+        density: Any = 1.0,
+        created_at: Any = 0.0,
+        last_update: Any = 0.0,
+        last_absorb: Any = 0.0,
+    ) -> np.ndarray:
+        """Create one cell per seed with fresh ids from the process counter.
+
+        ``seeds`` is a sequence of seed objects, or for numeric arenas a
+        ``(count, dim)`` float array whose rows become tuple-of-floats seed
+        objects; ``density`` and the times are one value or one per seed.
+        Returns the ids, ascending in seed order.  The arena ends as one
+        :meth:`create` per seed, in order, leaves it: the same ids, slots,
+        free-list and columns.  Each new cell has no dependency and one
+        absorbed point, and its slot is ``DETACHED`` until a population
+        view adds it.
+        """
+        cell_ids = [next(_cell_id_counter) for _ in range(len(seeds))]
+        self._fill(cell_ids, seeds, density, created_at, last_update, last_absorb, 1)
+        return np.asarray(cell_ids, dtype=np.int64)
+
     def create(
         self,
         seed: Any,
@@ -306,21 +387,16 @@ class CellArrays:
         last_update: float = 0.0,
         last_absorb: float = 0.0,
     ) -> int:
-        """Create a cell with a fresh id from the process counter; returns the id.
-
-        The new cell has no dependency and one absorbed point, and its slot
-        is ``DETACHED`` until a population view adds it.
-        """
-        cell_id = next(_cell_id_counter)
-        self.allocate(
-            cell_id,
-            seed,
-            density=density,
-            created_at=created_at,
-            last_update=last_update,
-            last_absorb=last_absorb,
+        """Create one cell (the one-seed case of :meth:`create_many`); returns its id."""
+        return int(
+            self.create_many(
+                [seed],
+                density=density,
+                created_at=created_at,
+                last_update=last_update,
+                last_absorb=last_absorb,
+            )[0]
         )
-        return cell_id
 
     def view(self, cell_id: int) -> ClusterCell:
         """A read-only :class:`~repro.core.cell.ClusterCell` view of a cell id."""

@@ -6,14 +6,15 @@ lookup, which operates on small vectors in a tight loop; we therefore keep
 scalar implementations simple and allocation-free rather than vectorising
 individual pairwise calls.  The bulk kernel :func:`pairwise_euclidean` serves
 the cell stores, micro-batch ingestion and snapshot queries; the error bounds
-that let callers screen it with a Gram-matrix product live beside it
-(:data:`GRAM_SLACK`, :func:`float32_kernel_slack`).
+that let callers screen it with a Gram-matrix product, and the one decision
+rule built on them, live beside it (:data:`GRAM_SLACK`,
+:func:`float32_kernel_slack`, :func:`gram_screen`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,6 +125,73 @@ def float32_kernel_slack(dim: int) -> float:
     also covers ``(1+δ)/(1-δ) - 1`` and the rounding of a float32 threshold.
     """
     return (dim + 8) * 2.0**-23
+
+
+#: Open range of ``N = ‖q‖² + max‖s‖²`` over which :func:`gram_screen`
+#: decides rows.  It keeps every squared distance of both kernels, float32
+#: included, far from overflow and the screen's tolerance far above the
+#: absolute rounding of subnormal results; rows outside it stay undecided.
+GRAM_NORM_RANGE = (2.0**-100, 2.0**100)
+
+
+def gram_screen(
+    gram: np.ndarray,
+    query_norm2: np.ndarray,
+    scale: np.ndarray,
+    reach2: Union[float, np.ndarray],
+    kernel_slack: float = 0.0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide each row's nearest seed, and its coverage, from a Gram block.
+
+    The one decision rule of every Gram screen in front of
+    :func:`pairwise_euclidean` (the predict screen in
+    :mod:`repro.api.snapshot`, the assignment scan in
+    :mod:`repro.core.cellstore`).  ``gram[i, j] = ‖s_j‖² - 2 q_i·s_j`` comes
+    from one float64 product (float32 operands are widened exactly), so
+    ``h = ‖q‖² + g`` is each squared distance to within ``cN``, where
+    ``scale`` holds each row's ``N = ‖q‖² + max‖s‖²`` over the block's seeds
+    (see :data:`GRAM_SLACK`).  With the tolerance ``t = cN + w·|h_p|`` —
+    ``w`` is ``kernel_slack``, :func:`float32_kernel_slack` when the exact
+    kernel runs in float32 (its error is relative to the distance itself),
+    0 for float64 — a row is decided only when
+
+    * every other seed's ``g`` exceeds the row minimum ``g_p`` by more than
+      ``2t``, so the exact kernel's nearest seed is ``p`` as well (in
+      particular no exact tie is ever decided), and
+    * ``h_p`` lies more than ``t`` from ``reach2`` (a scalar, or one value
+      per seed), so the exact kernel's ``distance <= √reach2`` comes out
+      the same way.
+
+    Rows whose ``N`` falls outside :data:`GRAM_NORM_RANGE` — NaN and
+    infinite rows among them — are never decided.  Returns
+    ``(positions, covered, decided)``: each row's nearest column, whether
+    it lies within reach, and whether the exact kernel provably agrees on
+    both.  ``gram`` is scratch: each row's minimum comes back as ``inf``.
+    """
+    n = gram.shape[0]
+    index = np.arange(n)
+    with np.errstate(all="ignore"):
+        positions = np.argmin(gram, axis=1)
+        nearest = gram[index, positions]
+        # The runner-up through a second argmin: numpy's argmin along a
+        # short last axis is several times faster than its min.
+        gram[index, positions] = np.inf
+        runner_up = gram[index, np.argmin(gram, axis=1)]
+        squared = query_norm2 + nearest
+        tolerance = GRAM_SLACK * scale
+        if kernel_slack:
+            tolerance += kernel_slack * np.abs(squared)
+        if np.ndim(reach2):
+            reach2 = reach2[positions]
+        low, high = GRAM_NORM_RANGE
+        decided = (
+            (runner_up - nearest > 2.0 * tolerance)
+            & (np.abs(squared - reach2) > tolerance)
+            & (scale > low)
+            & (scale < high)
+        )
+        covered = squared < reach2
+    return positions, covered, decided
 
 
 def manhattan(a: Vector, b: Vector) -> float:

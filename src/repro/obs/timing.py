@@ -40,6 +40,8 @@ __all__ = ["PHASES", "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "enable_tel
 # ones the wired pipeline emits.
 PHASES = (
     "assign",  # batch nearest-seed assignment (BatchIngestor._assign_chunk)
+    "assign_scan",  # inside assign: the screened scan over the old seeds
+    "assign_create",  # inside assign: choosing and creating the chunk's new cells
     "absorb",  # closed-form decay + absorption (BatchIngestor._apply_absorptions)
     "dependency",  # DP-tree dependency repair (BatchIngestor._repair_dependencies)
     "maintenance",  # periodic cell activation/deactivation + cap enforcement

@@ -14,7 +14,9 @@ absorbed, never promoted to a second seed).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.cellstore as cellstore
 from repro import EDMStream
 from repro.core.batch import BatchIngestor
 from repro.core.cellstore import CellStore
@@ -176,9 +178,10 @@ class TestLearnManyEquivalence:
 
         The default prune threshold (512 cells) is rarely reached by
         test-sized streams, so lower it to force every assignment query in
-        the batch path through ``cellstore._nearest_pruned`` (norm window
-        plus Gram bound) — including stores churned by
-        activation/deactivation swap-deletes and capacity growth.
+        the batch path through the windowed screen of
+        ``cellstore._nearest_screened`` (norm window, Gram screen and bound)
+        — including stores churned by activation/deactivation swap-deletes
+        and capacity growth.
         """
         from repro.core.cellstore import CellStore
 
@@ -245,6 +248,49 @@ class TestBatchIngestor:
         first, second, third = model.learn_many(points, batch_size=3)
         assert first == second
         assert third != first
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_chunk_created_seed_is_measured_like_the_per_point_path(self, dtype):
+        """A point 0.300000026 from a seed made earlier in the same chunk.
+
+        In float32 the two rows are 0.29999965 apart, inside ``r = 0.3``, so
+        the per-point path absorbs the second point; the batch path must
+        measure the chunk's new seeds on the same arena-dtype rows with the
+        same kernel, and absorb it too.  In float64 both paths create two
+        cells.
+        """
+        a = 6.369616873214543
+        points = [
+            StreamPoint(values=(a, 0.0), timestamp=0.0),
+            StreamPoint(values=(a + 0.300000026, 0.0), timestamp=0.001),
+        ]
+        counts = []
+        for batch_size in (None, 256):
+            model = EDMStream(radius=0.3, dtype=dtype)
+            ids = model.learn_many(points, batch_size=batch_size)
+            counts.append((len(set(ids)), model.n_inactive_cells))
+        expected = 1 if dtype == "float32" else 2
+        assert counts == [(expected, expected)] * 2
+
+    def test_tie_between_an_old_seed_and_a_new_one_goes_to_the_old(self):
+        """Equidistant from an old seed and a seed made earlier in the chunk.
+
+        The dyadic coordinates make both distances exactly 0.625, so the
+        smallest id — the old seed's — must win in both engines.
+        """
+        first = [StreamPoint(values=(0.0, 0.0), timestamp=0.0)]
+        chunk = [
+            StreamPoint(values=(1.0, 0.0), timestamp=0.001),  # a new seed
+            StreamPoint(values=(0.5, 0.375), timestamp=0.002),  # 0.625 from both
+        ]
+        results = []
+        for batch_size in (None, 256):
+            model = EDMStream(radius=0.7)
+            (old,) = model.learn_many(first, batch_size=batch_size)
+            new, tied = model.learn_many(chunk, batch_size=batch_size)
+            assert new != old
+            results.append(tied == old)
+        assert results == [True, True]
 
 
 # --------------------------------------------------------------------- #
@@ -400,3 +446,110 @@ class TestPairwiseEuclidean:
         batched = EDMStream(radius=0.3, beta=0.0021, stream_rate=1000.0)
         batched.learn_many(stream, batch_size=64)
         assert_equivalent(sequential, batched)
+
+
+# --------------------------------------------------------------------- #
+# property: batch engine == per-point engine on adversarial streams
+# --------------------------------------------------------------------- #
+# Random small streams go through both engines, which must return the same
+# absorbing cell per point and end with the same seed-keyed cells and the
+# same partition.  The streams are built to hit the batch engine's
+# decisions where they are closest:
+#
+# * exact duplicates of recent points;
+# * points at r·(1 ± 2⁻⁴⁰) (and at exactly r) from a recent point, so often
+#   from a seed created earlier in the same chunk;
+# * points exactly equidistant from two recent points — an old seed and a
+#   seed new in the chunk, or two new seeds — on a dyadic grid where every
+#   distance is exact, so the tie rule decides;
+# * float64 and float32 arenas, batch sizes 1, 7, 64 and 256, and the
+#   scan's Gram screen forced on (windowed or over all seeds) or left to
+#   its size rules.
+
+PROPERTY_RADIUS = 1.0
+#: Dyadic grid step: sums of squares of such coordinates stay exact.
+STEP = 0.125
+
+ops = st.lists(
+    st.tuples(
+        st.sampled_from(["fresh", "fresh", "duplicate", "ring", "ring", "bisect"]),
+        st.integers(min_value=0, max_value=2**16),
+    ),
+    min_size=16,
+    max_size=90,
+)
+
+
+def build_stream(ops, dim):
+    """Points for ``ops``; each op draws its randomness from its own integer."""
+    centres = np.asarray([[0.0] * dim, [1.5] + [0.0] * (dim - 1), [0.0, 2.0] + [0.5] * (dim - 2)])
+    values = []
+    for kind, draw in ops:
+        rng = np.random.default_rng(draw)
+        recent = values[-8:]
+        if kind == "duplicate" and recent:
+            point = recent[rng.integers(len(recent))]
+        elif kind == "ring" and recent:
+            base = np.asarray(recent[rng.integers(len(recent))])
+            direction = rng.normal(size=dim)
+            direction /= np.linalg.norm(direction)
+            scale = PROPERTY_RADIUS * (1.0 + float(rng.choice([-1.0, 0.0, 1.0])) * 2.0**-40)
+            point = base + scale * direction
+        elif kind == "bisect" and len(recent) >= 2:
+            i, j = rng.choice(len(recent), size=2, replace=False)
+            a, b = np.asarray(recent[i]), np.asarray(recent[j])
+            # The midpoint plus a multiple of a vector orthogonal to b - a in
+            # the first two coordinates: exactly as far from a as from b
+            # while every coordinate stays on a fine dyadic grid.
+            offset = np.zeros(dim)
+            offset[0], offset[1] = a[1] - b[1], b[0] - a[0]
+            point = (a + b) / 2.0 + STEP * int(rng.integers(-3, 4)) * offset
+        else:
+            centre = centres[rng.integers(len(centres))]
+            point = centre + STEP * rng.integers(-8, 9, size=dim)
+        values.append(tuple(float(x) for x in point))
+    return [StreamPoint(values=v, timestamp=0.001 * i) for i, v in enumerate(values)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops,
+    st.sampled_from([2, 3, 9]),
+    st.sampled_from(["float64", "float32"]),
+    st.sampled_from([1, 7, 64, 256]),
+    st.sampled_from(["default", "windowed", "unwindowed"]),
+)
+def test_batch_engine_matches_the_per_point_engine(ops, dim, dtype, batch_size, scan):
+    points = build_stream(ops, dim)
+    saved = CellStore.prune_threshold, cellstore._SCAN_SCREEN_MIN_WORK
+    try:
+        if scan == "windowed":
+            CellStore.prune_threshold = 0
+        elif scan == "unwindowed":
+            cellstore._SCAN_SCREEN_MIN_WORK = 0
+
+        def make():
+            return EDMStream(
+                radius=PROPERTY_RADIUS, init_size=12, beta=0.05, stream_rate=1000.0, dtype=dtype
+            )
+
+        sequential = make()
+        sequential_ids = sequential.learn_many(points, batch_size=None)
+        batched = make()
+        batched_ids = batched.learn_many(points, batch_size=batch_size)
+    finally:
+        CellStore.prune_threshold, cellstore._SCAN_SCREEN_MIN_WORK = saved
+    assert_equivalent(sequential, batched, sequential_ids, batched_ids)
+    # Same absorbing cell per point, not just the same pattern: the two
+    # models' ids differ by the offset of their first cell.
+    offset = batched_ids[0] - sequential_ids[0]
+    assert [i + offset for i in sequential_ids] == batched_ids
+    batched.tree.validate()
+    batched.reservoir.validate()
+
+
+def test_the_stream_builder_makes_exact_ties():
+    """The bisect op places points exactly equidistant from two others."""
+    points = build_stream([("fresh", 1), ("fresh", 2), ("bisect", 3)], dim=3)
+    a, b, p = (np.asarray(point.values) for point in points)
+    assert np.sum((p - a) ** 2) == np.sum((p - b) ** 2)

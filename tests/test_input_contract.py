@@ -149,3 +149,30 @@ def test_fresh_model_rejects_scalar_rows(batch_size):
     model._cells.validate()
     with pytest.raises(ValueError, match="row 0 is not a 1-D vector: 5.0"):
         CellArrays(numeric=True).check_rows([5.0, 6.0])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # 3 + 1 values: the total is 2 rows x 2 columns, the rows are not.
+        ([(1.0, 2.0, 3.0), (4.0,)], "row 0 has 3 values, expected 2"),
+        ([[1.0], [2.0, 3.0, 4.0]], "row 0 has 1 values, expected 2"),
+        ([(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)], "row 1 has 1 values, expected 2"),
+    ],
+)
+def test_ragged_rows_whose_total_fits_the_matrix_are_rejected(rows, message):
+    arena = CellArrays(numeric=True)
+    arena.allocate(0, (0.0, 0.0))
+    with pytest.raises(ValueError, match=message):
+        arena.check_rows(rows)
+
+
+def test_rows_with_vector_elements_are_rejected_like_before():
+    arena = CellArrays(numeric=True)
+    arena.allocate(0, (0.0, 0.0))
+    with pytest.raises(ValueError):
+        arena.check_rows([(1.0, 2.0), (np.array([1.0]), 2.0)])
+    with pytest.raises(ValueError, match="row 0 is not a 1-D vector"):
+        arena.check_rows(["12"])
+    mixed = arena.check_rows([(1, 2.5), [np.float32(0.5), True]])
+    assert mixed.tolist() == [[1.0, 2.5], [0.5, 1.0]]

@@ -152,6 +152,104 @@ class TestGrowthBoundaries:
         assert sorted(store.ids()) == remaining
 
 
+def arena_state(arena, first_id):
+    """Every column, the free-list and the ids (counted from ``first_id``)."""
+    top = arena.high_water
+    columns = {
+        name: getattr(arena, name)[:top].tolist()
+        for name in ("seed_norm2", "density", "created_at", "last_update", "last_absorb",
+                     "delta", "dep", "points_absorbed", "status")
+    }
+    live = arena.cell_ids[:top]
+    columns["cell_ids"] = np.where(live >= 0, live - first_id, live).tolist()
+    columns["seeds"] = arena.seeds[:top].tolist()
+    columns["seed_objects"] = [arena._seed_obj.get(slot) for slot in range(top)]
+    return columns, list(arena._free), arena.capacity
+
+
+class TestCreateMany:
+    """``create_many`` leaves the arena exactly as one ``create`` per seed."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("released, count", [(0, 3), (0, 9), (2, 2), (3, 7), (5, 30)])
+    def test_matches_one_create_per_seed(self, dtype, released, count):
+        rng = np.random.default_rng(count + released)
+        seeds = rng.normal(size=(count, 3))
+        times = np.linspace(1.0, 2.0, count)
+        density = 1.0 + rng.random(count)
+        states = []
+        for bulk in (False, True):
+            arena = CellArrays(numeric=True, dtype=dtype, capacity=4)
+            old = [arena.create((float(i), 0.0, 1.0)) for i in range(6)]
+            for cell_id in old[1 : 1 + released]:  # slots to reuse, LIFO
+                arena.release(cell_id)
+            first = old[-1] + 1
+            if bulk:
+                ids = arena.create_many(
+                    seeds, density=density, created_at=times, last_update=times,
+                    last_absorb=times,
+                ).tolist()
+            else:
+                ids = [
+                    arena.create(
+                        tuple(row), density=rho, created_at=t, last_update=t, last_absorb=t
+                    )
+                    for row, rho, t in zip(seeds.tolist(), density.tolist(), times.tolist())
+                ]
+            assert ids == list(range(first, first + count))
+            arena.validate()
+            states.append((arena_state(arena, old[0]), [arena.slot_of(i) for i in ids]))
+        assert states[0] == states[1]
+
+    def test_seeds_given_as_objects_or_rows_are_the_same(self):
+        rows = np.asarray([[0.1, 0.2], [0.3, 0.4]])
+        by_rows, by_objects = CellArrays(), CellArrays()
+        a = by_rows.create_many(rows)
+        b = by_objects.create_many([(0.1, 0.2), (0.3, 0.4)])
+        assert arena_state(by_rows, a[0]) == arena_state(by_objects, b[0])
+        assert by_rows.seed_of(by_rows.slot_of(int(a[1]))) == (0.3, 0.4)
+
+    def test_wrong_dimension_changes_nothing(self):
+        arena = seeded_arena(3)
+        before = arena_state(arena, 0)
+        with pytest.raises(ValueError, match="seed dimension 3 does not match"):
+            arena.create_many([(1.0, 2.0), (1.0, 2.0, 3.0)])
+        assert arena_state(arena, 0) == before
+        assert arena.create_many([]).tolist() == []
+
+    def test_add_many_matches_one_add_per_id(self):
+        stores = []
+        for bulk in (False, True):
+            store = CellStore(arrays=CellArrays(capacity=4))
+            ids = store.arrays.create_many(np.arange(200.0).reshape(100, 2)).tolist()
+
+            def add(run):
+                if bulk:
+                    store.add_many(run)
+                else:
+                    for cell_id in run:
+                        store.add(cell_id)
+
+            add(ids[:3])
+            store.remove(ids[1])
+            add(ids[3:])
+            store.validate()
+            stores.append(([i - ids[0] for i in store.ids()], store.slots().tolist(), store.version))
+        assert stores[0] == stores[1]
+
+    def test_add_many_refuses_members_and_repeats_before_any_change(self):
+        store = CellStore()
+        ids = store.arrays.create_many(np.zeros((3, 2))).tolist()
+        store.add(ids[0])
+        for bad in ([ids[1], ids[0]], [ids[1], ids[1]]):
+            with pytest.raises(KeyError, match="already in a population"):
+                store.add_many(bad)
+            assert store.ids() == [ids[0]] and ids[1] not in store
+        with pytest.raises(KeyError):
+            store.add_many([10**12])
+        store.validate()
+
+
 class TestFloat32Mode:
     def test_config_rejects_unknown_dtype(self):
         with pytest.raises(ValueError):
