@@ -25,11 +25,12 @@ from three observations about the per-point work of Section 4:
    the same factor per unit time), so within a batch the order changes only
    at absorptions and the set of higher-density cells seen by a non-absorbing
    cell can only gain members.  Deferring the Theorem 1 / Theorem 2 filtered
-   updates to the batch boundary therefore reaches the same fixed point: the
-   "dirty" cells (absorbers and newly activated cells) get one exact
-   dependency recomputation each, and every other active cell only needs to
-   be checked against the dirty cells that now dominate it — one distance
-   matrix per batch instead of one filtered pass per point.
+   updates to the batch boundary therefore reaches the same fixed point: one
+   :meth:`~repro.core.dptree.DPTree.relink` of the "dirty" cells (absorbers
+   and newly activated cells) recomputes each one's link exactly and
+   repoints every other active cell that a dirty cell now dominates more
+   closely — one distance block per chunk instead of one filtered pass per
+   point, through the same link writer ``learn_one`` uses.
 
 Periodic work (decay sweeps, τ re-optimisation, evolution snapshots) and the
 initial DP-Tree construction fire at stream-time boundaries, so batches are
@@ -53,14 +54,12 @@ drifting and Jaccard streams.
 from __future__ import annotations
 
 import math
-import time as _time
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.cellstore import nearest_over_slots
-from repro.core.dptree import dominates, lex_improves
 from repro.distance.metrics import pairwise_euclidean
 from repro.streams.point import StreamPoint
 
@@ -268,10 +267,17 @@ class BatchIngestor:
                     model._activate_cell(cell_id, now)
 
         if model._initialized and dirty:
-            started = _time.perf_counter()
+            # The dirty cells are the only possible new entrants to any
+            # higher-density set since the last boundary (see point 3 of
+            # the module docstring), so one relink reaches the fixed point.
             with obs.phase("dependency"):
-                self._repair_dependencies(dirty, float(chunk_times[-1]))
-            model.dependency_update_seconds += _time.perf_counter() - started
+                tree = model.tree
+                positions = np.fromiter(map(tree.position_of, dirty), np.int64, len(dirty))
+                tree.relink(
+                    positions,
+                    tree.densities_at(float(chunk_times[-1]), model.decay),
+                    model._filter_stats,
+                )
 
     def _assign_chunk(
         self,
@@ -641,90 +647,3 @@ class BatchIngestor:
         elapsed = np.maximum(0.0, times - model._start_time)
         warmup = 1.0 - decay.a ** (decay.lam * elapsed)
         return np.maximum(1.0 + 1e-12, steady * warmup)
-
-    def _repair_dependencies(self, dirty: List[int], now: float) -> None:
-        """Bring the DP-Tree to the sequential path's fixed point (Eq. 7/9).
-
-        One distance matrix between the dirty seeds and every active seed
-        serves both directions of the Section 4.2 update: each dirty cell's
-        own dependency is recomputed exactly (row-wise argmin over the cells
-        that dominate it), and every other active cell is repointed to the
-        nearest dirty cell that newly dominates it (column-wise minimum,
-        strict improvement only) — the batch-granular analogue of the
-        Theorem 1 density filter, since only dirty cells can have entered
-        anyone's higher-density set since the last boundary.
-        """
-        model = self.model
-        store = model.tree
-        size = len(store)
-        if size == 0:
-            return
-        ids = store.ids_array()
-        densities = store.densities_at(now, model.decay)
-        deltas = store.deltas()
-        position_of = store.position_of
-        positions = np.fromiter(
-            (position_of(cell_id) for cell_id in dirty),
-            dtype=np.int64,
-            count=len(dirty),
-        )
-        matrix = store.cross_distances(positions)
-        model._filter_stats.distance_computations += int(matrix.size - len(dirty))
-
-        dirty_rho = densities[positions, None]
-        dirty_ids = ids[positions, None]
-        higher = dominates(densities, ids, dirty_rho, dirty_ids)
-
-        # Own dependencies of the dirty cells: exact canonical argmin over
-        # dominators — nearest first, smallest cell id among exact ties
-        # (mirrors ``EDMStream._recompute_dependency``).  The tie-break is
-        # one whole-matrix select: among entries at the row minimum, take
-        # the smallest id.
-        id_max = np.iinfo(np.int64).max
-        candidates = np.where(higher, matrix, np.inf)
-        best_distance = np.min(candidates, axis=1)
-        best_finite = np.isfinite(best_distance)
-        best_ids = np.min(
-            np.where(candidates == best_distance[:, None], ids[None, :], id_max),
-            axis=1,
-        )
-        # Whole-array write-back: dependency ids and distances go straight
-        # into the arena columns, which are the DP-Tree's links.
-        arena = model._cells
-        dirty_slots = store.slots()[positions]
-        new_dep = np.where(best_finite, best_ids, -1)
-        new_delta = best_distance
-        old_dep = arena.dep[dirty_slots]
-        old_delta = arena.delta[dirty_slots]
-        model._filter_stats.dependency_changes += int(
-            np.count_nonzero((new_dep != old_dep) | (new_delta != old_delta))
-        )
-        arena.dep[dirty_slots] = new_dep
-        arena.delta[dirty_slots] = new_delta
-
-        # Other active cells: the dirty cells are the only possible new
-        # entrants to their higher-density sets, so the canonical column
-        # minimum against the current (δ, dependency id) finds every
-        # required repoint.
-        if size > 1:
-            dominated = dominates(dirty_rho, dirty_ids, densities, ids)
-            entrants = np.where(dominated, matrix, np.inf)
-            entrant_distance = np.min(entrants, axis=0)
-            improvable = entrant_distance <= deltas
-            improvable &= np.isfinite(entrant_distance)
-            improvable[positions] = False
-            columns = np.flatnonzero(improvable)
-            if columns.size:
-                sub = entrants[:, columns]
-                parents = np.min(
-                    np.where(sub == entrant_distance[columns], dirty_ids, id_max),
-                    axis=0,
-                )
-                col_slots = store.slots()[columns]
-                col_delta = entrant_distance[columns]
-                winners = np.flatnonzero(
-                    lex_improves(col_delta, parents, deltas[columns], arena.dep[col_slots])
-                )
-                model._filter_stats.dependency_changes += int(winners.size)
-                arena.dep[col_slots[winners]] = parents[winners]
-                arena.delta[col_slots[winners]] = col_delta[winners]

@@ -276,14 +276,6 @@ class CellStore:
         """Dependent distances of every stored cell (array order; a copy)."""
         return self._arrays.delta[self._slots[: self._size]]
 
-    def last_updates(self) -> np.ndarray:
-        """Last-update timestamps of every stored cell (array order; a copy)."""
-        return self._arrays.last_update[self._slots[: self._size]]
-
-    def raw_densities(self) -> np.ndarray:
-        """Stored (undecayed) densities of every cell (array order; a copy)."""
-        return self._arrays.density[self._slots[: self._size]]
-
     def seed_matrix(self) -> Optional[np.ndarray]:
         """A copy of the numeric seed matrix in array order.
 
@@ -313,10 +305,6 @@ class CellStore:
             ],
             dtype=float,
         )
-
-    def seed_distances(self, cell_id: int) -> np.ndarray:
-        """Distances from one stored cell's seed to every stored seed."""
-        return self.distances_to(self.get(cell_id).seed)
 
     def distances_to_subset(self, point: Any, positions: np.ndarray) -> np.ndarray:
         """Distances from ``point`` to the seeds at the given array positions.
@@ -358,25 +346,33 @@ class CellStore:
             [[metric(point, seed) for seed in seeds] for point in points], dtype=float
         )
 
-    def cross_distances(self, positions: np.ndarray) -> np.ndarray:
-        """Distances from the seeds at ``positions`` to every stored seed.
+    def cross_distances(
+        self, positions: np.ndarray, columns: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Distances from the seeds at ``positions`` to the seeds at ``columns``.
 
-        Shape ``(len(positions), len(self))``; row ``i`` equals
-        ``seed_distances(id_at(positions[i]))``.  One call serves a whole
-        batch of dependency updates: row ``i`` answers "who could cell i
-        depend on" while column ``j`` answers "could cell j now depend on one
-        of these".
+        ``columns`` defaults to every stored seed.  Shape
+        ``(len(positions), len(columns))``; every entry is the distance
+        :meth:`distances_to` gives for the same pair, whichever other rows
+        and columns share the call.  One call serves a whole set of
+        dependency updates: row ``i`` answers "who could cell i depend on"
+        while column ``j`` answers "could cell j now depend on one of these".
         """
-        if len(positions) == 0:
-            return np.empty((0, self._size), dtype=float)
+        rows = np.asarray(positions, dtype=np.int64)
+        width = self._size if columns is None else len(columns)
+        if rows.size == 0 or width == 0:
+            return np.empty((rows.size, width), dtype=float)
         if self._numeric and self._arrays.seeds is not None:
             seeds = self.seed_view()
-            return pairwise_euclidean(
-                seeds[np.asarray(positions, dtype=int)], seeds
-            )
-        return self.distances_to_many(
-            [self._arrays.seed_of(int(self._slots[int(p)])) for p in positions]
-        )
+            return pairwise_euclidean(seeds[rows], seeds if columns is None else seeds[columns])
+        seed_of = self._arrays.seed_of
+        metric = self._metric
+        slots = self.slots()
+        sources = [seed_of(slot) for slot in slots[rows].tolist()]
+        if columns is not None:
+            slots = slots[columns]
+        targets = [seed_of(slot) for slot in slots.tolist()]
+        return np.asarray([[metric(s, t) for t in targets] for s in sources], dtype=float)
 
     def nearest_many(
         self, points: Sequence[Any], within: Optional[float] = None
@@ -425,10 +421,6 @@ class CellStore:
     def position_of(self, cell_id: int) -> int:
         """Array position of a cell id (valid until the next add/remove)."""
         return self._pos[cell_id]
-
-    def id_at(self, position: int) -> int:
-        """Cell id stored at an array position."""
-        return self._ids[position]
 
     def validate(self) -> None:
         """Check position bookkeeping against the arena (tests only)."""

@@ -12,8 +12,14 @@ weak link.
 links are the arena's ``dep``/``delta`` columns.  It keeps no per-cell
 container of its own.  Cluster extraction cuts the links with δ > τ and
 pointer-jumps every active slot to its cluster root in O(n log n) array
-work.  Density maintenance (Equation 8 on the arena columns) and
-dependency *selection* live in the two engines, which share the rules
+work.
+
+:meth:`DPTree.relink` is the one link writer on the ingest path of both
+engines: it gives listed cells their nearest dominator (Eq. 7/9) and
+repoints the cells they now dominate more closely, on one distance block
+restricted to the columns that matter.  Density maintenance (Equation 8
+on the arena columns) lives in the engines, and so does the per-point
+engine's Theorem 1/2 filtered pass; every link choice uses the two rules
 below.
 """
 
@@ -24,6 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cellstore import CellStore
+from repro.core.filters import FilterStatistics
 
 
 def dominates(rho_a: Any, id_a: Any, rho_b: Any, id_b: Any) -> Any:
@@ -70,6 +77,79 @@ class DPTree(CellStore):
         slot = self._arrays.slot_of(cell_id)
         self._arrays.dep[slot] = -1 if dependency is None else dependency
         self._arrays.delta[slot] = delta if dependency is not None else np.inf
+
+    def relink(
+        self,
+        positions: np.ndarray,
+        densities: np.ndarray,
+        stats: FilterStatistics,
+        repoint: bool = True,
+    ) -> None:
+        """Give the cells at ``positions`` their Eq. 7/9 links, on one distance block.
+
+        ``densities`` are every active cell's densities at the current time
+        (array order).  Each listed cell links to its nearest dominator —
+        the smallest id among exactly equidistant ones — or to nothing.
+        With ``repoint`` every other cell that a listed cell dominates moves
+        to that cell when it is nearer than its current link
+        (:func:`lex_improves`).  This is exact when the listed cells are the
+        only ones that can have entered another cell's dominator set since
+        the links were last exact, as absorbers and newly activated cells
+        are.
+
+        The dominance masks need no distances, so the block holds only the
+        columns some listed cell can link to or repoint: a one-cell refresh
+        without ``repoint`` measures just its dominators.  ``stats`` counts
+        every distance the block holds and every ``(dep, δ)`` that changes.
+        """
+        ids = self.ids_array()
+        rows_rho = densities[positions, None]
+        rows_id = ids[positions, None]
+        higher = dominates(densities, ids, rows_rho, rows_id)
+        needed = higher.any(axis=0)
+        if repoint:
+            lower = dominates(rows_rho, rows_id, densities, ids)
+            lower[:, positions] = False
+            needed |= lower.any(axis=0)
+        columns = needed.nonzero()[0]
+        block = self.cross_distances(positions, columns)
+        stats.distance_computations += int(block.size)
+
+        # Own links: row minimum over the dominators, then the smallest id
+        # among the entries at that minimum.
+        arrays = self._arrays
+        id_max = np.iinfo(np.int64).max
+        candidates = np.where(higher[:, columns], block, np.inf)
+        delta = candidates.min(axis=1, initial=np.inf)
+        nearest = np.where(candidates == delta[:, None], ids[columns], id_max).min(
+            axis=1, initial=id_max
+        )
+        dep = np.where(np.isfinite(delta), nearest, -1)
+        slots = self.slots()[positions]
+        stats.dependency_changes += int(
+            np.count_nonzero((dep != arrays.dep[slots]) | (delta != arrays.delta[slots]))
+        )
+        arrays.dep[slots] = dep
+        arrays.delta[slots] = delta
+        if not repoint or columns.size == 0:
+            return
+
+        # Repoints: column minimum over the listed cells that dominate the
+        # column, smallest listed id on a tie, kept only where it beats the
+        # column's current link.
+        entrants = np.where(lower[:, columns], block, np.inf)
+        distance = entrants.min(axis=0)
+        col_slots = self.slots()[columns]
+        closer = (np.isfinite(distance) & (distance <= arrays.delta[col_slots])).nonzero()[0]
+        if closer.size == 0:
+            return
+        distance = distance[closer]
+        col_slots = col_slots[closer]
+        parents = np.where(entrants[:, closer] == distance, rows_id, id_max).min(axis=0)
+        winners = lex_improves(distance, parents, arrays.delta[col_slots], arrays.dep[col_slots])
+        stats.dependency_changes += int(np.count_nonzero(winners))
+        arrays.dep[col_slots[winners]] = parents[winners]
+        arrays.delta[col_slots[winners]] = distance[winners]
 
     def link_deltas(self) -> np.ndarray:
         """Finite dependent distances of the cells that have a dependency."""

@@ -20,12 +20,18 @@ The per-point work is:
 5. *Maintenance* (periodic) — decayed cells move to the outlier reservoir,
    outdated reservoir cells are deleted (Theorem 3), τ is re-optimised
    (Section 5) and an evolution snapshot is taken.
+
+Every link the ingest path writes, except those of the Theorem 1/2
+filtered pass, comes from :meth:`DPTree.relink
+<repro.core.dptree.DPTree.relink>`: the own-link refresh of step 4, an
+activation in step 3, the initial DP-Tree and the cells a decay sweep
+orphans.  The ``dependency`` telemetry phase times steps 3 and 4 and the
+sweep's relink, which is what Figure 11 reports.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from itertools import islice
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -156,8 +162,6 @@ class EDMStream(StreamClusterer):
         self._published_epoch = -1
         self._latest_snapshot: Optional[ClusterSnapshot] = None
 
-        #: Wall-clock seconds spent in dependency updates (Figure 11).
-        self.dependency_update_seconds = 0.0
         #: History of (time, reservoir size) samples, one per maintenance sweep.
         self.reservoir_size_history: List[Tuple[float, int]] = []
         #: History of (time, tau) values after each re-optimisation.
@@ -173,9 +177,10 @@ class EDMStream(StreamClusterer):
 
     @obs.setter
     def obs(self, telemetry: Union[Telemetry, NullTelemetry]) -> None:
-        """Swap the telemetry facade; :meth:`learn_one` counts through the new one."""
+        """Swap the telemetry facade; :meth:`learn_one` counts and times through the new one."""
         self._obs = telemetry
         self._obs_points = telemetry.counter("ingest_points_total")
+        self._obs_dependency = telemetry.phase("dependency")
 
     @property
     def tau(self) -> Optional[float]:
@@ -470,7 +475,6 @@ class EDMStream(StreamClusterer):
             "alpha": self.alpha,
             "active_threshold": self.active_threshold(),
             "filter_stats": self._filter_stats.as_dict(),
-            "dependency_update_seconds": self.dependency_update_seconds,
         }
         if self._bounded is not None:
             summary["memory"] = self._bounded.stats()
@@ -589,11 +593,10 @@ class EDMStream(StreamClusterer):
             if self._initialized and rho_after >= self.active_threshold(now):
                 self._activate_cell(cell_id, now)
         elif self._initialized:
-            started = _time.perf_counter()
-            self._update_dependencies(
-                cell_id, slot, now, rho_before, rho_after, distances[:n_active], position
-            )
-            self.dependency_update_seconds += _time.perf_counter() - started
+            with self._obs_dependency:
+                self._update_dependencies(
+                    cell_id, slot, now, rho_before, rho_after, distances[:n_active], position
+                )
         return cell_id
 
     def _create_cell(self, point: Any, now: float) -> int:
@@ -661,7 +664,7 @@ class EDMStream(StreamClusterer):
         dominated = dominates(rho_after, cell_id, densities, ids)
         dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
         if dependency not in active or dominated[active.position_of(dependency)]:
-            self._recompute_dependency(cell_id, now, densities)
+            active.relink(np.array([position]), densities, self._filter_stats, repoint=False)
 
         size = densities.size
         if size <= 1:
@@ -690,51 +693,14 @@ class EDMStream(StreamClusterer):
             kept_slots = kept_slots[close]
             deltas = deltas[close]
 
-        seed_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
+        link_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
         stats.distance_computations += int(kept.size)
         winners = dominated[kept] & lex_improves(
-            seed_distances, cell_id, deltas, arrays.dep[kept_slots]
+            link_distances, cell_id, deltas, arrays.dep[kept_slots]
         )
         stats.dependency_changes += int(np.count_nonzero(winners))
         arrays.dep[kept_slots[winners]] = cell_id
-        arrays.delta[kept_slots[winners]] = seed_distances[winners]
-
-    def _recompute_dependency(
-        self, cell_id: int, now: float, densities: Optional[np.ndarray] = None
-    ) -> None:
-        """Recompute a cell's nearest higher-density cell from scratch (Eq. 7/9).
-
-        ``densities`` are the active cells' densities at ``now`` when the
-        caller already holds them.
-        """
-        if densities is None:
-            densities = self._active.densities_at(now, self.decay)
-        if densities.size == 0:
-            self.tree.set_dependency(cell_id, None, math.inf)
-            return
-        arrays = self._cells
-        slot = arrays.slot_of(cell_id)
-        ids = self._active.ids_array()
-        rho = arrays.density_at(slot, now, self.decay)
-        higher = dominates(densities, ids, rho, cell_id) & (ids != cell_id)
-        if not np.any(higher):
-            self.tree.set_dependency(cell_id, None, math.inf)
-            return
-        positions = np.flatnonzero(higher)
-        distances = self._active.distances_to_subset(arrays.seed_of(slot), positions)
-        self._filter_stats.distance_computations += int(positions.size)
-        best_distance = float(np.min(distances))
-        # Canonical tie-breaking: among equidistant dominators the smallest
-        # cell id wins, so the dependency graph is a pure function of the
-        # (density order, distances) state, not of the processing order —
-        # exact distance ties are routine under the Jaccard metric, and the
-        # micro-batch path relies on this rule to reproduce the sequential
-        # results.
-        tied = np.flatnonzero(distances == best_distance)
-        best_id = int(np.min(ids[positions[tied]]))
-        if best_id != arrays.dep[slot] or best_distance != arrays.delta[slot]:
-            self._filter_stats.dependency_changes += 1
-        self.tree.set_dependency(cell_id, best_id, best_distance)
+        arrays.delta[kept_slots[winners]] = link_distances[winners]
 
     # ------------------------------------------------------------------ #
     # internals: activation / deactivation
@@ -743,12 +709,14 @@ class EDMStream(StreamClusterer):
         """Move a cell from the outlier reservoir into the DP-Tree (emergence)."""
         self.reservoir.remove(cell_id)
         self._refresh(cell_id, now)
-        self.tree.add(cell_id)
-
-        started = _time.perf_counter()
-        self._recompute_dependency(cell_id, now)
-        self._repoint_lower_cells_to(cell_id, now)
-        self.dependency_update_seconds += _time.perf_counter() - started
+        active = self._active
+        active.add(cell_id)
+        with self._obs_dependency:
+            active.relink(
+                np.array([active.position_of(cell_id)]),
+                active.densities_at(now, self.decay),
+                self._filter_stats,
+            )
 
     def _refresh(self, cell_id: int, now: float) -> None:
         """Decay a cell's stored density up to ``now`` in the arena columns."""
@@ -756,28 +724,6 @@ class EDMStream(StreamClusterer):
         slot = arrays.slot_of(cell_id)
         arrays.density[slot] = arrays.density_at(slot, now, self.decay)
         arrays.last_update[slot] = now
-
-    def _repoint_lower_cells_to(self, new_id: int, now: float) -> None:
-        """Lower-density active cells may now be closer to the newly active cell."""
-        active = self._active
-        if len(active) <= 1:
-            return
-        arrays = self._cells
-        new_slot = arrays.slot_of(new_id)
-        ids = active.ids_array()
-        densities = active.densities_at(now, self.decay)
-        rho = float(arrays.density[new_slot])
-        dominated = dominates(rho, new_id, densities, ids) & (ids != new_id)
-        positions = np.flatnonzero(dominated)
-        if positions.size == 0:
-            return
-        distances = active.distances_to_subset(arrays.seed_of(new_slot), positions)
-        self._filter_stats.distance_computations += int(positions.size)
-        slots = active.slots()[positions]
-        winners = lex_improves(distances, new_id, arrays.delta[slots], arrays.dep[slots])
-        self._filter_stats.dependency_changes += int(np.count_nonzero(winners))
-        arrays.dep[slots[winners]] = new_id
-        arrays.delta[slots[winners]] = distances[winners]
 
     def _deactivate_cells(self, cell_ids: Sequence[int], now: float) -> None:
         """Move decayed cells from the DP-Tree to the outlier reservoir."""
@@ -791,12 +737,15 @@ class EDMStream(StreamClusterer):
         deps = self._cells.dep[self._active.slots()]
         removal_ids = np.fromiter(removal, dtype=np.int64, count=len(removal))
         orphan_mask = np.isin(deps, removal_ids) & ~np.isin(ids, removal_ids)
-        orphans = [int(cid) for cid in ids[orphan_mask]]
+        orphans = ids[orphan_mask].tolist()
         for cell_id in removal:
             self.reservoir.add(self.tree.remove(cell_id))
-        for cell_id in orphans:
-            if cell_id in self.tree:
-                self._recompute_dependency(cell_id, now)
+        if orphans:
+            active = self._active
+            positions = np.fromiter(map(active.position_of, orphans), np.int64, len(orphans))
+            active.relink(
+                positions, active.densities_at(now, self.decay), self._filter_stats, repoint=False
+            )
 
     # ------------------------------------------------------------------ #
     # internals: initialisation and periodic work
@@ -820,11 +769,15 @@ class EDMStream(StreamClusterer):
             self._refresh(cell_id, now)
             self.tree.add(cell_id)
 
-        # Dependencies: process cells from the densest downwards, smallest
-        # id first among equal densities.
-        ids = self.tree.ids_array()
-        for cell_id in ids[np.lexsort((ids, -self.tree.raw_densities()))].tolist():
-            self._recompute_dependency(cell_id, now)
+        # A link depends only on densities, ids and seeds, so every promoted
+        # cell links in one call.
+        active = self._active
+        active.relink(
+            np.arange(len(active)),
+            active.densities_at(now, self.decay),
+            self._filter_stats,
+            repoint=False,
+        )
 
         if self._tau is None:
             self._tau = suggest_initial_tau(self.tree.link_deltas().tolist())
@@ -882,9 +835,8 @@ class EDMStream(StreamClusterer):
             top = float(np.max(densities))
             keep = min(ids[int(i)] for i in np.flatnonzero(densities == top))
             to_deactivate = [cid for cid in to_deactivate if cid != keep]
-        started = _time.perf_counter()
-        self._deactivate_cells(to_deactivate, now)
-        self.dependency_update_seconds += _time.perf_counter() - started
+        with self._obs_dependency:
+            self._deactivate_cells(to_deactivate, now)
 
         self.reservoir.prune_outdated(now)
         if self._bounded is not None:
@@ -906,11 +858,9 @@ class EDMStream(StreamClusterer):
         deltas = self.tree.link_deltas().tolist()
         dep = self._cells.dep[slots]
         ids = self._active.ids_array()
-        roots = (dep == -1) | ~np.isin(dep, ids)
-        for cell_id in ids[roots].tolist():
-            distances = self._active.seed_distances(cell_id)
-            if distances.size > 1:
-                deltas.append(float(np.max(distances)))
+        roots = np.flatnonzero((dep == -1) | ~np.isin(dep, ids))
+        if roots.size and slots.size > 1:
+            deltas.extend(self._active.cross_distances(roots).max(axis=1).tolist())
         return deltas
 
     def _reoptimize_tau(self, now: float) -> None:

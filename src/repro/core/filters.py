@@ -16,9 +16,14 @@ update can be skipped:
 
 The per-point path applies both checks inline, in one pass over the active
 cells (``EDMStream._update_dependencies``); the micro-batch engine
-(:mod:`repro.core.batch`) replaces them with one dirty-cell repair per
-batch.  :class:`FilterStatistics` counts how many updates each filter
-avoided, which feeds the ablation experiment of Figure 11.
+(:mod:`repro.core.batch`) replaces them with one
+:meth:`~repro.core.dptree.DPTree.relink` of its dirty cells per chunk.
+:class:`FilterStatistics` counts how many updates each filter avoided,
+which feeds the ablation experiment of Figure 11.  Its
+``distance_computations`` and ``dependency_changes`` also count the
+relinks of both engines: every distance a relink block holds, and every
+``(dep, δ)`` pair that changes, a link cut for want of a dominator
+included.
 """
 
 from __future__ import annotations

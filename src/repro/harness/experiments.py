@@ -669,7 +669,14 @@ def experiment_filtering(
     checkpoint_every: int = 2500,
     seed: Optional[int] = None,
 ) -> ExperimentResult:
-    """Figure 11: accumulated dependency-update time without/with the filters."""
+    """Figure 11: accumulated dependency-update time without/with the filters.
+
+    The time is the model's ``dependency`` telemetry phase.  Each variant
+    replays the stream three times on a fresh model and reports its
+    fastest replay, as the ``obs`` experiment reports its best trial: one
+    replay's time swings by a third on a shared machine.  The filter
+    counters are the same in every replay.
+    """
     variants = {
         "wf": dict(enable_density_filter=False, enable_triangle_filter=False),
         "df": dict(enable_density_filter=True, enable_triangle_filter=False),
@@ -679,31 +686,41 @@ def experiment_filtering(
         experiment_id="fig11",
         description="Accumulated dependency-update time (ms) for wf / df / df+tif",
     )
+
+    def dependency_ms(model: EDMStream) -> float:
+        return model.obs.phase_totals()["dependency"]["seconds"] * 1e3
+
     summary_rows = []
     for dataset in datasets:
         stream = make_real_stream(dataset, n_points, seed=seed)
         radius = choose_radius(stream)
         for variant, flags in variants.items():
-            model = EDMStream(radius=radius, stream_rate=stream.rate, **flags)
+            best: List[Tuple[int, float]] = []
+            for _ in range(3):
+                model = EDMStream(radius=radius, stream_rate=stream.rate, telemetry=True, **flags)
+                checkpoints = []
+                processed = 0
+                for point in stream:
+                    model.learn_one(point.values, timestamp=point.timestamp, label=point.label)
+                    processed += 1
+                    if processed % checkpoint_every == 0:
+                        checkpoints.append((processed, dependency_ms(model)))
+                checkpoints.append((processed, dependency_ms(model)))
+                if not best or checkpoints[-1][1] < best[-1][1]:
+                    best, stats = checkpoints, model.filter_stats.as_dict()
             series = SeriesResult(
                 name=f"{dataset}/{variant}",
                 x_label="stream length",
                 y_label="accumulated update time (ms)",
             )
-            processed = 0
-            for point in stream:
-                model.learn_one(point.values, timestamp=point.timestamp, label=point.label)
-                processed += 1
-                if processed % checkpoint_every == 0:
-                    series.append(processed, model.dependency_update_seconds * 1e3)
-            series.append(processed, model.dependency_update_seconds * 1e3)
+            for processed, elapsed_ms in best:
+                series.append(processed, elapsed_ms)
             result.add_series(f"{dataset}/{variant}", series)
-            stats = model.filter_stats.as_dict()
             summary_rows.append(
                 {
                     "dataset": dataset,
                     "variant": variant,
-                    "update_time_ms": round(model.dependency_update_seconds * 1e3, 2),
+                    "update_time_ms": round(best[-1][1], 2),
                     "distance_computations": stats["distance_computations"],
                     "filter_rate": round(stats["filter_rate"], 4),
                 }

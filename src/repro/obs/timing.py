@@ -8,14 +8,17 @@ a decorator too) that adds elapsed ``perf_counter`` seconds and a call count
 to that phase's slot in a preallocated array.
 
 Instrumentation granularity is deliberately coarse: phases wrap whole batch
-chunks / maintenance passes, never per-point work, so the enabled overhead
-on batch-256 ingest stays within the 5% budget enforced by ``BENCH_obs.json``.
+chunks / maintenance passes, so the enabled overhead on batch-256 ingest
+stays within the 5% budget enforced by ``BENCH_obs.json``.  The one
+per-point phase is ``dependency``: in ``EDMStream.learn_one`` it wraps the
+dependency update of every absorb into an active cell, one enter/exit pair
+per point, as the paper's Figure 11 times exactly that work.
 
 The disabled path is :data:`NULL_TELEMETRY` — a singleton whose ``phase()``
 returns one shared no-op context manager and whose registry/event ring are
 the null variants.  Code is wired as ``self.obs = NULL_TELEMETRY`` by
 default, so "telemetry off" costs an attribute lookup and an empty method
-call at each (chunk-granularity) instrumentation point and is bit-identical
+call at each instrumentation point and is bit-identical
 to the un-instrumented behaviour: telemetry only observes, it never steers.
 
 Phase contexts are reused per name and therefore **must not self-nest**
@@ -43,7 +46,7 @@ PHASES = (
     "assign_scan",  # inside assign: the screened scan over the old seeds
     "assign_create",  # inside assign: choosing and creating the chunk's new cells
     "absorb",  # closed-form decay + absorption (BatchIngestor._apply_absorptions)
-    "dependency",  # DP-tree dependency repair (BatchIngestor._repair_dependencies)
+    "dependency",  # DP-Tree links: batch relink per chunk, learn_one's update per absorb
     "maintenance",  # periodic cell activation/deactivation + cap enforcement
     "tau_search",  # adaptive tau re-optimisation
     "snapshot_publish",  # ClusterSnapshot construction/publication

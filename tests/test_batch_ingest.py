@@ -27,9 +27,9 @@ from repro.streams.point import StreamPoint
 
 BATCH_SIZES = (1, 7, 256)
 
-#: ``summary()`` keys excluded from equivalence checks: wall-clock timings
-#: and filter counters legitimately differ between the two execution paths.
-NON_STRUCTURAL_SUMMARY_KEYS = ("filter_stats", "dependency_update_seconds")
+#: ``summary()`` keys excluded from equivalence checks: the filter counters
+#: legitimately differ between the two execution paths.
+NON_STRUCTURAL_SUMMARY_KEYS = ("filter_stats",)
 
 
 def canonical_seed(value):
@@ -398,13 +398,13 @@ class TestCellStoreBulkQueries:
         # Beyond the radius the pruned query only promises "nothing within".
         assert np.all(best[~within] > radius)
 
-    def test_cross_distances_match_seed_distances(self):
+    def test_cross_distances_rows_match_distances_to(self):
         store, _, _ = self.make_store(n=50)
         positions = np.asarray([0, 7, 23])
         matrix = store.cross_distances(positions)
         for row, position in enumerate(positions):
-            cell_id = store.id_at(int(position))
-            assert np.array_equal(matrix[row], store.seed_distances(cell_id))
+            seed = store.get(store.ids()[int(position)]).seed
+            assert np.array_equal(matrix[row], store.distances_to(seed))
 
     def test_nearest_many_empty_store(self):
         store = CellStore(numeric=True)

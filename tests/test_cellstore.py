@@ -107,8 +107,8 @@ class TestQueries:
         store.arrays.last_update[slot] = 4.0
         store.arrays.delta[slot] = 1.25
         store.validate()
-        assert store.raw_densities()[0] == 9.0
-        assert store.last_updates()[0] == 4.0
+        assert store.densities_at(4.0, DecayModel(a=0.5, lam=1.0))[0] == 9.0
+        assert store.densities_at(6.0, DecayModel(a=0.5, lam=1.0))[0] == 2.25
         assert store.deltas()[0] == 1.25
 
     def test_jaccard_store_falls_back_to_metric_loop(self):

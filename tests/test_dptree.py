@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dptree import DPTree, dominates, lex_improves
+from repro.core.filters import FilterStatistics
+from repro.core.soa import CellArrays
+from repro.distance import jaccard_distance
 
 
 def make_cell(tree, seed, density):
@@ -317,3 +320,131 @@ def test_extraction_matches_the_reference_walk(forest, tau):
     assert tree.cluster_roots(tau).tolist() == [
         root for cid in tree.ids() for root, members in expected.items() if cid in members
     ]
+
+
+# --------------------------------------------------------------------- #
+# DPTree.relink against a brute-force Eq. 7 oracle
+# --------------------------------------------------------------------- #
+@st.composite
+def _population(draw):
+    """A DP-Tree of up to 12 cells with tied seeds and tied densities.
+
+    Seeds come from a tiny lattice (numeric) or a five-letter alphabet
+    (Jaccard), so duplicate seeds and exact distance ties are routine;
+    densities come from three values, so density ties are too.  Cells join
+    the tree in a random order, so array order differs from id order.
+    """
+    kind = draw(st.sampled_from(["float64", "float32", "jaccard"]))
+    n = draw(st.integers(min_value=1, max_value=12))
+    if kind == "jaccard":
+        letters = st.sets(st.sampled_from("abcde"), min_size=1)
+        seeds = [frozenset(draw(letters)) for _ in range(n)]
+        tree = DPTree(numeric=False, metric=jaccard_distance)
+    else:
+        dim = draw(st.integers(min_value=1, max_value=3))
+        coordinate = st.integers(min_value=0, max_value=3).map(float)
+        seeds = [tuple(draw(st.lists(coordinate, min_size=dim, max_size=dim))) for _ in range(n)]
+        tree = DPTree(arrays=CellArrays(numeric=True, dtype=np.dtype(kind).type))
+    ids = [tree.arrays.create(seed) for seed in seeds]
+    for index in draw(st.permutations(range(n))):
+        tree.add(ids[index])
+    densities = np.asarray(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    listed = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)))
+    return tree, densities, np.asarray(listed, dtype=np.int64)
+
+
+def oracle_links(tree, densities):
+    """Eq. 7 link of every cell by brute force, in array order.
+
+    The nearest dominating cell, the smallest id among equidistant ones,
+    or ``(-1, inf)`` when nothing dominates; each distance row comes from
+    a one-query :meth:`CellStore.distances_to` call.
+    """
+    ids = tree.ids_array().tolist()
+    links = []
+    for i, cell_id in enumerate(ids):
+        row = tree.distances_to(tree.get(cell_id).seed)
+        best = (math.inf, -1)
+        for j, other in enumerate(ids):
+            if dominates(densities[j], other, densities[i], cell_id):
+                best = min(best, (float(row[j]), other))
+        links.append((best[1], best[0]))
+    return links
+
+
+def links_of(tree):
+    """The ``(dep, delta)`` column pair of every cell, in array order."""
+    slots = tree.slots()
+    return list(zip(tree.arrays.dep[slots].tolist(), tree.arrays.delta[slots].tolist()))
+
+
+def write_links(tree, links):
+    """Write ``(dep, delta)`` pairs into the arena columns, in array order."""
+    slots = tree.slots()
+    tree.arrays.dep[slots] = [dep for dep, _ in links]
+    tree.arrays.delta[slots] = [delta for _, delta in links]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population(), st.booleans(), st.data())
+def test_relink_gives_the_listed_cells_their_oracle_link(population, repoint, data):
+    """Listed cells get Eq. 7 from stale links; every changed pair is counted.
+
+    A stale link is none, the right parent at a wrong distance (a change
+    of δ alone) or already right.
+    """
+    tree, densities, listed = population
+    stale = [
+        data.draw(st.sampled_from([(-1, math.inf), (dep, delta + 0.5), (dep, delta)]))
+        if dep != -1
+        else (-1, math.inf)
+        for dep, delta in oracle_links(tree, densities)
+    ]
+    write_links(tree, stale)
+    stats = FilterStatistics()
+    tree.relink(listed, densities, stats, repoint=repoint)
+    links, expected = links_of(tree), oracle_links(tree, densities)
+    for position in listed.tolist():
+        assert links[position] == expected[position]
+    if not repoint:
+        unlisted = sorted(set(range(len(tree))) - set(listed.tolist()))
+        assert [links[i] for i in unlisted] == [stale[i] for i in unlisted]
+    assert stats.dependency_changes == sum(old != new for old, new in zip(stale, links))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population(), st.data())
+def test_relink_with_repoint_restores_every_oracle_link(population, data):
+    """After the listed cells grow denser, one relink puts every cell back on Eq. 7."""
+    tree, densities, listed = population
+    write_links(tree, oracle_links(tree, densities))
+    growth = data.draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=listed.size, max_size=listed.size)
+    )
+    densities = densities.copy()
+    densities[listed] += growth
+    tree.relink(listed, densities, FilterStatistics())
+    assert links_of(tree) == oracle_links(tree, densities)
+    tree.validate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population())
+def test_one_cell_refresh_measures_only_its_dominators(population):
+    tree, densities, listed = population
+    position = int(listed[0])
+    ids = tree.ids_array()
+    stats = FilterStatistics()
+    tree.relink(np.array([position]), densities, stats, repoint=False)
+    dominators = dominates(densities, ids, densities[position], ids[position])
+    assert stats.distance_computations == int(np.count_nonzero(dominators))
+
+
+def test_relink_of_an_empty_selection_changes_nothing():
+    tree = DPTree()
+    for x in (0.0, 1.0):
+        tree.add(tree.arrays.create((x,)))
+    stats = FilterStatistics()
+    tree.relink(np.empty(0, dtype=np.int64), np.array([1.0, 2.0]), stats)
+    assert links_of(tree) == [(-1, math.inf)] * 2
+    assert stats.as_dict() == FilterStatistics().as_dict()

@@ -307,6 +307,20 @@ class TestFiltersOnLargerStreams:
         assert (stats.triangle_filtered > 0) == triangle
 
 
+def test_a_link_cut_for_want_of_a_dominator_counts_as_a_change():
+    """Deactivating the only dominator leaves its child a root: one change."""
+    model = EDMStream(radius=0.5, beta=0.01, init_size=4, stream_rate=10.0)
+    for values in [(0.0, 0.0)] * 3 + [(3.0, 0.0)]:
+        model.learn_one(values)
+    assert model.initialized
+    root, child = sorted(model.tree.ids(), key=lambda cid: model.tree.get(cid).seed)
+    assert model.tree.get(child).dependency == root
+    changes = model.filter_stats.dependency_changes
+    model._deactivate_cells([root], model.now)
+    assert model.tree.get(child).dependency is None
+    assert model.filter_stats.dependency_changes == changes + 1
+
+
 class TestFilterStatistics:
     def test_filter_rate(self):
         stats = FilterStatistics(candidates=10, density_filtered=6, triangle_filtered=2)
