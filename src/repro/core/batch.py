@@ -30,7 +30,10 @@ from three observations about the per-point work of Section 4:
    and newly activated cells) recomputes each one's link exactly and
    repoints every other active cell that a dirty cell now dominates more
    closely — one distance block per chunk instead of one filtered pass per
-   point, through the same link writer ``learn_one`` uses.
+   point, through the same link writer ``learn_one`` uses.  The chunk's
+   density writes drop the DP-Tree's density-key order, which
+   ``learn_one``'s Theorem 1 band reads; the next per-point absorb rebuilds
+   it from the arena.
 
 Periodic work (decay sweeps, τ re-optimisation, evolution snapshots) and the
 initial DP-Tree construction fire at stream-time boundaries, so batches are
@@ -537,6 +540,9 @@ class BatchIngestor:
         initialized = model._initialized
         if groups is None:
             return []
+        # The density writes below move many DP-Tree keys at once; the next
+        # per-point absorb rebuilds the order from the arena instead.
+        tree.drop_density_order()
 
         # One row per absorbing cell, gathered straight from the arena
         # columns; everything below is whole-array arithmetic over these.

@@ -268,7 +268,17 @@ class CellStore:
         """Timely densities of every stored cell at time ``now`` (array order)."""
         if self._size == 0:
             return np.empty(0, dtype=float)
-        slots = self._slots[: self._size]
+        return self.densities_of(self._slots[: self._size], now, decay)
+
+    def densities_of(self, slots: np.ndarray, now: float, decay: DecayModel) -> np.ndarray:
+        """Timely densities of the cells at arena ``slots`` at time ``now``.
+
+        Every density comparison the ingest path decides is made on values
+        of this one vectorised formula: numpy's ``power`` and Python's
+        ``**`` can differ in the last bit, so a value computed any other way
+        may screen but never decide.  Each element depends only on its own
+        slot, not on which others are gathered with it.
+        """
         elapsed = np.maximum(0.0, now - self._arrays.last_update[slots])
         return self._arrays.density[slots] * decay.rate**elapsed
 

@@ -124,6 +124,12 @@ class EDMStreamConfig:
             raise ValueError(f"decay_a must be in (0, 1), got {self.decay_a}")
         if self.decay_lambda <= 0:
             raise ValueError(f"decay_lambda must be positive, got {self.decay_lambda}")
+        if self.decay_a**self.decay_lambda == 0.0:
+            # Every density would vanish one time unit after its last
+            # update, and the DP-Tree's density keys need ln(a^λ).
+            raise ValueError(
+                f"decay rate a^λ underflows to 0 (a={self.decay_a}, λ={self.decay_lambda})"
+            )
         if self.stream_rate <= 0:
             raise ValueError(f"stream_rate must be positive, got {self.stream_rate}")
         if self.tau is not None and self.tau <= 0:

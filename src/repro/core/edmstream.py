@@ -15,8 +15,13 @@ The per-point work is:
 3. *Activation* — an inactive cell whose density reaches the active
    threshold is inserted into the DP-Tree.
 4. *Dependency update* — the absorbing cell's own dependency is refreshed
-   and other active cells are re-examined, with the Theorem 1 / Theorem 2
-   filters skipping the vast majority of candidates.
+   when the absorber now dominates it, and the other active cells are
+   re-examined, with the Theorem 1 / Theorem 2 filters skipping the vast
+   majority of candidates.  Theorem 1's survivors, the cells the absorber
+   newly dominates, come from a band of the DP-Tree's density-key order
+   (two bisects, :meth:`DPTree.theorem_one
+   <repro.core.dptree.DPTree.theorem_one>`), not from a density vector
+   over every active cell.
 5. *Maintenance* (periodic) — decayed cells move to the outlier reservoir,
    outdated reservoir cells are deleted (Theorem 3), τ is re-optimised
    (Section 5) and an evolution snapshot is taken.
@@ -26,7 +31,9 @@ filtered pass, comes from :meth:`DPTree.relink
 <repro.core.dptree.DPTree.relink>`: the own-link refresh of step 4, an
 activation in step 3, the initial DP-Tree and the cells a decay sweep
 orphans.  The ``dependency`` telemetry phase times steps 3 and 4 and the
-sweep's relink, which is what Figure 11 reports.
+sweep's relink, which is what Figure 11 reports; in :meth:`EDMStream.learn_one`
+the ``assign`` phase times step 1 (the nearest-seed scan, and a new
+cell's creation) and ``absorb`` the Equation 8 write of step 2.
 """
 
 from __future__ import annotations
@@ -180,6 +187,8 @@ class EDMStream(StreamClusterer):
         """Swap the telemetry facade; :meth:`learn_one` counts and times through the new one."""
         self._obs = telemetry
         self._obs_points = telemetry.counter("ingest_points_total")
+        self._obs_assign = telemetry.phase("assign")
+        self._obs_absorb = telemetry.phase("absorb")
         self._obs_dependency = telemetry.phase("dependency")
 
     @property
@@ -559,36 +568,42 @@ class EDMStream(StreamClusterer):
         lets the micro-batch path (:mod:`repro.core.batch`) reproduce the
         sequential results point for point.
         """
-        slots, ids, seeds = self._members()
-        if slots.size == 0:
-            return self._create_cell(point, now)
-        if seeds is not None:
-            query = np.asarray(point, dtype=seeds.dtype).reshape(1, -1)
-            distances = pairwise_euclidean(query, seeds)[0]
-        else:
-            distances = np.concatenate(
-                (self._active.distances_to(point), self._inactive.distances_to(point))
-            )
-        position = int(distances.argmin())
-        nearest = distances[position]
-        if float(nearest) > self.config.radius:
-            return self._create_cell(point, now)
-        tied = (distances == nearest).nonzero()[0]
-        if tied.size > 1:
-            position = int(tied[np.argmin(ids[tied])])
-        cell_id = int(ids[position])
-        slot = int(slots[position])
+        with self._obs_assign:
+            slots, ids, seeds = self._members()
+            if slots.size == 0:
+                return self._create_cell(point, now)
+            if seeds is not None:
+                query = np.asarray(point, dtype=seeds.dtype).reshape(1, -1)
+                distances = pairwise_euclidean(query, seeds)[0]
+            else:
+                distances = np.concatenate(
+                    (self._active.distances_to(point), self._inactive.distances_to(point))
+                )
+            position = int(distances.argmin())
+            nearest = distances[position]
+            if float(nearest) > self.config.radius:
+                return self._create_cell(point, now)
+            tied = (distances == nearest).nonzero()[0]
+            if tied.size > 1:
+                position = int(tied[np.argmin(ids[tied])])
+            cell_id = int(ids[position])
+            slot = int(slots[position])
 
-        # Equation 8, written straight into the arena columns.
-        arrays = self._cells
-        rho_before = arrays.density_at(slot, now, self.decay)
-        rho_after = rho_before + 1.0
-        arrays.density[slot] = rho_after
-        arrays.last_update[slot] = now
-        arrays.last_absorb[slot] = now
-        arrays.points_absorbed[slot] += 1
-
+        # Equation 8, written straight into the arena columns; an active
+        # absorber's write also moves its DP-Tree density-order entry.
         n_active = len(self._active)
+        with self._obs_absorb:
+            arrays = self._cells
+            rho_before = arrays.density_at(slot, now, self.decay)
+            rho_after = rho_before + 1.0
+            if position < n_active:
+                self._active.write_density(cell_id, slot, rho_after, now)
+            else:
+                arrays.density[slot] = rho_after
+                arrays.last_update[slot] = now
+            arrays.last_absorb[slot] = now
+            arrays.points_absorbed[slot] += 1
+
         if position >= n_active:
             if self._initialized and rho_after >= self.active_threshold(now):
                 self._activate_cell(cell_id, now)
@@ -642,8 +657,7 @@ class EDMStream(StreamClusterer):
         """Dependency update after the active cell at ``position`` absorbed a point.
 
         ``point_distances`` holds the point's distance to every active seed
-        (array order).  One density vector and one dominance mask serve both
-        steps:
+        (array order).  Two steps:
 
         1. The absorber's own dependency.  If its current dependency still
            dominates it, the set of higher-density cells it
@@ -654,31 +668,39 @@ class EDMStream(StreamClusterer):
            entered c's set of higher-density cells (density filter,
            Theorem 1) and could be closer than c's current dependency
            (triangle-inequality filter, Theorem 2).
+
+        With the density filter on, :meth:`DPTree.theorem_one
+        <repro.core.dptree.DPTree.theorem_one>` answers both dominance
+        questions from a band of the DP-Tree's density order, without a
+        density vector.  With it off (Figure 11's ``wf`` variant) every
+        other cell is examined against one full density vector and
+        dominance mask.
         """
         arrays = self._cells
         active = self._active
-        densities = active.densities_at(now, self.decay)
-        ids = active.ids_array()
-        # Only cells the absorber now dominates can ever point at it; this is
-        # part of the dependency definition (Eq. 7), not an optional filter.
-        dominated = dominates(rho_after, cell_id, densities, ids)
-        dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
-        if dependency not in active or dominated[active.position_of(dependency)]:
-            active.relink(np.array([position]), densities, self._filter_stats, repoint=False)
-
-        size = densities.size
-        if size <= 1:
-            return
         stats = self._filter_stats
-        stats.candidates += size - 1
+        size = len(active)
+        dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
+        dominated = None
         if self.config.enable_density_filter:
-            # Theorem 1: only cells for which the absorber *newly* entered the
-            # higher-density set need re-examination, i.e. previously not
-            # dominated (rho_c >= rho_before) and now dominated.
-            kept = (dominated & (densities >= rho_before)).nonzero()[0]
+            kept, stale = active.theorem_one(
+                cell_id, dependency, now, rho_before, rho_after, self.decay, self._start_time
+            )
+            if stale:
+                densities = active.densities_at(now, self.decay)
+                active.relink(np.array([position]), densities, stats, repoint=False)
             stats.density_filtered += size - 1 - kept.size
         else:
+            densities = active.densities_at(now, self.decay)
+            ids = active.ids_array()
+            # Only cells the absorber now dominates can ever point at it;
+            # this is part of the dependency definition (Eq. 7), not an
+            # optional filter.
+            dominated = dominates(rho_after, cell_id, densities, ids)
+            if dependency not in active or dominated[active.position_of(dependency)]:
+                active.relink(np.array([position]), densities, stats, repoint=False)
             kept = (ids != cell_id).nonzero()[0]
+        stats.candidates += size - 1
         if kept.size == 0:
             return
         kept_slots = active.slots()[kept]
@@ -695,9 +717,9 @@ class EDMStream(StreamClusterer):
 
         link_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
         stats.distance_computations += int(kept.size)
-        winners = dominated[kept] & lex_improves(
-            link_distances, cell_id, deltas, arrays.dep[kept_slots]
-        )
+        winners = lex_improves(link_distances, cell_id, deltas, arrays.dep[kept_slots])
+        if dominated is not None:
+            winners &= dominated[kept]
         stats.dependency_changes += int(np.count_nonzero(winners))
         arrays.dep[kept_slots[winners]] = cell_id
         arrays.delta[kept_slots[winners]] = link_distances[winners]

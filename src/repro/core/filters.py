@@ -14,9 +14,15 @@ update can be skipped:
   distances are already known from the assignment step, so this check is
   almost free.
 
-The per-point path applies both checks inline, in one pass over the active
-cells (``EDMStream._update_dependencies``); the micro-batch engine
-(:mod:`repro.core.batch`) replaces them with one
+The per-point path (``EDMStream._update_dependencies``) applies both
+checks inline.  Theorem 1 is a key range, not a mask: the DP-Tree keeps its
+cells sorted by a time-invariant density key, so the cells the absorber
+newly dominates are one band of that order, found with two bisects and
+decided on the exact densities
+(:meth:`~repro.core.dptree.DPTree.theorem_one`); the triangle filter then
+runs over that band only.  With the density filter off every other active
+cell is a candidate, as Figure 11's unfiltered variants need.  The
+micro-batch engine (:mod:`repro.core.batch`) replaces both checks with one
 :meth:`~repro.core.dptree.DPTree.relink` of its dirty cells per chunk.
 :class:`FilterStatistics` counts how many updates each filter avoided,
 which feeds the ablation experiment of Figure 11.  Its

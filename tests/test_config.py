@@ -35,6 +35,7 @@ class TestValidation:
             {"decay_a": 1.0},
             {"decay_a": 0.0},
             {"decay_lambda": 0.0},
+            {"decay_lambda": 1e6},  # a^λ underflows to 0
             {"stream_rate": 0.0},
             {"tau": 0.0},
             {"alpha": 0.0},
