@@ -12,7 +12,13 @@ from three observations about the per-point work of Section 4:
    seed matrix, and a Gram-matrix screen settles most points without the
    exact kernel.  The points that fall outside every existing cell pick the
    chunk's new seeds among themselves, in arrival order, from one distance
-   block, and all of them become cells in one arena call.
+   block, and all of them become cells in one arena call.  A point equal
+   to the one just before it (byte-equal in the arena dtype) takes that
+   point's absorber without being measured: inside a chunk the seeds change
+   only by the chunk's own creations, and none can happen between two
+   adjacent points, so both have the same nearest seed.  Equal points that
+   are not adjacent are measured separately, since a seed created between
+   them can be nearer to the second.
 
 2. **Density updates compose.**  A cell absorbing ``k`` points inside a
    batch ends at ``ρ·a^{λΔ} + Σ a^{λ(t_k - t_i)}`` (Equation 8 applied ``k``
@@ -296,9 +302,38 @@ class BatchIngestor:
         chunk-local point indices sorted by absorbing cell (ascending within
         each group), ``starts``/``counts`` delimit the groups — or ``None``
         when no point was absorbed.
+
+        A numeric row byte-equal (in the arena dtype) to the row just before
+        it repeats that row's assignment: only the head of each run of
+        repeats goes through :meth:`_assign_numeric`.  This is exact.
+        Inside a chunk the seed set changes only by the chunk's own
+        creations (periodic work and eviction happen at chunk boundaries),
+        and no row lies between two adjacent copies, so nothing is created
+        between them: the copy's nearest seed within ``r`` is the head's
+        absorber — the cell the head seeded, at distance 0, when the head
+        led.  Copies that are not adjacent are assigned separately, because
+        a leader created between them can be nearer to the second one.
+        The byte test is conservative: ``-0.0`` and ``0.0`` are not merged.
         """
-        if self.model._numeric:
-            absorber, created = self._assign_numeric(chunk_values, chunk_times)
+        model = self.model
+        if model._numeric:
+            queries = np.ascontiguousarray(chunk_values, dtype=model._cells.seed_dtype)
+            # One opaque value per row (none at all for 0-d rows).
+            rows = queries.view(f"V{queries.strides[0]}").reshape(-1)
+            repeats = rows[1:] == rows[:-1]
+            n_repeats = np.count_nonzero(repeats)
+            if not n_repeats:
+                absorber, created = self._assign_numeric(queries, chunk_values, chunk_times)
+            else:
+                model.obs.counter("ingest_rows_repeated_total").inc(n_repeats)
+                fresh = np.concatenate(([True], ~repeats))
+                heads = np.flatnonzero(fresh)
+                absorber, head_created = self._assign_numeric(
+                    queries[heads], chunk_values[heads], chunk_times[heads]
+                )
+                absorber = absorber[np.cumsum(fresh) - 1]
+                created = np.zeros(len(queries), dtype=bool)
+                created[heads] = head_created
         else:
             absorber, created = self._assign_objects(chunk_values, chunk_times)
         size = absorber.shape[0]
@@ -319,9 +354,11 @@ class BatchIngestor:
         return gids[starts], starts, counts, order
 
     def _assign_numeric(
-        self, chunk_values: np.ndarray, chunk_times: np.ndarray
+        self, queries: np.ndarray, chunk_values: np.ndarray, chunk_times: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Absorbing cell per point of a numeric chunk, and which points seed one.
+
+        ``queries`` are the rows of ``chunk_values`` in the arena dtype.
 
         One screened scan over both populations finds each point's nearest
         old seed within ``r`` (:func:`~repro.core.cellstore.nearest_over_slots`
@@ -338,7 +375,6 @@ class BatchIngestor:
         arena = model._cells
         obs = model.obs
         size = chunk_values.shape[0]
-        queries = np.asarray(chunk_values, dtype=arena.seed_dtype)
         absorber = np.empty(size, dtype=np.int64)
         created = np.zeros(size, dtype=bool)
         store_best = None

@@ -189,18 +189,20 @@ class DPTree(CellStore):
         rho_after: float,
         decay: DecayModel,
         origin: float,
-    ) -> Tuple[np.ndarray, bool]:
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """What a member's absorption at ``now`` changes in the dominance relation.
 
         ``cell_id`` went from ``rho_before`` to ``rho_after`` (already
         written through :meth:`write_density`).  Returns the array positions,
         ascending, of the cells it *newly* dominates — those with
-        ``rho_before ≤ ρ_c`` that it dominates now (Theorem 1) — and whether
-        its link to ``dependency`` went stale: the dependency is not in the
-        tree (``-1`` for none) or the absorber now dominates it.  ``ρ_c``
-        is the value :meth:`densities_of` gives at ``now``, exactly as a
-        full density vector would; ``origin`` (the model's start time, at
-        or before every stored ``last_update``) is t₀ of the keys.
+        ``rho_before ≤ ρ_c`` that it dominates now (Theorem 1) — and, when
+        its link to ``dependency`` went stale (the dependency is not in the
+        tree, ``-1`` for none, or the absorber now dominates it), the array
+        positions, ascending, of its dominators, for :meth:`relink`;
+        ``None`` while the link holds.  ``ρ_c`` is the value
+        :meth:`densities_of` gives at ``now``, exactly as a full density
+        vector would; ``origin`` (the model's start time, at or before every
+        stored ``last_update``) is t₀ of the keys.
 
         Two bisects find the band ``[K(ρ_lo) − ε, K(rho_after) + ε]``, with
         ``K(ρ) = ln ρ − ℓ̂·(now − t₀)`` the key a density ``ρ`` held at
@@ -208,7 +210,9 @@ class DPTree(CellStore):
         floor the band starts at the lowest key.  Two more bisects split
         off the cells at least ε inside both ends, which their keys decide;
         the knife-edge rest, and an own dependency within ε of
-        ``K(rho_after)``, are decided on the exact values.
+        ``K(rho_after)``, are decided on the exact values.  The absorber's
+        dominators are the cells above the band, whose keys prove them
+        denser, and the knife-edge cells the exact values decide.
 
         **Why ε is a bound.**  With ``u = 2⁻⁵³``, ``ℓ = ln(a^λ)`` exactly,
         and math ``log``/numpy ``power`` accurate to a few units in the last
@@ -271,6 +275,7 @@ class DPTree(CellStore):
             own_edge = not stale and key <= key_hi + epsilon
             if own_edge:
                 edge.append(dependency)
+        higher: List[int] = []
         if edge:
             slots = np.fromiter(map(self._arrays.slot_of, edge), np.int64, len(edge))
             values = self.densities_of(slots, now, decay)
@@ -278,13 +283,24 @@ class DPTree(CellStore):
             dominated = dominates(rho_after, cell_id, values, edge_ids)
             if own_edge:
                 stale = bool(dominated[-1])
-                dominated[-1] = False
+                dominated, values, edge_ids = dominated[:-1], values[:-1], edge_ids[:-1]
             kept.extend(edge_ids[dominated & (values >= rho_before)].tolist())
-        if not kept:
-            return _NO_POSITIONS, stale
-        positions = np.fromiter(map(self._pos.__getitem__, kept), np.int64, len(kept))
+            if stale:
+                # Of two distinct cells exactly one dominates the other.
+                higher = edge_ids[~dominated].tolist()
+        dominators = None
+        if stale:
+            higher.extend(ids[last:])
+            dominators = self._positions(higher)
+        return self._positions(kept), dominators
+
+    def _positions(self, cell_ids: List[int]) -> np.ndarray:
+        """Ascending array positions of member ``cell_ids``."""
+        if not cell_ids:
+            return _NO_POSITIONS
+        positions = np.fromiter(map(self._pos.__getitem__, cell_ids), np.int64, len(cell_ids))
         positions.sort()
-        return positions, stale
+        return positions
 
     def set_dependency(
         self, cell_id: int, dependency: Optional[int], delta: float
@@ -304,9 +320,10 @@ class DPTree(CellStore):
     def relink(
         self,
         positions: np.ndarray,
-        densities: np.ndarray,
+        densities: Optional[np.ndarray],
         stats: FilterStatistics,
         repoint: bool = True,
+        dominators: Optional[np.ndarray] = None,
     ) -> None:
         """Give the cells at ``positions`` their Eq. 7/9 links, on one distance block.
 
@@ -324,17 +341,27 @@ class DPTree(CellStore):
         columns some listed cell can link to or repoint: a one-cell refresh
         without ``repoint`` measures just its dominators.  ``stats`` counts
         every distance the block holds and every ``(dep, δ)`` that changes.
+
+        A caller that already knows the dominators of a single listed cell,
+        as :meth:`theorem_one` does, passes their positions, ascending, as
+        ``dominators`` (without ``repoint``); then ``densities`` is not
+        read and the block holds exactly those columns.
         """
         ids = self.ids_array()
-        rows_rho = densities[positions, None]
-        rows_id = ids[positions, None]
-        higher = dominates(densities, ids, rows_rho, rows_id)
-        needed = higher.any(axis=0)
-        if repoint:
-            lower = dominates(rows_rho, rows_id, densities, ids)
-            lower[:, positions] = False
-            needed |= lower.any(axis=0)
-        columns = needed.nonzero()[0]
+        if dominators is None:
+            rows_rho = densities[positions, None]
+            rows_id = ids[positions, None]
+            higher = dominates(densities, ids, rows_rho, rows_id)
+            needed = higher.any(axis=0)
+            if repoint:
+                lower = dominates(rows_rho, rows_id, densities, ids)
+                lower[:, positions] = False
+                needed |= lower.any(axis=0)
+            columns = needed.nonzero()[0]
+            higher = higher[:, columns]
+        else:
+            columns = dominators
+            higher = True
         block = self.cross_distances(positions, columns)
         stats.distance_computations += int(block.size)
 
@@ -342,7 +369,7 @@ class DPTree(CellStore):
         # among the entries at that minimum.
         arrays = self._arrays
         id_max = np.iinfo(np.int64).max
-        candidates = np.where(higher[:, columns], block, np.inf)
+        candidates = np.where(higher, block, np.inf)
         delta = candidates.min(axis=1, initial=np.inf)
         nearest = np.where(candidates == delta[:, None], ids[columns], id_max).min(
             axis=1, initial=id_max

@@ -672,7 +672,8 @@ class EDMStream(StreamClusterer):
         With the density filter on, :meth:`DPTree.theorem_one
         <repro.core.dptree.DPTree.theorem_one>` answers both dominance
         questions from a band of the DP-Tree's density order, without a
-        density vector.  With it off (Figure 11's ``wf`` variant) every
+        density vector, and a stale own link is refreshed over the
+        dominators it reads off the same order.  With it off (Figure 11's ``wf`` variant) every
         other cell is examined against one full density vector and
         dominance mask.
         """
@@ -683,12 +684,13 @@ class EDMStream(StreamClusterer):
         dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
         dominated = None
         if self.config.enable_density_filter:
-            kept, stale = active.theorem_one(
+            kept, dominators = active.theorem_one(
                 cell_id, dependency, now, rho_before, rho_after, self.decay, self._start_time
             )
-            if stale:
-                densities = active.densities_at(now, self.decay)
-                active.relink(np.array([position]), densities, stats, repoint=False)
+            if dominators is not None:
+                active.relink(
+                    np.array([position]), None, stats, repoint=False, dominators=dominators
+                )
             stats.density_filtered += size - 1 - kept.size
         else:
             densities = active.densities_at(now, self.decay)

@@ -457,6 +457,11 @@ class TestPairwiseEuclidean:
 # decisions where they are closest:
 #
 # * exact duplicates of recent points;
+# * runs of 1–5 copies of the point just before, which the batch engine
+#   assigns once per run, across chunk, init and periodic boundaries; a
+#   copy that differs only below float32 precision (x·(1 + 2⁻³⁰), one run
+#   in a float32 arena, two rows in a float64 one); a 0.0 coordinate
+#   followed by a copy with -0.0 (equal values, different bytes: two rows);
 # * points at r·(1 ± 2⁻⁴⁰) (and at exactly r) from a recent point, so often
 #   from a seed created earlier in the same chunk;
 # * points exactly equidistant from two recent points — an old seed and a
@@ -472,7 +477,9 @@ STEP = 0.125
 
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["fresh", "fresh", "duplicate", "ring", "ring", "bisect"]),
+        st.sampled_from(
+            ["fresh", "fresh", "duplicate", "ring", "ring", "bisect", "repeat", "near", "zero"]
+        ),
         st.integers(min_value=0, max_value=2**16),
     ),
     min_size=16,
@@ -489,6 +496,14 @@ def build_stream(ops, dim):
         recent = values[-8:]
         if kind == "duplicate" and recent:
             point = recent[rng.integers(len(recent))]
+        elif kind == "repeat" and recent:
+            values.extend([recent[-1]] * int(rng.integers(0, 5)))
+            point = recent[-1]
+        elif kind == "near" and recent:
+            point = np.asarray(recent[-1]) * (1.0 + 2.0**-30)
+        elif kind == "zero" and recent:
+            values.append((0.0,) + recent[-1][1:])
+            point = (-0.0,) + recent[-1][1:]
         elif kind == "ring" and recent:
             base = np.asarray(recent[rng.integers(len(recent))])
             direction = rng.normal(size=dim)
@@ -553,3 +568,69 @@ def test_the_stream_builder_makes_exact_ties():
     points = build_stream([("fresh", 1), ("fresh", 2), ("bisect", 3)], dim=3)
     a, b, p = (np.asarray(point.values) for point in points)
     assert np.sum((p - a) ** 2) == np.sum((p - b) ** 2)
+
+
+def test_the_stream_builder_makes_runs_and_near_copies():
+    """repeat copies the point before 1–5 times; near and zero copy it almost."""
+    points = build_stream([("fresh", 1), ("repeat", 2), ("near", 3), ("zero", 4)], dim=3)
+    rows = [point.values for point in points]
+    copies = rows[1:-3]
+    assert 1 <= len(copies) <= 5
+    assert copies == [rows[0]] * len(copies)
+    near, zero, negative = rows[-3:]
+    assert near != rows[0]
+    assert np.array_equal(np.float32(near), np.float32(rows[0]))
+    assert zero == negative and str(zero[0]) == "0.0" and str(negative[0]) == "-0.0"
+
+
+# --------------------------------------------------------------------- #
+# runs of repeated rows
+# --------------------------------------------------------------------- #
+
+
+def test_a_copy_after_a_new_leader_goes_to_the_nearer_leader():
+    """Stream ``[a, b, a]`` after an old seed at the origin, ``r = 1``.
+
+    ``a`` goes to the origin (0.9); ``b`` is 1.5 from it and seeds a cell;
+    the second ``a`` is 0.9 from the origin and 0.6 from ``b``, so it goes
+    to ``b`` in both engines.  Copies that are not adjacent must not share
+    an assignment.
+    """
+    first = [StreamPoint(values=(0.0, 0.0), timestamp=0.0)]
+    chunk = [
+        StreamPoint(values=(0.9, 0.0), timestamp=0.001),
+        StreamPoint(values=(1.5, 0.0), timestamp=0.002),
+        StreamPoint(values=(0.9, 0.0), timestamp=0.003),
+    ]
+    for batch_size in (None, 256):
+        model = EDMStream(radius=1.0)
+        (origin,) = model.learn_many(first, batch_size=batch_size)
+        a, b, again = model.learn_many(chunk, batch_size=batch_size)
+        assert (a, b != origin, again) == (origin, True, b)
+
+
+def test_zero_dimensional_rows_share_one_cell():
+    """0-d rows have no bytes to compare; both engines put them in one cell."""
+    points = [StreamPoint(values=(), timestamp=0.001 * i) for i in range(3)]
+    for batch_size in (None, 256):
+        ids = EDMStream(radius=0.5).learn_many(points, batch_size=batch_size)
+        assert len(set(ids)) == 1
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_repeated_rows_are_counted_once_per_run(dtype):
+    """``ingest_rows_repeated_total`` counts the rows that reused their head's assignment.
+
+    The near copy is one row with its original in a float32 arena only;
+    the ``-0.0`` copy is never merged.
+    """
+    x = (0.3, 0.0)
+    near = (0.3 * (1.0 + 2.0**-30), 0.0)
+    rows = [x, x, x, near, (5.0, 5.0), (5.0, 5.0), (0.3, -0.0), x]
+    points = [StreamPoint(values=v, timestamp=0.001 * i) for i, v in enumerate(rows)]
+    model = EDMStream(radius=0.5, dtype=dtype, telemetry=True)
+    ids = model.learn_many(points, batch_size=256)
+    repeated = model.obs.registry.counter("ingest_rows_repeated_total").value
+    assert repeated == (4 if dtype == "float32" else 3)
+    assert ids == [ids[0]] * 4 + [ids[4]] * 2 + [ids[0]] * 2
+    assert model.n_inactive_cells == 2

@@ -92,7 +92,12 @@ def _build(population):
 
 
 def _mask_answer(tree, decay, now, rho_before, rho_after, absorber):
-    """What a full density vector and dominance mask decide."""
+    """What a full density vector and dominance mask decide.
+
+    The absorber's dominators, which a stale own link is refreshed over,
+    come from the mask ``relink`` builds for one row; ``None`` while the
+    link holds.
+    """
     densities = tree.densities_at(now, decay)
     ids = tree.ids_array()
     dominated = dominates(rho_after, absorber, densities, ids)
@@ -100,15 +105,22 @@ def _mask_answer(tree, decay, now, rho_before, rho_after, absorber):
     arena = tree.arrays
     dependency = int(arena.dep[arena.slot_of(absorber)])
     stale = dependency not in tree or bool(dominated[tree.position_of(dependency)])
-    return kept.tolist(), stale
+    dominators = None
+    if stale:
+        higher = dominates(densities, ids, densities[tree.position_of(absorber)], absorber)
+        dominators = higher.nonzero()[0].tolist()
+    return kept.tolist(), dominators
 
 
 def _check(tree, decay, origin, now, rho_before, rho_after, absorber):
     dependency = int(tree.arrays.dep[tree.arrays.slot_of(absorber)])
-    positions, stale = tree.theorem_one(
+    positions, dominators = tree.theorem_one(
         absorber, dependency, now, rho_before, rho_after, decay, origin
     )
-    assert (positions.tolist(), stale) == _mask_answer(
+    if dominators is not None:
+        assert dominators.dtype == np.int64
+        dominators = dominators.tolist()
+    assert (positions.tolist(), dominators) == _mask_answer(
         tree, decay, now, rho_before, rho_after, absorber
     )
     tree.validate()
