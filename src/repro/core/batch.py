@@ -409,17 +409,22 @@ class BatchIngestor:
             block = pairwise_euclidean(queries[candidates], queries[first:])
             block = block.astype(np.float64, copy=False)
             # Leaders in arrival order: a candidate seeds a cell unless an
-            # earlier leader lies within r.  Row i of ``reach`` is the bit
-            # set of the candidates within r of candidate i.
-            reach = np.packbits(block[:, candidates - first] <= radius, axis=1, bitorder="little")
-            width = reach.shape[1]
-            packed = reach.tobytes()
-            leaders: List[int] = []
-            covered = 0
-            for i in range(candidates.size):
-                if not covered >> i & 1:
-                    leaders.append(i)
-                    covered |= int.from_bytes(packed[i * width : (i + 1) * width], "little")
+            # earlier leader lies within r.  ``within[i, j]``: candidate j
+            # lies within r of candidate i (the diagonal always holds).  A
+            # candidate with no earlier candidate within r leads outright;
+            # the greedy pass visits only the pairs i < j within r, in row
+            # order, so whether i leads is settled (by pairs k < i) before
+            # it is read.
+            within = block[:, candidates - first] <= radius
+            leaders: Any = slice(None)
+            if np.count_nonzero(within) > candidates.size:
+                earlier, later = np.nonzero(within)
+                pairs = earlier < later
+                lead = [True] * candidates.size
+                for i, j in zip(earlier[pairs].tolist(), later[pairs].tolist()):
+                    if lead[i]:
+                        lead[j] = False
+                leaders = np.flatnonzero(lead)
             rows = candidates[leaders]
             times = chunk_times[rows]
             density: Any = 1.0
@@ -438,42 +443,48 @@ class BatchIngestor:
                 last_update=times,
                 last_absorb=times,
             )
+            obs.counter("cells_created_total").inc(new_ids.size)
             if bounded is not None:
                 self._revived.extend(new_ids[density > 1.0].tolist())
             model.reservoir.add_many(new_ids)
             absorber[rows] = new_ids
             created[rows] = True
 
-            # Nearest earlier leader of every later row.  argmin takes the
-            # first minimum: the earliest leader, which has the smallest id,
-            # as the per-point path's tie rule wants.
+            # A row some earlier leader lies within r of, and that did not
+            # lead, goes to its nearest earlier leader; no other row can.
+            # argmin takes the first minimum: the earliest leader, which has
+            # the smallest id, as the per-point path's tie rule wants.
+            reach = block[leaders]
             later = rows[:, None] < np.arange(first, size)[None, :]
-            fresh = np.where(later, block[leaders], np.inf)
+            columns = np.flatnonzero(((reach <= radius) & later).any(axis=0) & ~created[first:])
+            if columns.size == 0:
+                return absorber, created
+            fresh = np.where(later[:, columns], reach[:, columns], np.inf)
             nearest = np.argmin(fresh, axis=0)
-            fresh_best = fresh[nearest, np.arange(size - first)]
-            take = (fresh_best <= radius) & ~created[first:]
+            fresh_best = fresh[nearest, np.arange(columns.size)]
+            points = first + columns
             if store_best is not None:
                 # A row within r of an old seed as well goes to the leader
                 # only when it is strictly nearer (an exact tie keeps the old,
                 # smaller id).  Only these rows need their scan distance, and
                 # a screened row gets it here from the exact kernel.
-                both = np.flatnonzero(take & ~(store_best[first:] > radius))
+                both = np.flatnonzero(~(store_best[points] > radius))
                 if both.size:
-                    points = first + both
-                    old = store_best[points]
+                    old = store_best[points[both]]
                     unknown = np.flatnonzero(np.isnan(old))
                     if unknown.size:
                         seed_slots = [
                             arena.slot_of(cell_id)
-                            for cell_id in store_best_id[points[unknown]].tolist()
+                            for cell_id in store_best_id[points[both[unknown]]].tolist()
                         ]
                         exact = pairwise_euclidean(
-                            queries[points[unknown]], arena.seeds[seed_slots]
+                            queries[points[both[unknown]]], arena.seeds[seed_slots]
                         )
                         old[unknown] = np.diagonal(exact)
+                    take = np.ones(columns.size, dtype=bool)
                     take[both] = fresh_best[both] < old
-            columns = first + np.flatnonzero(take)
-            absorber[columns] = new_ids[nearest[columns - first]]
+                    points, nearest = points[take], nearest[take]
+            absorber[points] = new_ids[nearest]
         return absorber, created
 
     def _assign_objects(
@@ -543,6 +554,7 @@ class BatchIngestor:
                 last_absorb=float(chunk_times[j]),
             )
             model.reservoir.add(cell_id)
+            model.obs.counter("cells_created_total").inc()
             absorber[j] = cell_id
             created[j] = True
             if j + 1 >= size:

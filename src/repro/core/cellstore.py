@@ -207,17 +207,19 @@ class CellStore:
         """
         if isinstance(cell_ids, np.ndarray):
             cell_ids = cell_ids.tolist()
-        slot_of = self._arrays._slot_of
+        slots = list(map(self._arrays._slot_of.__getitem__, cell_ids))
         status = self._arrays.status
-        slots: List[int] = []
-        seen = set()
-        for cell_id in cell_ids:
-            slot = slot_of[cell_id]
-            if status[slot] == MEMBER or cell_id in seen:
-                raise KeyError(f"cell {cell_id} already in a population")
-            seen.add(cell_id)
-            slots.append(slot)
         count = len(slots)
+        if count == 1:
+            clash = status[slots[0]] == MEMBER
+        else:
+            clash = len(set(cell_ids)) != count or (status[slots] == MEMBER).any()
+        if clash:
+            seen = set()
+            for cell_id, slot in zip(cell_ids, slots):
+                if status[slot] == MEMBER or cell_id in seen:
+                    raise KeyError(f"cell {cell_id} already in a population")
+                seen.add(cell_id)
         size = self._size
         capacity = self._slots.shape[0]
         if size + count > capacity:

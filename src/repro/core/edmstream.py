@@ -187,6 +187,7 @@ class EDMStream(StreamClusterer):
         """Swap the telemetry facade; :meth:`learn_one` counts and times through the new one."""
         self._obs = telemetry
         self._obs_points = telemetry.counter("ingest_points_total")
+        self._obs_created = telemetry.counter("cells_created_total")
         self._obs_assign = telemetry.phase("assign")
         self._obs_absorb = telemetry.phase("absorb")
         self._obs_dependency = telemetry.phase("dependency")
@@ -629,6 +630,7 @@ class EDMStream(StreamClusterer):
             last_update=now,
             last_absorb=now,
         )
+        self._obs_created.inc()
         self.reservoir.add(cell_id)
         if (
             self._bounded is not None
@@ -717,7 +719,10 @@ class EDMStream(StreamClusterer):
             kept_slots = kept_slots[close]
             deltas = deltas[close]
 
-        link_distances = active.distances_to_subset(arrays.seed_of(slot), kept)
+        # The absorber's seed as the kernel measures it: its arena row (the
+        # exact seed in float64, the stored cast in float32).
+        seed = arrays.seeds[slot] if self._numeric else arrays.seed_of(slot)
+        link_distances = active.distances_to_subset(seed, kept)
         stats.distance_computations += int(kept.size)
         winners = lex_improves(link_distances, cell_id, deltas, arrays.dep[kept_slots])
         if dominated is not None:

@@ -14,7 +14,10 @@ The design splits responsibilities three ways:
   slot allocation and the column arrays.  :meth:`CellArrays.create_many`
   (with :meth:`CellArrays.create`, its one-seed case) is the one way new
   cells come into being; it returns the cells' ids, and every other layer
-  addresses a cell by its id.
+  addresses a cell by its id.  In a float64 numeric arena a cell's seed
+  *is* its seed-matrix row, so creating cells from a seed array builds no
+  Python object per cell; float32 and token-set arenas also keep the
+  original seed objects.
 * **CellStore** (:mod:`repro.core.cellstore`) is a *population view* over
   one ``CellArrays``: it maintains a dense array of slots (the active or
   the inactive population) and answers vectorised bulk queries against
@@ -31,7 +34,6 @@ builds on it.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -92,7 +94,9 @@ class CellArrays:
         Whether seeds are numeric vectors.  Numeric arenas keep the seeds
         in a contiguous ``(capacity, dim)`` matrix (plus squared norms);
         non-numeric arenas (token sets under Jaccard) keep seed objects in
-        a side list only.
+        a side table only.  A float32 arena also keeps each seed's original
+        float64 tuple there, since its rounded row cannot give it back; a
+        float64 arena keeps none.
     dtype:
         Seed-matrix dtype, ``float64`` (default, exact equivalence with the
         scalar paths) or ``float32`` (half the memory traffic and a faster
@@ -130,9 +134,13 @@ class CellArrays:
         #: cell id -> slot for every live (non-FREE) slot.
         self._slot_of: Dict[int, int] = {}
         #: slot -> original seed object (tuple / token set), the exact value
-        #: handed to :meth:`create_many` or :meth:`allocate`; the matrix row is
-        #: its dtype-cast copy.
-        self._seed_obj: Dict[int, Any] = {}
+        #: handed to :meth:`create_many` or :meth:`allocate`, where the
+        #: matrix row cannot give it back: token-set arenas, and float32
+        #: arenas, whose row is a rounded copy.  ``None`` for float64 numeric
+        #: arenas, whose row is the seed itself (see :meth:`seed_of`).
+        self._seed_obj: Optional[Dict[int, Any]] = (
+            None if numeric and self.seed_dtype == np.float64 else {}
+        )
 
     # ------------------------------------------------------------------ #
     # container protocol
@@ -164,7 +172,7 @@ class CellArrays:
         return self._top
 
     def nbytes(self) -> int:
-        """Total bytes held by the column arrays (the seed side list excluded)."""
+        """Total bytes held by the column arrays (seed objects, where kept, excluded)."""
         total = self.seed_norm2.nbytes
         if self.seeds is not None:
             total += self.seeds.nbytes
@@ -271,24 +279,33 @@ class CellArrays:
         """Claim a slot per id and fill the rows; returns the slots.
 
         The arguments are those of :meth:`create_many`, plus the ids.  A
-        seed of the wrong dimension raises ``ValueError`` before any state
-        changes.
+        seed of the wrong dimension (or a seed array of the wrong shape)
+        raises ``ValueError`` before any state changes.  A float64 numeric
+        arena stores the rows only: the row is an exact copy of the seed.
         """
-        rows = None
-        if isinstance(seeds, np.ndarray):
-            rows = seeds
-            seeds = list(map(tuple, seeds.tolist()))
         if not cell_ids:
             return []
-        dim = self.dim
+        objects = seeds
         if self.numeric:
-            expected = len(seeds[0]) if dim is None else dim
-            for seed in seeds:
-                if len(seed) != expected:
+            dim = self.dim
+            if isinstance(seeds, np.ndarray):
+                if seeds.ndim != 2:
+                    raise ValueError(f"seeds must be a (count, dim) array, got shape {seeds.shape}")
+                expected = seeds.shape[1] if dim is None else dim
+                if seeds.shape[1] != expected:
                     raise ValueError(
-                        f"seed dimension {len(seed)} does not match arena dimension {expected}"
+                        f"seed dimension {seeds.shape[1]} does not match arena dimension {expected}"
                     )
-            rows = np.asarray(seeds if rows is None else rows, dtype=self.seed_dtype)
+                if self._seed_obj is not None:
+                    objects = list(map(tuple, seeds.tolist()))
+            else:
+                expected = len(seeds[0]) if dim is None else dim
+                for seed in seeds:
+                    if len(seed) != expected:
+                        raise ValueError(
+                            f"seed dimension {len(seed)} does not match arena dimension {expected}"
+                        )
+            rows = np.asarray(seeds, dtype=self.seed_dtype)
         slots = self._claim(len(cell_ids))
         index = np.asarray(slots)
         if self.numeric:
@@ -298,10 +315,12 @@ class CellArrays:
             self.seeds[index] = rows
             # Squared norms of the stored (dtype-cast) rows, in float64 even
             # for float32 seeds: the screened scan's bounds rely on that
-            # accuracy.
-            self.seed_norm2[index] = [math.hypot(*row) ** 2 for row in rows.tolist()]
+            # accuracy (``GRAM_SLACK`` covers any summation order).
+            rows = rows.astype(np.float64, copy=False)
+            self.seed_norm2[index] = np.einsum("ij,ij->i", rows, rows)
         self._slot_of.update(zip(cell_ids, slots))
-        self._seed_obj.update(zip(slots, seeds))
+        if self._seed_obj is not None:
+            self._seed_obj.update(zip(slots, objects))
         self.density[index] = density
         self.created_at[index] = created_at
         self.last_update[index] = last_update
@@ -350,7 +369,8 @@ class CellArrays:
         self.cell_ids[slot] = -1
         self.dep[slot] = -1
         self.delta[slot] = np.inf
-        self._seed_obj.pop(slot, None)
+        if self._seed_obj is not None:
+            self._seed_obj.pop(slot, None)
         self._free.append(slot)
 
     # ------------------------------------------------------------------ #
@@ -367,15 +387,17 @@ class CellArrays:
         """Create one cell per seed with fresh ids from the process counter.
 
         ``seeds`` is a sequence of seed objects, or for numeric arenas a
-        ``(count, dim)`` float array whose rows become tuple-of-floats seed
-        objects; ``density`` and the times are one value or one per seed.
+        ``(count, dim)`` float array, one seed per row (its shape is checked
+        once, and a float64 arena keeps no per-seed object at all: the row
+        is the seed); ``density`` and the times are one value or one per
+        seed.
         Returns the ids, ascending in seed order.  The arena ends as one
         :meth:`create` per seed, in order, leaves it: the same ids, slots,
         free-list and columns.  Each new cell has no dependency and one
         absorbed point, and its slot is ``DETACHED`` until a population
         view adds it.
         """
-        cell_ids = [next(_cell_id_counter) for _ in range(len(seeds))]
+        cell_ids = list(itertools.islice(_cell_id_counter, len(seeds)))
         self._fill(cell_ids, seeds, density, created_at, last_update, last_absorb, 1)
         return np.asarray(cell_ids, dtype=np.int64)
 
@@ -412,7 +434,14 @@ class CellArrays:
         return decay.decay_density(density, now - last_update)
 
     def seed_of(self, slot: int) -> Any:
-        """The original seed object stored at a slot."""
+        """The seed of the cell at a slot, as it was handed in.
+
+        Float64 numeric arenas rebuild the tuple of floats from the matrix
+        row, an exact copy of the seed; float32 and token-set arenas return
+        the stored original.
+        """
+        if self._seed_obj is None:
+            return tuple(self.seeds[slot].tolist())
         return self._seed_obj[slot]
 
     # ------------------------------------------------------------------ #

@@ -404,8 +404,8 @@ def cell_state_footprint(
 
     ``arena`` is capacity-based (the columns are allocated storage whether
     slots are live or free); ``side_state`` estimates the Python-side
-    per-cell objects (seed objects and the id → slot map) from live-cell
-    counts;
+    per-cell objects (seed objects, costed as a tuple per cell even where
+    the arena keeps none, and the id → slot map) from live-cell counts;
     ``stores`` covers the population views' position bookkeeping;
     ``sketch`` is the fixed-size approximate tier (0 in exact mode).
     """
@@ -424,20 +424,23 @@ def cell_state_footprint(
 def _side_state_bytes(arena: CellArrays) -> int:
     """Estimated Python-side bytes the arena holds per live cell.
 
-    Seed objects dominate (a d-tuple of floats is ~``56 + 32·d`` bytes);
-    the id → slot map and the seed-object table add a fixed 200 bytes per
-    cell.  The allowance is a calibrated constant: changing it changes
-    which cells a cap evicts.  An estimate is all the cap needs — the goal
+    A seed object is costed as a d-tuple of floats (``40 + 32·d`` bytes,
+    from the arena's dimension) on every numeric arena, and by a sample of
+    the stored objects on a token-set arena; the id → slot map and the
+    seed-object table add a fixed 200 bytes per cell.  The allowance is a
+    calibrated constant: changing it changes which cells a cap evicts, so
+    it still counts a tuple for a float64 arena, which stores none (its
+    seed is the matrix row).  An estimate is all the cap needs — the goal
     is to scale eviction pressure with the live population, not to audit
     the allocator.
     """
     live = len(arena)
     if live == 0:
         return 0
-    sample = next(iter(arena._seed_obj.values()), None)
-    if isinstance(sample, tuple):
-        seed_bytes = sys.getsizeof(sample) + 24 * len(sample)
+    if arena.numeric:
+        seed_bytes = sys.getsizeof((0.0,) * arena.dim) + 24 * arena.dim
     else:
+        sample = next(iter(arena._seed_obj.values()), None)
         seed_bytes = sys.getsizeof(sample) if sample is not None else 64
     per_cell = seed_bytes + 200  # dict entries (slot_of, seed_obj), fixed allowance
     return live * per_cell

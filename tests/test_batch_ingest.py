@@ -467,6 +467,9 @@ class TestPairwiseEuclidean:
 # * points exactly equidistant from two recent points — an old seed and a
 #   seed new in the chunk, or two new seeds — on a dyadic grid where every
 #   distance is exact, so the tie rule decides;
+# * bursts of 2–6 new points pairwise within r of each other and far from
+#   every centre, so a chunk holds several candidates that conflict, and
+#   the leader pass must pick its leaders among them in arrival order;
 # * float64 and float32 arenas, batch sizes 1, 7, 64 and 256, and the
 #   scan's Gram screen forced on (windowed or over all seeds) or left to
 #   its size rules.
@@ -478,7 +481,18 @@ STEP = 0.125
 ops = st.lists(
     st.tuples(
         st.sampled_from(
-            ["fresh", "fresh", "duplicate", "ring", "ring", "bisect", "repeat", "near", "zero"]
+            [
+                "fresh",
+                "fresh",
+                "duplicate",
+                "ring",
+                "ring",
+                "bisect",
+                "repeat",
+                "near",
+                "zero",
+                "burst",
+            ]
         ),
         st.integers(min_value=0, max_value=2**16),
     ),
@@ -510,6 +524,16 @@ def build_stream(ops, dim):
             direction /= np.linalg.norm(direction)
             scale = PROPERTY_RADIUS * (1.0 + float(rng.choice([-1.0, 0.0, 1.0])) * 2.0**-40)
             point = base + scale * direction
+        elif kind == "burst":
+            # Offsets on the dyadic grid in the first two coordinates, at
+            # most 0.25·√2 from the centre: pairwise at most 0.71 < r apart.
+            far = np.zeros(dim)
+            far[0] = 40.0 * int(rng.integers(1, 1000))
+            for _ in range(int(rng.integers(1, 6))):
+                offset = np.zeros(dim)
+                offset[:2] = STEP * rng.integers(-2, 3, size=2)
+                values.append(tuple(float(x) for x in far + offset))
+            point = far
         elif kind == "bisect" and len(recent) >= 2:
             i, j = rng.choice(len(recent), size=2, replace=False)
             a, b = np.asarray(recent[i]), np.asarray(recent[j])
@@ -570,6 +594,17 @@ def test_the_stream_builder_makes_exact_ties():
     assert np.sum((p - a) ** 2) == np.sum((p - b) ** 2)
 
 
+def test_the_stream_builder_makes_bursts_of_conflicting_new_points():
+    """A burst adds 2–6 points far from the centres, pairwise within r."""
+    points = build_stream([("fresh", 1), ("burst", 2), ("burst", 3)], dim=3)
+    rows = np.asarray([point.values for point in points])
+    assert 5 <= len(rows) <= 13
+    burst = rows[np.linalg.norm(rows - rows[-1], axis=1) < 10.0]
+    assert 2 <= len(burst) <= 6
+    assert pairwise_euclidean(burst, burst).max() <= PROPERTY_RADIUS
+    assert np.linalg.norm(burst[0] - rows[0]) > 30.0
+
+
 def test_the_stream_builder_makes_runs_and_near_copies():
     """repeat copies the point before 1–5 times; near and zero copy it almost."""
     points = build_stream([("fresh", 1), ("repeat", 2), ("near", 3), ("zero", 4)], dim=3)
@@ -607,6 +642,32 @@ def test_a_copy_after_a_new_leader_goes_to_the_nearer_leader():
         (origin,) = model.learn_many(first, batch_size=batch_size)
         a, b, again = model.learn_many(chunk, batch_size=batch_size)
         assert (a, b != origin, again) == (origin, True, b)
+
+
+@pytest.mark.parametrize("old_seed", [False, True])
+def test_a_chain_of_candidates_leads_from_both_ends(old_seed):
+    """Candidates ``a, b, c`` with d(a, b) ≤ r, d(b, c) ≤ r and d(a, c) > r.
+
+    ``a`` seeds a cell, ``b`` lies within r of it and goes to it, and ``c``
+    is within r of ``b`` only, which never led, so ``c`` seeds the second
+    cell: the leaders are ``a`` and ``c`` in both engines, with and without
+    an old seed for the scan to find beforehand.
+    """
+    first = [StreamPoint(values=(-50.0, 0.0), timestamp=0.0)] if old_seed else []
+    chain = [
+        StreamPoint(values=(0.0, 0.0), timestamp=0.001),
+        StreamPoint(values=(0.75, 0.0), timestamp=0.002),
+        StreamPoint(values=(1.5, 0.0), timestamp=0.003),
+    ]
+    for batch_size in (None, 256):
+        model = EDMStream(radius=1.0, telemetry=True)
+        model.learn_many(first, batch_size=batch_size)
+        a, b, c = model.learn_many(chain, batch_size=batch_size)
+        assert b == a and c != a
+        seeds = {model._cells.view(cell_id).seed for cell_id in (a, c)}
+        assert seeds == {(0.0, 0.0), (1.5, 0.0)}
+        created = model.obs.registry.counter("cells_created_total").value
+        assert created == len(first) + 2
 
 
 def test_zero_dimensional_rows_share_one_cell():

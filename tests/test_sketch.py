@@ -7,6 +7,8 @@ bloom filter), the :class:`SketchTier` evict/estimate contract, the
 the cap unset takes none of the bounded code paths.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,24 @@ class TestBoundedCellStore:
             + footprint["stores"]
             + footprint["sketch"]
         )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_side_state_allowance_costs_a_seed_tuple_per_cell(self, dtype):
+        """The allowance for a 34-d cell is 1,328 bytes, whether or not a tuple is kept.
+
+        A float64 arena keeps no seed object (its row is the seed), but the
+        allowance still costs one d-tuple of floats, ``getsizeof`` plus 24
+        bytes per float, and 200 bytes of map entries: the calibrated value
+        eviction under a cap depends on.
+        """
+        arena = CellArrays(dtype=dtype)
+        seeds = np.random.default_rng(4).normal(size=(7, 34))
+        arena.create_many(seeds)
+        assert (arena._seed_obj is None) == (dtype == np.float64)
+        per_cell = sys.getsizeof(tuple(seeds[0].tolist())) + 24 * 34 + 200
+        assert per_cell == 1328
+        footprint = cell_state_footprint(arena, CellStore(arrays=arena), CellStore(arrays=arena))
+        assert footprint["side_state"] == 7 * per_cell
 
 
 class TestMassEviction:

@@ -5,11 +5,14 @@ after outlier deletion, capacity-growth boundaries, and the float32 seed
 mode's tolerance envelope against the exact float64 arena.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from repro.core.cellstore import CellStore
 from repro.core.edmstream import EDMStream
+from repro.core.persistence import load_model, save_model
 from repro.core.soa import DETACHED, FREE, MEMBER, CellArrays
 from repro.distance.metrics import pairwise_euclidean
 
@@ -163,7 +166,10 @@ def arena_state(arena, first_id):
     live = arena.cell_ids[:top]
     columns["cell_ids"] = np.where(live >= 0, live - first_id, live).tolist()
     columns["seeds"] = arena.seeds[:top].tolist()
-    columns["seed_objects"] = [arena._seed_obj.get(slot) for slot in range(top)]
+    columns["seed_objects"] = [
+        arena.seed_of(slot) if arena.status[slot] != FREE else None for slot in range(top)
+    ]
+    columns["kept_objects"] = None if arena._seed_obj is None else sorted(arena._seed_obj)
     return columns, list(arena._free), arena.capacity
 
 
@@ -173,20 +179,23 @@ class TestCreateMany:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("released, count", [(0, 3), (0, 9), (2, 2), (3, 7), (5, 30)])
     def test_matches_one_create_per_seed(self, dtype, released, count):
+        """Rows, tuples and one ``create`` per seed leave identical arenas."""
         rng = np.random.default_rng(count + released)
         seeds = rng.normal(size=(count, 3))
+        seeds[0, 0] = -0.0
         times = np.linspace(1.0, 2.0, count)
         density = 1.0 + rng.random(count)
         states = []
-        for bulk in (False, True):
+        for given in ("one", "rows", "tuples"):
             arena = CellArrays(numeric=True, dtype=dtype, capacity=4)
             old = [arena.create((float(i), 0.0, 1.0)) for i in range(6)]
             for cell_id in old[1 : 1 + released]:  # slots to reuse, LIFO
                 arena.release(cell_id)
             first = old[-1] + 1
-            if bulk:
+            if given != "one":
                 ids = arena.create_many(
-                    seeds, density=density, created_at=times, last_update=times,
+                    seeds if given == "rows" else list(map(tuple, seeds.tolist())),
+                    density=density, created_at=times, last_update=times,
                     last_absorb=times,
                 ).tolist()
             else:
@@ -199,7 +208,7 @@ class TestCreateMany:
             assert ids == list(range(first, first + count))
             arena.validate()
             states.append((arena_state(arena, old[0]), [arena.slot_of(i) for i in ids]))
-        assert states[0] == states[1]
+        assert states[0] == states[1] == states[2]
 
     def test_seeds_given_as_objects_or_rows_are_the_same(self):
         rows = np.asarray([[0.1, 0.2], [0.3, 0.4]])
@@ -216,6 +225,18 @@ class TestCreateMany:
             arena.create_many([(1.0, 2.0), (1.0, 2.0, 3.0)])
         assert arena_state(arena, 0) == before
         assert arena.create_many([]).tolist() == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 1), (4,), (2, 2, 2)])
+    def test_wrong_shape_array_changes_nothing(self, dtype, shape):
+        arena = CellArrays(numeric=True, dtype=dtype, capacity=4)
+        for i in range(3):
+            arena.allocate(i, (float(i), float(-i)))
+        before = arena_state(arena, 0), len(arena), arena.dim
+        with pytest.raises(ValueError, match="seed"):
+            arena.create_many(np.ones(shape))
+        assert (arena_state(arena, 0), len(arena), arena.dim) == before
+        arena.validate()
 
     def test_add_many_matches_one_add_per_id(self):
         stores = []
@@ -248,6 +269,95 @@ class TestCreateMany:
         with pytest.raises(KeyError):
             store.add_many([10**12])
         store.validate()
+
+
+def exact_norm2(row):
+    """The squared norm of a float64 row as an exact rational."""
+    return sum(Fraction(v) ** 2 for v in row)
+
+
+class TestSeedStorage:
+    """A float64 seed is its arena row; float32 and token-set arenas keep objects."""
+
+    EDGE_SEEDS = [
+        (-0.0, 0.0),
+        (5e-324, -2.5e-310),
+        (1e300, -1e300),
+        (3, -7),
+        (0.1, 1.0 / 3.0),
+    ]
+
+    def test_float64_arena_keeps_no_seed_objects_and_returns_the_input(self):
+        arena = CellArrays(numeric=True)
+        ids = [arena.create(seed) for seed in self.EDGE_SEEDS]
+        assert arena._seed_obj is None
+        for seed, cell_id in zip(self.EDGE_SEEDS, ids):
+            expected = [float(v).hex() for v in seed]
+            for got in (arena.seed_of(arena.slot_of(cell_id)), arena.view(cell_id).seed):
+                assert type(got) is tuple and all(type(v) is float for v in got)
+                assert [v.hex() for v in got] == expected
+        bulk = arena.create_many(np.asarray(self.EDGE_SEEDS, dtype=np.float64))
+        for seed, cell_id in zip(self.EDGE_SEEDS, bulk.tolist()):
+            got = arena.view(cell_id).seed
+            assert [v.hex() for v in got] == [float(v).hex() for v in seed]
+
+    @pytest.mark.parametrize("given", ["one", "rows"])
+    def test_float32_arena_returns_the_original_float64_tuple(self, given):
+        seed = (0.1, 1.0 / 3.0)
+        arena = CellArrays(numeric=True, dtype=np.float32)
+        if given == "one":
+            cell_id = arena.create(seed)
+        else:
+            (cell_id,) = arena.create_many(np.asarray([seed])).tolist()
+        slot = arena.slot_of(cell_id)
+        assert arena.seed_of(slot) == seed == arena.view(cell_id).seed
+        assert tuple(arena.seeds[slot].tolist()) != seed  # the row is the rounded cast
+        arena.release(cell_id)
+        assert arena._seed_obj == {}
+
+    def test_token_set_arena_keeps_its_objects(self):
+        arena = CellArrays(numeric=False)
+        seeds = [frozenset({"a", "b"}), frozenset({"c"})]
+        ids = arena.create_many(seeds).tolist()
+        assert arena.seeds is None
+        for seed, cell_id in zip(seeds, ids):
+            assert arena.view(cell_id).seed is seed
+        arena.release(ids[0])
+        assert list(arena._seed_obj.values()) == [seeds[1]]
+
+    def test_save_load_keeps_float64_seeds_bit_equal(self, tmp_path):
+        rows = [(-0.0, 5e-324), (0.1, 1.0 / 3.0), (1.0, -2.5e-310), (7.0, 1e10)]
+        model = EDMStream(radius=0.05, init_size=3, stream_rate=1000.0)
+        for row in rows:
+            model.learn_one(row)
+        path = save_model(model, tmp_path / "model.json")
+        restored = load_model(path)
+
+        def seeds(m):
+            return sorted(
+                tuple(v.hex() for v in m._cells.view(cell_id).seed) for cell_id in m._cells.ids()
+            )
+
+        assert seeds(restored) == seeds(model)
+        assert sorted(tuple(float(v).hex() for v in row) for row in rows) == seeds(model)
+        assert restored._cells._seed_obj is None
+
+    @pytest.mark.parametrize("dim", [1, 2, 34, 300])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_seed_norm2_is_within_the_gram_slack_bound(self, dim, dtype):
+        """``seed_norm2`` is one vectorised sum: at most 4(d+3)·2⁻⁵³·‖s‖² off exact."""
+        rng = np.random.default_rng(dim)
+        scale = 10.0 ** rng.uniform(-150, 150, size=(64, 1))
+        if dtype == np.float32:
+            scale = 10.0 ** rng.uniform(-15, 15, size=(64, 1))
+        seeds = rng.normal(size=(64, dim)) * scale
+        arena = CellArrays(numeric=True, dtype=dtype)
+        ids = arena.create_many(seeds).tolist()
+        bound = Fraction(4 * (dim + 3), 2**53)
+        for cell_id in ids:
+            slot = arena.slot_of(cell_id)
+            exact = exact_norm2(arena.seeds[slot].astype(np.float64).tolist())
+            assert abs(Fraction(float(arena.seed_norm2[slot])) - exact) <= bound * exact
 
 
 class TestFloat32Mode:
