@@ -2,11 +2,11 @@
 
 This package is a from-scratch reproduction of the VLDB 2017 paper
 *Clustering Stream Data by Exploring the Evolution of Density Mountain*
-(Gong, Zhang, Yu), including the EDMStream algorithm itself, batch Density
-Peaks clustering, the stream-clustering baselines it is compared against
-(DenStream, D-Stream, DBSTREAM, MR-Stream, CluStream), synthetic and
-surrogate workload generators, the CMM quality metric and a benchmark
-harness that regenerates every table and figure of the paper's evaluation.
+(Gong, Zhang, Yu), including the EDMStream algorithm itself, the
+stream-clustering baselines it is compared against (DenStream, D-Stream,
+DBSTREAM, MR-Stream, CluStream), synthetic and surrogate workload
+generators, the CMM quality metric and a benchmark harness that regenerates
+every table and figure of the paper's evaluation.
 
 Quickstart (ingest, then serve from an immutable snapshot)::
 

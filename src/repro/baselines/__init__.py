@@ -10,8 +10,8 @@ extension.
 
 The batch substrates those offline components need — DBSCAN and k-means —
 are implemented here as well and are also usable standalone.  BIRCH (the
-CF-Tree ancestor contrasted against the DP-Tree in Section 7) and SOStream
-(single-phase, self-organising) are included for the ablation experiments.
+CF-Tree ancestor contrasted against the DP-Tree in Section 7) is included
+for the CF-Tree ablation.
 """
 
 from repro.api import StreamClusterer
@@ -24,7 +24,6 @@ from repro.baselines.mrstream import MRStream
 from repro.baselines.clustream import CluStream
 from repro.baselines.naive_dp import PeriodicDPStream
 from repro.baselines.birch import Birch, CFTree, ClusteringFeature
-from repro.baselines.sostream import SOStream
 
 __all__ = [
     "StreamClusterer",
@@ -39,5 +38,4 @@ __all__ = [
     "Birch",
     "CFTree",
     "ClusteringFeature",
-    "SOStream",
 ]

@@ -180,15 +180,6 @@ class TauOptimizer:
         self.alpha = matching[len(matching) // 2]
         return self.alpha
 
-    def _argmin_tau(
-        self, alpha: float, deltas: Sequence[float], candidates: Optional[List[float]] = None
-    ) -> float:
-        if candidates is None:
-            candidates = candidate_taus(deltas)
-        inter_term, intra_term = _score_components(deltas, candidates)
-        values = alpha * inter_term + (1.0 - alpha) * intra_term
-        return candidates[int(np.argmin(values))]
-
     def optimize(
         self,
         deltas: Sequence[float],

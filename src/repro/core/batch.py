@@ -80,6 +80,30 @@ _INIT = "init"
 _PERIODIC = "periodic"
 
 
+def finite_timestamp(timestamp: Any) -> bool:
+    """Whether ``timestamp`` is a finite real number."""
+    try:
+        return math.isfinite(timestamp)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float
+        return False
+
+
+def check_timestamps(timestamps: Sequence[Optional[float]], first_row: int = 0) -> None:
+    """Reject a timestamp that is not a finite real number; ``None`` passes.
+
+    A NaN would leave ``now`` NaN in one engine and ignored in the other;
+    an infinite one would pin ``now`` and decay every cell to nothing.
+    Raises ``ValueError`` naming the first offending row, counted from
+    ``first_row``.
+    """
+    for i, timestamp in enumerate(timestamps):
+        if timestamp is not None and not finite_timestamp(timestamp):
+            raise ValueError(
+                f"row {first_row + i} has a timestamp that is not a finite real number: "
+                f"{timestamp!r}"
+            )
+
+
 class BatchIngestor:
     """Ingest micro-batches of stream points into an :class:`EDMStream`.
 
@@ -119,10 +143,11 @@ class BatchIngestor:
     def ingest_batch(self, points: Sequence[StreamPoint], first_row: int = 0) -> List[int]:
         """Ingest one micro-batch; returns the absorbing cell id per point.
 
-        Numeric batches are checked against the input contract before any
-        state changes: a row with a non-finite value or the wrong dimension
-        rejects the whole batch with a ``ValueError`` naming it (counted
-        from ``first_row``).
+        Batches are checked against the input contract before any state
+        changes: a timestamp that is not a finite real number, or (numeric
+        batches) a row with a non-finite value or the wrong dimension,
+        rejects the whole batch with a ``ValueError`` naming the row
+        (counted from ``first_row``).
         """
         if not points:
             return []
@@ -134,10 +159,10 @@ class BatchIngestor:
             values: Any = model._cells.check_rows([point.values for point in points], first_row)
         else:
             values = [point.values for point in points]
+        times = self._timeline(points, first_row)
         obs = model.obs
         obs.counter("ingest_points_total").inc(len(points))
         obs.counter("ingest_batches_total").inc()
-        times = self._timeline(points)
         if model._start_time is None:
             first = points[0].timestamp
             model._start_time = float(times[0] if first is None else first)
@@ -159,16 +184,27 @@ class BatchIngestor:
     # ------------------------------------------------------------------ #
     # timeline and chunk planning
     # ------------------------------------------------------------------ #
-    def _timeline(self, points: Sequence[StreamPoint]) -> np.ndarray:
-        """Per-point observation times (running max, as ``learn_one`` sees)."""
+    def _timeline(self, points: Sequence[StreamPoint], first_row: int) -> np.ndarray:
+        """Per-point observation times (running max, as ``learn_one`` sees).
+
+        Raises ``ValueError`` for a timestamp that is not a finite real
+        number; see :func:`check_timestamps`.
+        """
         model = self.model
         now = model._now
         raw = [point.timestamp for point in points]
         if None not in raw:
-            times = np.asarray(raw, dtype=float)
+            times = np.asarray(raw)
+            # Strings would convert to float: only numeric dtypes skip the
+            # per-row check.  Real numbers held as objects (Fraction) pass it.
+            if times.dtype.kind not in "biuf" or not np.isfinite(times).all():
+                check_timestamps(raw, first_row)
+                times = np.asarray(raw, dtype=float)
+            times = times.astype(float, copy=False)
             if times[0] <= now or np.any(np.diff(times) < 0.0):
                 np.maximum.accumulate(np.maximum(times, now), out=times)
             return times
+        check_timestamps(raw, first_row)
         n_points = model._n_points
         rate = model.config.stream_rate
         times = np.empty(len(points), dtype=float)

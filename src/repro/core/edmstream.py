@@ -46,6 +46,7 @@ import numpy as np
 
 from repro.api import ClusterSnapshot, ServingView, StreamClusterer, as_stream_points
 from repro.core.adaptive_tau import TauOptimizer, suggest_initial_tau
+from repro.core.batch import BatchIngestor, check_timestamps, finite_timestamp
 from repro.core.config import EDMStreamConfig
 from repro.core.decay import DecayModel
 from repro.core.dptree import DPTree, dominates, lex_improves
@@ -276,11 +277,16 @@ class EDMStream(StreamClusterer):
         """Ingest one point; returns the id of the cell that absorbed it.
 
         ``label`` is accepted for the :class:`~repro.api.StreamClusterer`
-        protocol and ignored: EDMStream keeps no per-label state.
+        protocol and ignored: EDMStream keeps no per-label state.  A
+        ``timestamp`` of ``None`` means the next arrival at the stream rate;
+        one that is not a finite real number raises ``ValueError`` before any
+        state changes.
         """
         point = self._prepare(values)
         if timestamp is None:
             timestamp = self._now + 1.0 / self.config.stream_rate if self._n_points else 0.0
+        elif not finite_timestamp(timestamp):
+            raise ValueError(f"timestamp is not a finite real number: {timestamp!r}")
         if self._start_time is None:
             self._start_time = timestamp
         self._now = max(self._now, timestamp)
@@ -334,13 +340,12 @@ class EDMStream(StreamClusterer):
             while chunk := list(islice(points, 256)):
                 if self._numeric:
                     self._cells.check_rows([point.values for point in chunk], len(assigned))
+                check_timestamps([point.timestamp for point in chunk], len(assigned))
                 for point in chunk:
                     assigned.append(
                         self.learn_one(point.values, timestamp=point.timestamp, label=point.label)
                     )
         else:
-            from repro.core.batch import BatchIngestor
-
             assigned = BatchIngestor(self, batch_size=batch_size).ingest(points)
         self.request_clustering()
         return assigned

@@ -1,20 +1,11 @@
-"""Batch Density Peaks clustering (Rodriguez & Laio, Science 2014).
+"""The decision graph of Density Peaks clustering (Rodriguez & Laio, Science 2014).
 
-This is the algorithm EDMStream turns into a streaming method (Section 2 of
-the paper).  The batch implementation is used
-
-* as a reference implementation that the DP-Tree based clustering must agree
-  with on static data (tested in ``tests/test_dp_consistency.py``),
-* for the decision-graph initialisation step (Section 5), and
-* as a standalone clusterer for the examples.
+Density Peaks is the batch algorithm EDMStream turns into a streaming
+method (Section 2 of the paper).  :class:`DecisionGraph` holds the (ρ, δ)
+pairs of the active cluster-cells (:meth:`repro.core.EDMStream.decision_graph`)
+and renders them as text, with τ-based peak selection.
 """
 
-from repro.dp.decision_graph import DecisionGraph, decision_graph_from_result
-from repro.dp.density_peaks import DensityPeaks, DensityPeaksResult
+from repro.dp.decision_graph import DecisionGraph
 
-__all__ = [
-    "DensityPeaks",
-    "DensityPeaksResult",
-    "DecisionGraph",
-    "decision_graph_from_result",
-]
+__all__ = ["DecisionGraph"]

@@ -8,8 +8,7 @@ EDMStream uses the graph once at initialisation to learn the user's
 granularity preference α (Section 5).
 
 This module renders the graph as text (the repository has no plotting
-dependency) and provides the peak-selection helpers used by the adaptive-τ
-experiment (Figure 15, Table 4).
+dependency) and provides τ-based peak-selection helpers.
 """
 
 from __future__ import annotations
@@ -97,12 +96,3 @@ class DecisionGraph:
         lines.extend("|" + "".join(r) for r in grid)
         lines.append("+" + "-" * width + "> rho")
         return "\n".join(lines)
-
-
-def decision_graph_from_result(result) -> DecisionGraph:
-    """Build a :class:`DecisionGraph` from a :class:`~repro.dp.density_peaks.DensityPeaksResult`."""
-    return DecisionGraph(
-        rho=[float(v) for v in result.rho],
-        delta=[float(v) for v in result.delta],
-        ids=list(range(len(result.rho))),
-    )

@@ -7,9 +7,6 @@
 * :mod:`repro.evaluation.external` — classical external metrics (purity,
   F-measure, Rand index, adjusted Rand index, normalised mutual information)
   used as supporting measurements and in tests.
-* :mod:`repro.evaluation.internal` — ground-truth-free metrics (silhouette,
-  Davies–Bouldin, Dunn, SSQ, within/between ratio) used for unlabelled
-  streams and the adaptive-τ ablation.
 """
 
 from repro.evaluation.cmm import CMM, CMMResult
@@ -21,14 +18,6 @@ from repro.evaluation.external import (
     purity,
     rand_index,
 )
-from repro.evaluation.internal import (
-    cluster_centroids,
-    davies_bouldin_index,
-    dunn_index,
-    silhouette_score,
-    sum_of_squared_errors,
-    within_between_ratio,
-)
 
 __all__ = [
     "CMM",
@@ -39,10 +28,4 @@ __all__ = [
     "adjusted_rand_index",
     "normalized_mutual_information",
     "contingency_table",
-    "silhouette_score",
-    "davies_bouldin_index",
-    "dunn_index",
-    "sum_of_squared_errors",
-    "within_between_ratio",
-    "cluster_centroids",
 ]

@@ -81,10 +81,3 @@ def format_comparison(
             row[name] = series.y[i] if i < len(series.y) else ""
         rows.append(row)
     return format_table(rows)
-
-
-def summary_row(label: str, **values: Any) -> Dict[str, Any]:
-    """Build a one-row summary dict with a leading label column."""
-    row: Dict[str, Any] = {"name": label}
-    row.update(values)
-    return row

@@ -87,10 +87,6 @@ class BloomFilter:
         """Fraction of bits set (drives the live false-positive rate)."""
         return float(np.unpackbits(self._bits).sum()) / float(self.n_bits)
 
-    def current_error_rate(self) -> float:
-        """False-positive probability implied by the current fill ratio."""
-        return self.fill_ratio() ** self.n_hashes
-
     def nbytes(self) -> int:
         """Bytes held by the bit array and hash parameters."""
         return int(self._bits.nbytes + self._mul.nbytes + self._add.nbytes)

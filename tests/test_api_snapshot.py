@@ -33,7 +33,6 @@ from repro.baselines import (
     KMeans,
     MRStream,
     PeriodicDPStream,
-    SOStream,
 )
 from repro.core import EDMStream
 from repro.streams import SDSGenerator
@@ -65,14 +64,13 @@ def all_clusterers():
         CluStream(n_micro_clusters=30, n_macro_clusters=2),
         PeriodicDPStream(radius=0.8, tau=3.0, stream_rate=100.0),
         Birch(threshold=0.8, n_macro_clusters=2),
-        SOStream(merge_threshold=0.4),
     ]
 
 
 class TestProtocolConformance:
     def test_every_clusterer_implements_the_protocol(self):
         algorithms = all_clusterers()
-        assert len(algorithms) == 11
+        assert len(algorithms) == 10
         for algorithm in algorithms:
             assert isinstance(algorithm, StreamClusterer), algorithm
 

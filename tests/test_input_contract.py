@@ -1,10 +1,13 @@
-"""The numeric input contract: finite values, one fixed dimension.
+"""The input contract: finite values, one fixed dimension, finite timestamps.
 
 A NaN row or a row of the wrong dimension is rejected with a ``ValueError``
 naming the row, before any state changes, by ``learn_one``, both
 ``learn_many`` engines (checked once per micro-batch), ``predict_one`` and
-``predict_many``.  A rejected call leaves the model valid and as it was:
-further ingestion matches a model that never saw the call.
+``predict_many``.  A timestamp that is not a finite real number (NaN,
+±inf, a string) is rejected the same way by ``learn_one`` and
+``learn_many``; ``None`` keeps meaning the next arrival at the stream rate.
+A rejected call leaves the model valid and as it was: further ingestion
+matches a model that never saw the call.
 """
 
 import math
@@ -176,3 +179,65 @@ def test_rows_with_vector_elements_are_rejected_like_before():
         arena.check_rows(["12"])
     mixed = arena.check_rows([(1, 2.5), [np.float32(0.5), True]])
     assert mixed.tolist() == [[1.0, 2.5], [0.5, 1.0]]
+
+
+NOT_FINITE = "timestamp that is not a finite real number"
+
+
+def ingest(model, points, call):
+    if call == "learn_one":
+        for point in points:
+            model.learn_one(point.values, timestamp=point.timestamp)
+    else:
+        model.learn_many(points, batch_size=call)
+
+
+@pytest.mark.parametrize("call", ["learn_one", 1, 256])
+@pytest.mark.parametrize("prefix", [0, 600], ids=["first-point", "mid-stream"])
+@pytest.mark.parametrize(
+    "timestamp", [math.nan, math.inf, -math.inf, "1.5"], ids=["nan", "+inf", "-inf", "str"]
+)
+def test_bad_timestamps_are_rejected_before_any_state_change(timestamp, prefix, call):
+    """Unchecked, a NaN made ``now`` NaN in the batch engine and was ignored by
+    ``learn_one``; a NaN first timestamp left every density key stale, an
+    infinite one pinned ``now`` and emptied the DP-Tree, and a string was
+    read as a number by the batch engine but raised ``TypeError`` in
+    ``learn_one``."""
+    head = make_stream(prefix)
+    call_points = make_stream(100, seed=1, start=0.6)
+    # Mid-stream, a micro-batch engine gets the bad row inside its batch.
+    row = 17 if call == 256 and prefix else 0
+
+    reference = EDMStream(radius=0.5, init_size=200)
+    ingest(reference, head, call)
+    ingest(reference, call_points, call)
+
+    model = EDMStream(radius=0.5, init_size=200)
+    ingest(model, head, call)
+    before = (model.n_points, model.now, model.summary(), cell_state(model))
+    if call == "learn_one":
+        with pytest.raises(ValueError, match="timestamp is not a finite real number: "):
+            model.learn_one(call_points[row].values, timestamp=timestamp)
+    else:
+        bad = list(call_points)
+        bad[row] = StreamPoint(values=bad[row].values, timestamp=timestamp)
+        with pytest.raises(ValueError, match=f"row {row} has a {NOT_FINITE}"):
+            model.learn_many(bad, batch_size=call)
+    model.tree.validate()
+    model._cells.validate()
+    assert (model.n_points, model.now, model.summary(), cell_state(model)) == before
+
+    ingest(model, call_points, call)
+    model.tree.validate()
+    assert cell_state(model) == cell_state(reference)
+
+
+@pytest.mark.parametrize("batch_size", ENGINES)
+def test_a_nan_timestamp_among_stream_rate_arrivals_rejects_its_batch(batch_size):
+    points = [StreamPoint(values=(0.1 * i, 0.0), timestamp=None) for i in range(40)]
+    points[25] = StreamPoint(values=(2.5, 0.0), timestamp=math.nan)
+    model = EDMStream(radius=0.5, init_size=10)
+    with pytest.raises(ValueError, match=f"row 25 has a {NOT_FINITE}: nan"):
+        model.learn_many(points, batch_size=batch_size)
+    assert model.n_points == 0 and model._start_time is None
+    model._cells.validate()
