@@ -56,6 +56,17 @@ _INITIAL_CAPACITY = 64
 _SCAN_SCREEN_MIN_WORK = 2**16
 
 
+def decayed(
+    density: np.ndarray, last_update: np.ndarray, now: float, decay: DecayModel
+) -> np.ndarray:
+    """Stored densities held since ``last_update``, decayed to ``now`` (element-wise).
+
+    The vector formula behind :meth:`CellStore.densities_of`, for callers
+    that hold a density no longer in the arena columns.
+    """
+    return density * decay.rate ** np.maximum(0.0, now - last_update)
+
+
 class CellStore:
     """A vectorised population view over a shared :class:`CellArrays` arena.
 
@@ -281,8 +292,7 @@ class CellStore:
         may screen but never decide.  Each element depends only on its own
         slot, not on which others are gathered with it.
         """
-        elapsed = np.maximum(0.0, now - self._arrays.last_update[slots])
-        return self._arrays.density[slots] * decay.rate**elapsed
+        return decayed(self._arrays.density[slots], self._arrays.last_update[slots], now, decay)
 
     def deltas(self) -> np.ndarray:
         """Dependent distances of every stored cell (array order; a copy)."""

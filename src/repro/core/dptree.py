@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cellstore import CellStore
+from repro.core.cellstore import CellStore, decayed
 from repro.core.decay import DecayModel
 from repro.core.filters import FilterStatistics
 
@@ -189,20 +189,26 @@ class DPTree(CellStore):
         rho_after: float,
         decay: DecayModel,
         origin: float,
+        stored_before: Tuple[float, float],
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """What a member's absorption at ``now`` changes in the dominance relation.
 
         ``cell_id`` went from ``rho_before`` to ``rho_after`` (already
-        written through :meth:`write_density`).  Returns the array positions,
-        ascending, of the cells it *newly* dominates — those with
-        ``rho_before ≤ ρ_c`` that it dominates now (Theorem 1) — and, when
-        its link to ``dependency`` went stale (the dependency is not in the
-        tree, ``-1`` for none, or the absorber now dominates it), the array
-        positions, ascending, of its dominators, for :meth:`relink`;
-        ``None`` while the link holds.  ``ρ_c`` is the value
-        :meth:`densities_of` gives at ``now``, exactly as a full density
-        vector would; ``origin`` (the model's start time, at or before every
-        stored ``last_update``) is t₀ of the keys.
+        written through :meth:`write_density`); ``stored_before`` is the
+        ``(density, last_update)`` pair its columns held before that write.
+        Returns the array positions, ascending, of the cells it *newly*
+        dominates — those with ``ρ̂ ≤ ρ_c`` that it dominates now
+        (Theorem 1) — and, when its link to ``dependency`` went stale (the
+        dependency is not in the tree, ``-1`` for none, or the absorber now
+        dominates it), the array positions, ascending, of its dominators,
+        for :meth:`relink`; ``None`` while the link holds.  ``ρ_c`` is the
+        value :meth:`densities_of` gives at ``now``, exactly as a full
+        density vector would, and ``ρ̂`` is ``stored_before`` decayed to
+        ``now`` by the same formula: ``rho_before``, the scalar value Eq. 8
+        added one to, can differ from it in the last bit, and a tie with a
+        cell seeded at the same time must stay a tie.  ``origin`` (the
+        model's start time, at or before every stored ``last_update``) is
+        t₀ of the keys.
 
         Two bisects find the band ``[K(ρ_lo) − ε, K(rho_after) + ε]``, with
         ``K(ρ) = ln ρ − ℓ̂·(now − t₀)`` the key a density ``ρ`` held at
@@ -232,15 +238,24 @@ class DPTree(CellStore):
           normal;
         * query rounding: ``|K(ρ) − I(ρ)| ≤ 6u·|ln ρ| + 9u·Λ``.
 
-        Their sum is below ``32u·(M + Λ + 1)``, and ``ε = 2⁻⁴⁰·(M + Λ + 1)``
-        is 256 times that.  (A cell whose value lies below half of
-        ``ρ_lo`` or above twice ``rho_after`` is farther from the band than
-        any rounding, so the bound on ``|ln ρ_c|`` loses nothing.)  So
-        ``v_c ≥ ρ_lo`` puts κ_c at or above
+        Their sum is below ``32u·(M + Λ + 1)``, and
+        ``ε = 2⁻⁴⁰·(M + Λ + 1 + T/2⁸)``, ``T = now − t₀``, is 256 times that
+        (the ``T`` term is for ``ρ̂``, below).  (A cell whose value lies
+        below half of ``ρ_lo`` or above twice ``rho_after`` is farther from
+        the band than any rounding, so the bound on ``|ln ρ_c|`` loses
+        nothing.)  So ``v_c ≥ ρ_lo`` puts κ_c at or above
         ``K(ρ_lo) − ε``, ``v_c ≤ rho_after`` puts it at or below
         ``K(rho_after) + ε``, and a key more than ε inside an end proves
-        its value strictly inside that end.  The decisions thus equal a
-        full :func:`dominates` mask's, bit for bit, whatever the rounding.
+        its value strictly inside that end.  ``rho_before`` is
+        ``a ** (λ·Δt)`` times the stored density and ``ρ̂`` is
+        ``fl(a^λ) ** Δt`` times it, over the same rounded ``Δt ≤ T``, so
+        ``|ln ρ̂ − ln rho_before| ≤ u·(2T + Λ + 10)`` (the rate, within
+        2u, raised to ``Δt``; the rounded ``λ·Δt``; two ``pow`` and two
+        products), which ε's ``T`` term covers 16 times over and its spare
+        margin the rest.  So the same holds with ``ρ̂`` in place of ``ρ_lo``:
+        only the lower knife edge needs ``ρ̂``, computed when that edge holds
+        a cell.  The decisions thus equal a full :func:`dominates` mask's,
+        bit for bit, whatever the rounding.
         A density that underflowed to 0 has key ``-inf`` and sorts first.
         """
         if self._keys is None:
@@ -249,10 +264,11 @@ class DPTree(CellStore):
         floor = max(rho_before, _KEY_FLOOR)
         log_lo = math.log(floor)
         log_hi = math.log(rho_after)
-        shift = self._log_rate * (now - self._origin)  # as in _key
+        elapsed = now - self._origin
+        shift = self._log_rate * elapsed  # as in _key
         key_lo = log_lo - shift
         key_hi = log_hi - shift
-        epsilon = _KEY_SLACK * (max(-log_lo, log_hi) - shift + 1.0)
+        epsilon = _KEY_SLACK * (max(-log_lo, log_hi) - shift + 1.0 + elapsed / 256)
         inner_lo = key_lo + epsilon
         inner_hi = key_hi - epsilon
         first = bisect_left(keys, key_lo - epsilon) if rho_before >= _KEY_FLOOR else 0
@@ -284,7 +300,13 @@ class DPTree(CellStore):
             if own_edge:
                 stale = bool(dominated[-1])
                 dominated, values, edge_ids = dominated[:-1], values[:-1], edge_ids[:-1]
-            kept.extend(edge_ids[dominated & (values >= rho_before)].tolist())
+            # The lower knife edge is decided against ρ̂; every cell above
+            # inner_lo lies above ρ̂ and rho_before alike.
+            threshold = rho_before
+            if first < inner:
+                density, last_update = stored_before
+                threshold = decayed(np.array([density]), np.array([last_update]), now, decay)[0]
+            kept.extend(edge_ids[dominated & (values >= threshold)].tolist())
             if stale:
                 # Of two distinct cells exactly one dominates the other.
                 higher = edge_ids[~dominated].tolist()
@@ -345,29 +367,41 @@ class DPTree(CellStore):
         A caller that already knows the dominators of a single listed cell,
         as :meth:`theorem_one` does, passes their positions, ascending, as
         ``dominators`` (without ``repoint``); then ``densities`` is not
-        read and the block holds exactly those columns.
+        read, the block is that one row over exactly those columns, and the
+        link is read off its minimum and the ids at it, with no mask.
         """
         ids = self.ids_array()
-        if dominators is None:
-            rows_rho = densities[positions, None]
-            rows_id = ids[positions, None]
-            higher = dominates(densities, ids, rows_rho, rows_id)
-            needed = higher.any(axis=0)
-            if repoint:
-                lower = dominates(rows_rho, rows_id, densities, ids)
-                lower[:, positions] = False
-                needed |= lower.any(axis=0)
-            columns = needed.nonzero()[0]
-            higher = higher[:, columns]
-        else:
-            columns = dominators
-            higher = True
+        arrays = self._arrays
+        if dominators is not None:
+            row = self.cross_distances(positions, dominators)[0]
+            stats.distance_computations += row.size
+            dep, delta = -1, math.inf
+            if row.size:
+                delta = float(row.min())
+                if math.isfinite(delta):
+                    dep = int(ids[dominators[row == delta]].min())
+            slot = self._slots[positions[0]]
+            if dep != arrays.dep[slot] or delta != arrays.delta[slot]:
+                stats.dependency_changes += 1
+            arrays.dep[slot] = dep
+            arrays.delta[slot] = delta
+            return
+
+        rows_rho = densities[positions, None]
+        rows_id = ids[positions, None]
+        higher = dominates(densities, ids, rows_rho, rows_id)
+        needed = higher.any(axis=0)
+        if repoint:
+            lower = dominates(rows_rho, rows_id, densities, ids)
+            lower[:, positions] = False
+            needed |= lower.any(axis=0)
+        columns = needed.nonzero()[0]
+        higher = higher[:, columns]
         block = self.cross_distances(positions, columns)
         stats.distance_computations += int(block.size)
 
         # Own links: row minimum over the dominators, then the smallest id
         # among the entries at that minimum.
-        arrays = self._arrays
         id_max = np.iinfo(np.int64).max
         candidates = np.where(higher, block, np.inf)
         delta = candidates.min(axis=1, initial=np.inf)

@@ -287,6 +287,8 @@ class EDMStream(StreamClusterer):
             timestamp = self._now + 1.0 / self.config.stream_rate if self._n_points else 0.0
         elif not finite_timestamp(timestamp):
             raise ValueError(f"timestamp is not a finite real number: {timestamp!r}")
+        else:
+            timestamp = float(timestamp)  # as the batch engine's float64 timeline
         if self._start_time is None:
             self._start_time = timestamp
         self._now = max(self._now, timestamp)
@@ -600,7 +602,12 @@ class EDMStream(StreamClusterer):
         n_active = len(self._active)
         with self._obs_absorb:
             arrays = self._cells
-            rho_before = arrays.density_at(slot, now, self.decay)
+            # CellArrays.density_at on the stored pair, read once: the
+            # Theorem 1 pass needs the pair too.
+            density, last_update = float(arrays.density[slot]), float(arrays.last_update[slot])
+            rho_before = density
+            if now >= last_update:
+                rho_before = self.decay.decay_density(density, now - last_update)
             rho_after = rho_before + 1.0
             if position < n_active:
                 self._active.write_density(cell_id, slot, rho_after, now)
@@ -616,7 +623,14 @@ class EDMStream(StreamClusterer):
         elif self._initialized:
             with self._obs_dependency:
                 self._update_dependencies(
-                    cell_id, slot, now, rho_before, rho_after, distances[:n_active], position
+                    cell_id,
+                    slot,
+                    now,
+                    rho_before,
+                    rho_after,
+                    (density, last_update),
+                    distances[:n_active],
+                    position,
                 )
         return cell_id
 
@@ -658,13 +672,15 @@ class EDMStream(StreamClusterer):
         now: float,
         rho_before: float,
         rho_after: float,
+        stored_before: Tuple[float, float],
         point_distances: np.ndarray,
         position: int,
     ) -> None:
         """Dependency update after the active cell at ``position`` absorbed a point.
 
-        ``point_distances`` holds the point's distance to every active seed
-        (array order).  Two steps:
+        ``stored_before`` is the absorber's ``(density, last_update)`` before
+        the absorb, and ``point_distances`` the point's distance to every
+        active seed (array order).  Two steps:
 
         1. The absorber's own dependency.  If its current dependency still
            dominates it, the set of higher-density cells it
@@ -692,7 +708,14 @@ class EDMStream(StreamClusterer):
         dominated = None
         if self.config.enable_density_filter:
             kept, dominators = active.theorem_one(
-                cell_id, dependency, now, rho_before, rho_after, self.decay, self._start_time
+                cell_id,
+                dependency,
+                now,
+                rho_before,
+                rho_after,
+                self.decay,
+                self._start_time,
+                stored_before,
             )
             if dominators is not None:
                 active.relink(
@@ -715,14 +738,13 @@ class EDMStream(StreamClusterer):
         kept_slots = active.slots()[kept]
         deltas = arrays.delta[kept_slots]
         if self.config.enable_triangle_filter:
-            gap = np.abs(point_distances[kept] - float(point_distances[position]))
-            close = gap <= deltas
-            stats.triangle_filtered += kept.size - int(np.count_nonzero(close))
-            kept = kept[close]
-            if kept.size == 0:
+            close = np.abs(point_distances[kept] - point_distances[position]) <= deltas
+            count = int(np.count_nonzero(close))
+            stats.triangle_filtered += kept.size - count
+            if count == 0:
                 return
-            kept_slots = kept_slots[close]
-            deltas = deltas[close]
+            if count < kept.size:
+                kept, kept_slots, deltas = kept[close], kept_slots[close], deltas[close]
 
         # The absorber's seed as the kernel measures it: its arena row (the
         # exact seed in float64, the stored cast in float32).

@@ -43,9 +43,15 @@ def euclidean(a: Vector, b: Vector) -> float:
 
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
-    from scipy.spatial.distance import cdist as _cdist
-except ImportError:  # pragma: no cover - scipy is optional
-    _cdist = None
+    # The compiled function ``cdist(..., "euclidean")`` dispatches to: it
+    # checks shapes itself, without the public wrapper's ~1 µs of argument
+    # handling on every per-point call.
+    from scipy.spatial._distance_pybind import cdist_euclidean as _cdist
+except ImportError:  # pragma: no cover - a scipy without that private entry
+    try:
+        from scipy.spatial.distance import cdist as _cdist
+    except ImportError:  # scipy is optional
+        _cdist = None
 
 
 def pairwise_euclidean(queries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -61,8 +67,10 @@ def pairwise_euclidean(queries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     (``d(a, b)`` equals ``d(b, a)`` to the last bit, because some distances
     are computed in opposite orientations by the two paths):
 
-    * ``scipy.spatial.distance.cdist`` when scipy is available — a C kernel,
-      by far the fastest;
+    * scipy's compiled ``cdist`` kernel when scipy is available — by far
+      the fastest.  It is entered directly (the public ``cdist`` only when
+      that private entry is missing), and either way raises ``ValueError``
+      on operands that are not 2-d or differ in width;
     * otherwise a per-row ``np.einsum`` over the differences.
 
     When *both* operands arrive as ``float32`` (the arena's reduced-precision

@@ -19,7 +19,7 @@ it to the full mask:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import EDMStream
 from repro.core.decay import DecayModel
@@ -35,10 +35,11 @@ from repro.streams.point import StreamPoint
 
 #: How a cell's density relates to the absorber's: anywhere, exactly at
 #: ``rho_before`` or ``rho_after`` at ``now``, one decayed step from them
-#: (within an ulp or so of the end after numpy's rounding), underflowed to
-#: 0, or subnormal.
-_KINDS = ["any", "at_before", "at_after", "near_before", "near_after", "zero", "tiny"]
-_NEAR = ["near_before", "near_after"]
+#: (within an ulp or so of the end after numpy's rounding), stored exactly
+#: as the absorber was before it absorbed (seeded with it: a density tie),
+#: underflowed to 0, or subnormal.
+_KINDS = ["any", "at_before", "at_after", "near_before", "near_after", "twin", "zero", "tiny"]
+_NEAR = ["near_before", "near_after", "twin"]
 
 
 @st.composite
@@ -47,27 +48,39 @@ def _population(draw):
     origin = draw(st.sampled_from([0.0, 1.7e9]))
     span = draw(st.sampled_from([0.0, 0.25, 40.0, 1e6]))
     now = origin + span
-    rho_before = draw(
+    # The absorber's stored density before it absorbed, and for how long it
+    # had held it.
+    stored_density = draw(
         st.one_of(
             st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.5]),
             st.floats(min_value=0.0, max_value=60.0),
         )
     )
+    held = draw(st.sampled_from([0.0, span]) | st.floats(min_value=0.0, max_value=span))
     cells = []
     kinds = st.one_of(st.sampled_from(_KINDS), st.sampled_from(_NEAR))
     for kind in draw(st.lists(kinds, min_size=0, max_size=30)):
         elapsed = draw(st.floats(min_value=0.0, max_value=span)) if span else 0.0
         cells.append((kind, elapsed, draw(st.floats(min_value=0.0, max_value=80.0))))
-    return lam, origin, now, rho_before, cells
+    return lam, origin, now, stored_density, held, cells
 
 
 def _build(population):
-    """A DP-Tree over ``population`` plus an absorber that just went to ``rho_before + 1``."""
-    lam, origin, now, rho_before, cells = population
+    """A DP-Tree over ``population`` plus an absorber that just went to ``rho_before + 1``.
+
+    The absorber had held ``stored_density`` since ``now - held``; the
+    returned ``rho_before`` is that value decayed to ``now`` as Eq. 8 does
+    (Python's ``**``), and ``stored`` is the stored pair.
+    """
+    lam, origin, now, stored_density, held, cells = population
     decay = DecayModel(lam=lam)
-    rho_after = rho_before + 1.0
+    stored = (stored_density, now - held)
     arena = CellArrays()
     tree = DPTree(numeric=True, arrays=arena)
+    before = arena.create((-1.0,), density=stored_density, last_update=stored[1])
+    rho_before = arena.density_at(arena.slot_of(before), now, decay)
+    arena.release(before)
+    rho_after = rho_before + 1.0
     for i, (kind, elapsed, value) in enumerate(cells):
         target = {"at_before": rho_before, "at_after": rho_after}.get(kind, value)
         if kind in ("near_before", "near_after"):
@@ -78,6 +91,8 @@ def _build(population):
             density = end / factor if factor > 1e-100 else end
         elif kind in ("at_before", "at_after"):
             density, elapsed = target, 0.0
+        elif kind == "twin":
+            density, elapsed = stored_density, held
         elif kind == "zero":
             density = 0.0
         elif kind == "tiny":
@@ -88,20 +103,25 @@ def _build(population):
         tree.add(arena.create((float(i),), density=density, last_update=time, created_at=time))
     absorber = arena.create((-1.0,), density=rho_after, last_update=now, created_at=now)
     tree.add(absorber)
-    return tree, decay, origin, now, rho_before, rho_after, absorber
+    return tree, decay, origin, now, rho_before, rho_after, absorber, stored
 
 
-def _mask_answer(tree, decay, now, rho_before, rho_after, absorber):
+def _mask_answer(tree, decay, now, rho_after, absorber, stored):
     """What a full density vector and dominance mask decide.
 
-    The absorber's dominators, which a stale own link is refreshed over,
-    come from the mask ``relink`` builds for one row; ``None`` while the
-    link holds.
+    The cells the absorber newly dominates are those at or above its
+    ``stored`` pre-absorb density, decayed by the vector formula as the
+    vector held it before the absorb.  The absorber's dominators, which a
+    stale own link is refreshed over, come from the mask ``relink`` builds
+    for one row; ``None`` while the link holds.
     """
     densities = tree.densities_at(now, decay)
     ids = tree.ids_array()
+    density, last_update = stored
+    held = np.maximum(0.0, now - np.array([last_update]))
+    rho_hat = (np.array([density]) * decay.rate**held)[0]
     dominated = dominates(rho_after, absorber, densities, ids)
-    kept = (dominated & (densities >= rho_before)).nonzero()[0]
+    kept = (dominated & (densities >= rho_hat)).nonzero()[0]
     arena = tree.arrays
     dependency = int(arena.dep[arena.slot_of(absorber)])
     stale = dependency not in tree or bool(dominated[tree.position_of(dependency)])
@@ -112,16 +132,16 @@ def _mask_answer(tree, decay, now, rho_before, rho_after, absorber):
     return kept.tolist(), dominators
 
 
-def _check(tree, decay, origin, now, rho_before, rho_after, absorber):
+def _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored):
     dependency = int(tree.arrays.dep[tree.arrays.slot_of(absorber)])
     positions, dominators = tree.theorem_one(
-        absorber, dependency, now, rho_before, rho_after, decay, origin
+        absorber, dependency, now, rho_before, rho_after, decay, origin, stored
     )
     if dominators is not None:
         assert dominators.dtype == np.int64
         dominators = dominators.tolist()
     assert (positions.tolist(), dominators) == _mask_answer(
-        tree, decay, now, rho_before, rho_after, absorber
+        tree, decay, now, rho_after, absorber, stored
     )
     tree.validate()
 
@@ -129,20 +149,20 @@ def _check(tree, decay, origin, now, rho_before, rho_after, absorber):
 @settings(max_examples=150, deadline=None)
 @given(_population(), st.data())
 def test_theorem_one_equals_the_full_mask(population, data):
-    tree, decay, origin, now, rho_before, rho_after, absorber = _build(population)
+    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(population)
     others = [cell_id for cell_id in tree.ids() if cell_id != absorber]
     dependency = data.draw(st.sampled_from(others + [-1, -2]))
     tree.arrays.dep[tree.arrays.slot_of(absorber)] = dependency
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber)
+    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_population(), st.data())
 def test_the_order_follows_membership_and_density_writes(population, data):
     """Once built, the order is kept by add/remove/write_density, not rebuilt."""
-    tree, decay, origin, now, rho_before, rho_after, absorber = _build(population)
+    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(population)
     arena = tree.arrays
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin)
+    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
     others = [cell_id for cell_id in tree.ids() if cell_id != absorber]
     for cell_id in data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []:
         if data.draw(st.booleans()):
@@ -153,14 +173,14 @@ def test_the_order_follows_membership_and_density_writes(population, data):
             tree.write_density(cell_id, slot, value, now)
     tree.add(arena.create((-2.0,), density=rho_before, last_update=now, created_at=now))
     tree.validate()
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber)
+    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
 
 
 def test_validate_catches_a_density_written_behind_the_order():
-    tree, decay, origin, now, rho_before, rho_after, absorber = _build(
-        (1.0, 0.0, 10.0, 2.0, [("any", 5.0, 4.0), ("any", 0.0, 9.0)])
+    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(
+        (1.0, 0.0, 10.0, 2.0, 0.0, [("any", 5.0, 4.0), ("any", 0.0, 9.0)])
     )
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin)
+    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
     tree.validate()
     cell_id = tree.ids()[0]
     tree.arrays.density[tree.arrays.slot_of(cell_id)] = 7.5  # not through write_density
@@ -169,15 +189,55 @@ def test_validate_catches_a_density_written_behind_the_order():
 
 
 def test_a_dropped_order_is_rebuilt_from_the_arena():
-    tree, decay, origin, now, rho_before, rho_after, absorber = _build(
-        (1.0, 0.0, 10.0, 2.0, [("any", 5.0, 4.0), ("near_after", 3.0, 0.0), ("zero", 1.0, 0.0)])
+    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(
+        (
+            1.0,
+            0.0,
+            10.0,
+            2.0,
+            0.0,
+            [("any", 5.0, 4.0), ("near_after", 3.0, 0.0), ("zero", 1.0, 0.0)],
+        )
     )
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin)
+    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
     tree.drop_density_order()
     for cell_id in tree.ids():
         tree.arrays.density[tree.arrays.slot_of(cell_id)] *= 1.5  # a bulk writer
     tree.arrays.density[tree.arrays.slot_of(absorber)] = rho_after
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber)
+    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 1000.0])
+@pytest.mark.parametrize("scalar_above", [True, False], ids=["scalar-above", "scalar-below"])
+def test_cells_seeded_at_the_same_time_tie_until_one_absorbs(lam, scalar_above):
+    """Two cells seeded together tie, and the older one dominates by id.
+
+    When the younger absorbs at a time where Python's ``**`` (Eq. 8's
+    ``rho_before``) and numpy's ``power`` (the vector values) round apart,
+    the absorber newly dominates the older cell either way: the tie is
+    decided on the vector value of its own pre-absorb density.
+    """
+    decay = DecayModel(lam=lam)
+    arena = CellArrays()
+    tree = DPTree(numeric=True, arrays=arena)
+    older, younger = (arena.create((x,), density=1.0, last_update=0.0) for x in (0.0, 1.0))
+    tree.add_many([older, younger])
+    tree.arrays.dep[arena.slot_of(younger)] = older
+    slot = arena.slot_of(younger)
+    for step in range(1, 5000):
+        now = step / 100
+        rho_before = arena.density_at(slot, now, decay)
+        vector = tree.densities_of(np.array([arena.slot_of(older)]), now, decay)[0]
+        if rho_before != vector and (rho_before > vector) == scalar_above:
+            break
+    else:
+        pytest.fail("Python's ** and numpy's power never rounded apart")
+    tree.write_density(younger, slot, rho_before + 1.0, now)
+    kept, dominators = tree.theorem_one(
+        younger, older, now, rho_before, rho_before + 1.0, decay, 0.0, (1.0, 0.0)
+    )
+    assert kept.tolist() == [tree.position_of(older)]
+    assert dominators.tolist() == []  # the link to the older cell went stale
 
 
 # --------------------------------------------------------------------------- #
@@ -221,6 +281,8 @@ def recount(model, values, timestamp):
     query = np.asarray(values, dtype=arena.seed_dtype).reshape(1, -1)
     distances = pairwise_euclidean(query, active.seed_view())[0]
     slots = active.slots().tolist()
+    # Eq. 8 adds one to the scalar decayed value; Theorem 1 compares the
+    # vector values, the absorber's own among them.
     rho = {cell_id: arena.density_at(slot, now, model.decay) for cell_id, slot in zip(ids, slots)}
     density_on = model.config.enable_density_filter
     triangle_on = model.config.enable_triangle_filter
@@ -229,9 +291,9 @@ def recount(model, values, timestamp):
         if absorber not in rho:
             return zero
         position = int(np.flatnonzero(ids == absorber)[0])
-        rho_before = rho[absorber]
+        rho_after = rho[absorber] + 1.0
         others = ids != absorber
-        newly = dominates(rho_before + 1.0, absorber, densities, ids) & (densities >= rho_before)
+        newly = dominates(rho_after, absorber, densities, ids) & (densities >= densities[position])
         examined = others & newly if density_on else others
         far = np.abs(distances - distances[position]) > deltas
         return {
@@ -278,6 +340,19 @@ calls = st.lists(
 )
 
 
+#: Cells seeded at (2, 0) and, by a burst, at (0.5, 0) at the same time tie
+#: in density; when the second absorbs, Python's ``**`` put its decayed
+#: density one ulp above the vector value of the first, which Theorem 1
+#: then dropped although the absorber newly dominates it.
+_SAME_TIME_SEEDS = (
+    [("step", (0.0, 0.0), 0.0, 0.5)]
+    + [("step", (0.0, 0.0), 0.0, 0.0)] * 2
+    + [("step", (2.0, 0.0), 0.0, 0.0), ("burst", (0.0, 0.0), 0.5, 0.0)]
+    + [("step", (0.0, 0.0), 0.0, 0.0)] * 3
+    + [("step", (0.0, 0.0), 0.5, 0.0), ("step", (0.0, 0.0), 0.0, 0.0)]
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     arrivals,
@@ -288,6 +363,7 @@ calls = st.lists(
     st.sampled_from([None, 12_000]),
     st.sampled_from([0.0, 1.7e9]),
 )
+@example(_SAME_TIME_SEEDS, [(1, "one")], (True, True), 1.0, "float64", None, 0.0)
 def test_filtered_stream_matches_its_unfiltered_twin_and_the_recount(
     arrivals, calls, filters, lam, dtype, memory_cap_bytes, origin
 ):

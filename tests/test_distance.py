@@ -161,3 +161,74 @@ class TestTokenization:
         assert point.text == "Apple Samsung patent battle"
         assert len(point) == len(point.tokens)
         assert list(point) == sorted(point.tokens)
+
+
+def _kernel_operands():
+    """Operand pairs of every layout the kernel meets: one query row or
+    many, 2-d and 34-d, near the origin and 1e6 from it, C-ordered,
+    strided, Fortran-ordered and mixed float32/float64."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for dim in (2, 34):
+        for rows in (1, 9):
+            for offset in (0.0, 1e6):
+                queries = rng.normal(size=(rows, dim)) + offset
+                seeds = rng.normal(size=(40, dim)) + offset
+                name = f"{rows}x40x{dim}@{offset:g}"
+                cases[name] = (queries, seeds)
+                cases[f"{name}-strided"] = (
+                    np.repeat(queries, 2, axis=1)[:, ::2],
+                    (rng.normal(size=(80, dim)) + offset)[::2],
+                )
+                cases[f"{name}-fortran"] = (np.asfortranarray(queries), np.asfortranarray(seeds))
+                cases[f"{name}-f32-f64"] = (queries.astype(np.float32), seeds)
+                cases[f"{name}-f64-f32"] = (queries, seeds.astype(np.float32))
+    return cases
+
+
+KERNEL_OPERANDS = _kernel_operands()
+
+
+class TestKernelEntry:
+    """``pairwise_euclidean`` enters scipy's compiled kernel directly."""
+
+    @pytest.fixture(params=["direct", "public cdist"])
+    def kernel(self, request, monkeypatch):
+        import repro.distance.metrics as metrics
+
+        if request.param == "public cdist":
+            from scipy.spatial.distance import cdist
+
+            monkeypatch.setattr(metrics, "_cdist", cdist)
+        return metrics.pairwise_euclidean
+
+    def test_the_kernel_is_the_compiled_entry(self):
+        import repro.distance.metrics as metrics
+
+        entry = pytest.importorskip("scipy.spatial._distance_pybind")
+        assert metrics._cdist is entry.cdist_euclidean
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_OPERANDS))
+    def test_equals_the_public_cdist_bit_for_bit(self, kernel, name):
+        from scipy.spatial.distance import cdist
+
+        queries, seeds = KERNEL_OPERANDS[name]
+        got = kernel(queries, seeds)
+        expected = cdist(queries, seeds)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.shape == (queries.shape[0], seeds.shape[0])
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "queries, seeds",
+        [
+            (np.zeros((1, 3)), np.zeros((5, 2))),
+            (np.zeros(2), np.zeros((5, 2))),
+            (np.zeros((1, 2)), np.zeros(2)),
+            (np.zeros((1, 1, 2)), np.zeros((5, 2))),
+        ],
+        ids=["widths", "1-d queries", "1-d seeds", "3-d queries"],
+    )
+    def test_wrong_shapes_raise_value_error(self, kernel, queries, seeds):
+        with pytest.raises(ValueError):
+            kernel(queries, seeds)

@@ -448,3 +448,46 @@ def test_relink_of_an_empty_selection_changes_nothing():
     tree.relink(np.empty(0, dtype=np.int64), np.array([1.0, 2.0]), stats)
     assert links_of(tree) == [(-1, math.inf)] * 2
     assert stats.as_dict() == FilterStatistics().as_dict()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_population(), st.data())
+def test_one_row_refresh_over_known_dominators_equals_the_masked_path(population, data):
+    """``relink(..., dominators=...)`` reads one row's argmin and its exact ties;
+    the masked path builds the dominance mask and a masked block.  The
+    lattice seeds make exact distance ties routine, and the densest cell
+    has no dominator at all."""
+    tree, densities, listed = population
+    position = data.draw(st.sampled_from(listed.tolist()))
+    ids = tree.ids_array()
+    write_links(
+        tree,
+        [
+            data.draw(st.sampled_from([(-1, math.inf), (dep, delta + 0.5), (dep, delta)]))
+            if dep != -1
+            else (-1, math.inf)
+            for dep, delta in oracle_links(tree, densities)
+        ],
+    )
+    stale = links_of(tree)
+    dominators = dominates(densities, ids, densities[position], ids[position]).nonzero()[0]
+    outcomes = []
+    for known in (None, dominators):
+        write_links(tree, stale)
+        stats = FilterStatistics()
+        tree.relink(np.array([position]), densities, stats, repoint=False, dominators=known)
+        outcomes.append((links_of(tree), stats.as_dict()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][0][position] == oracle_links(tree, densities)[position]
+
+
+def test_one_row_refresh_with_no_dominator_cuts_the_link():
+    tree = DPTree()
+    a, b = (tree.arrays.create((x,)) for x in (0.0, 1.0))
+    tree.add_many([a, b])
+    write_link(tree, b, a, 1.0)
+    stats = FilterStatistics()
+    position = tree.position_of(b)
+    tree.relink(np.array([position]), None, stats, repoint=False, dominators=np.empty(0, np.int64))
+    assert links_of(tree)[position] == (-1, math.inf)
+    assert (stats.dependency_changes, stats.distance_computations) == (1, 0)

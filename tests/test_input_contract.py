@@ -5,12 +5,15 @@ naming the row, before any state changes, by ``learn_one``, both
 ``learn_many`` engines (checked once per micro-batch), ``predict_one`` and
 ``predict_many``.  A timestamp that is not a finite real number (NaN,
 ±inf, a string) is rejected the same way by ``learn_one`` and
-``learn_many``; ``None`` keeps meaning the next arrival at the stream rate.
+``learn_many``; ``None`` keeps meaning the next arrival at the stream rate,
+and any other real type (``Fraction``, a numpy scalar, ``int``) becomes a
+float, so every engine keeps its clock in float.
 A rejected call leaves the model valid and as it was: further ingestion
 matches a model that never saw the call.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,3 +244,48 @@ def test_a_nan_timestamp_among_stream_rate_arrivals_rejects_its_batch(batch_size
         model.learn_many(points, batch_size=batch_size)
     assert model.n_points == 0 and model._start_time is None
     model._cells.validate()
+
+
+def partition(model):
+    """The clusters as sets of seeds."""
+    seed_of = {cell.cell_id: tuple(cell.seed) for cell in model.tree.cells()}
+    return {
+        frozenset(seed_of[member] for member in members) for members in model.clusters().values()
+    }
+
+
+@pytest.mark.parametrize(
+    "make_time",
+    [
+        lambda i: Fraction(i, 100),
+        lambda i: np.float32(i / 100),
+        lambda i: np.int64(i // 100),
+        lambda i: i // 100,
+    ],
+    ids=["Fraction", "float32", "int64", "int"],
+)
+def test_every_engine_keeps_its_clock_in_float(make_time):
+    """``learn_one`` stored a timestamp of another real type as given, so its
+    clock ran in that type while the batch engine's ran in float64."""
+    points = [
+        StreamPoint(values=point.values, timestamp=make_time(i))
+        for i, point in enumerate(make_stream(600))
+    ]
+    models = [EDMStream(radius=0.5, init_size=50, stream_rate=100.0) for _ in range(3)]
+    for point in points:
+        models[0].learn_one(point.values, timestamp=point.timestamp)
+    models[1].learn_many(points, batch_size=None)
+    models[2].learn_many(points, batch_size=256)
+    for model in models:
+        assert type(model.now) is float and type(model._start_time) is float
+        assert (model.now, model._start_time) == (models[0].now, models[0]._start_time)
+        model.tree.validate()
+    assert models[0].now == float(points[-1].timestamp)
+    cells = cell_state(models[0])
+    assert cell_state(models[1]) == cells
+    assert len(partition(models[0])) > 1
+    assert partition(models[1]) == partition(models[2]) == partition(models[0])
+    batch_cells = cell_state(models[2])
+    assert [(s, t, a) for s, _, t, a in batch_cells] == [(s, t, a) for s, _, t, a in cells]
+    # The batch engine sums a batch's freshness in closed form.
+    assert [d for _, d, _, _ in batch_cells] == pytest.approx([d for _, d, _, _ in cells], rel=1e-9)
