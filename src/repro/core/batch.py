@@ -22,9 +22,10 @@ from three observations about the per-point work of Section 4:
 
 2. **Density updates compose.**  A cell absorbing ``k`` points inside a
    batch ends at ``ρ·a^{λΔ} + Σ a^{λ(t_k - t_i)}`` (Equation 8 applied ``k``
-   times), which :meth:`~repro.core.decay.DecayModel.batch_absorb` evaluates
-   once per (cell, batch) — with the closed-form geometric sum for evenly
-   spaced arrivals.
+   times).  On density keys (:class:`~repro.core.soa.CellArrays`) that is
+   one log-sum-exp of the old key and the points' arrival keys, evaluated
+   once per (cell, batch) for all cells at once, with the arrivals shifted
+   by the last (largest) arrival key so that nothing can overflow.
 
 3. **Dependencies depend only on the final density order.**  Pure decay
    preserves the relative density order of any two cells (both shrink by
@@ -37,9 +38,9 @@ from three observations about the per-point work of Section 4:
    repoints every other active cell that a dirty cell now dominates more
    closely — one distance block per chunk instead of one filtered pass per
    point, through the same link writer ``learn_one`` uses.  The chunk's
-   density writes drop the DP-Tree's density-key order, which
+   key writes drop the DP-Tree's density-key order, which
    ``learn_one``'s Theorem 1 band reads; the next per-point absorb rebuilds
-   it from the arena.
+   it from the key column.
 
 Periodic work (decay sweeps, τ re-optimisation, evolution snapshots) and the
 initial DP-Tree construction fire at stream-time boundaries, so batches are
@@ -50,14 +51,16 @@ state.
 Equivalence caveats: (1) *tie-breaking* — both paths share the canonical
 rules (nearest seed / dominator with the smallest cell id wins exact
 distance ties, density ties order by id), so exact ties resolve
-identically; (2) *float rounding* — a multi-absorption batch evaluates the
-same Equation 8 quantity through one closed-form sum instead of per-point
-steps, so densities agree to ~1e-12 relative rather than bit-for-bit, and
-a density comparison sitting within one ulp of a threshold (activation,
-dominance) can in principle resolve differently.  Away from such
-knife-edges the two paths produce identical cell populations and
-partitions, which ``tests/test_batch_ingest.py`` enforces on numeric,
-drifting and Jaccard streams.
+identically; (2) *float rounding* — both engines decide on the same keys,
+and a cell absorbing one point in a batch gets the key ``learn_one``
+gives it, step for step; a cell absorbing several gets one log-sum-exp
+instead of ``k`` rounded steps, so its key can differ from the per-point
+key in the last bits, and a key comparison sitting within those bits of
+another key or a threshold (activation, dominance) can in principle
+resolve differently.  Away from such knife-edges the two paths produce
+identical cell populations and partitions, which
+``tests/test_batch_ingest.py`` enforces on numeric, drifting and Jaccard
+streams.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class BatchIngestor:
         obs.counter("ingest_batches_total").inc()
         if model._start_time is None:
             first = points[0].timestamp
-            model._start_time = float(times[0] if first is None else first)
+            model._start_clock(float(times[0] if first is None else first))
 
         assigned: List[int] = [0] * len(points)
         start = 0
@@ -302,14 +305,13 @@ class BatchIngestor:
             # Revived cells can come back above the active threshold without
             # absorbing another point; the sequential path activates them at
             # creation, the batch path at its usual chunk boundary.
-            now = float(chunk_times[-1])
-            threshold = model.active_threshold(now)
+            threshold = model._threshold_key(float(chunk_times[-1]))
             arena = model._cells
             for cell_id in self._revived:
                 if cell_id not in model.reservoir:
                     continue  # already activated by an absorption crossing
-                if arena.density_at(arena.slot_of(cell_id), now, model.decay) >= threshold:
-                    model._activate_cell(cell_id, now)
+                if arena.key[arena.slot_of(cell_id)] >= threshold:
+                    model._activate_cell(cell_id)
 
         if model._initialized and dirty:
             # The dirty cells are the only possible new entrants to any
@@ -318,11 +320,7 @@ class BatchIngestor:
             with obs.phase("dependency"):
                 tree = model.tree
                 positions = np.fromiter(map(tree.position_of, dirty), np.int64, len(dirty))
-                tree.relink(
-                    positions,
-                    tree.densities_at(float(chunk_times[-1]), model.decay),
-                    model._filter_stats,
-                )
+                tree.relink(positions, model._filter_stats)
 
     def _assign_chunk(
         self,
@@ -463,25 +461,22 @@ class BatchIngestor:
                 leaders = np.flatnonzero(lead)
             rows = candidates[leaders]
             times = chunk_times[rows]
-            density: Any = 1.0
+            key = arena.arrival_key(times)
             bounded = model._bounded
             if bounded is not None:
-                density = np.asarray(
+                revived = np.asarray(
                     [
-                        1.0 + bounded.revival_density(tuple(chunk_values[j].tolist()), float(t))
+                        bounded.revival_density(tuple(chunk_values[j].tolist()), float(t))
                         for j, t in zip(rows.tolist(), times.tolist())
                     ]
                 )
+                key = key + np.asarray([math.log(1.0 + extra) for extra in revived.tolist()])
             new_ids = arena.create_many(
-                chunk_values[rows],
-                density=density,
-                created_at=times,
-                last_update=times,
-                last_absorb=times,
+                chunk_values[rows], key=key, created_at=times, last_absorb=times
             )
             obs.counter("cells_created_total").inc(new_ids.size)
             if bounded is not None:
-                self._revived.extend(new_ids[density > 1.0].tolist())
+                self._revived.extend(new_ids[revived > 0.0].tolist())
             model.reservoir.add_many(new_ids)
             absorber[rows] = new_ids
             created[rows] = True
@@ -582,12 +577,9 @@ class BatchIngestor:
                 absorber[j] = best_id
                 continue
 
+            now = float(chunk_times[j])
             cell_id = model._cells.create(
-                value,
-                density=1.0,
-                created_at=float(chunk_times[j]),
-                last_update=float(chunk_times[j]),
-                last_absorb=float(chunk_times[j]),
+                value, key=model._cells.arrival_key(now), created_at=now, last_absorb=now
             )
             model.reservoir.add(cell_id)
             model.obs.counter("cells_created_total").inc()
@@ -609,22 +601,21 @@ class BatchIngestor:
         groups: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
         chunk_times: np.ndarray,
     ) -> List[int]:
-        """Apply per-(cell, chunk) density updates; returns the dirty cells.
+        """Apply per-(cell, chunk) key updates; returns the dirty cells.
 
         ``groups`` is the grouped-absorption output of :meth:`_assign_chunk`.
         Dirty cells are the active absorbers plus the inactive cells whose
-        density trajectory crossed the activation threshold inside the chunk
+        key trajectory crossed the activation threshold inside the chunk
         (activated here, in crossing order, mirroring the sequential path's
         emergence handling).
         """
         model = self.model
-        decay = model.decay
         arena = model._cells
         tree = model.tree
         initialized = model._initialized
         if groups is None:
             return []
-        # The density writes below move many DP-Tree keys at once; the next
+        # The key writes below move many DP-Tree entries at once; the next
         # per-point absorb rebuilds the order from the arena instead.
         tree.drop_density_order()
 
@@ -636,88 +627,56 @@ class BatchIngestor:
         slot_map = arena._slot_of
         slots = np.fromiter((slot_map[cid] for cid in id_list), dtype=np.int64, count=n)
         in_tree = np.fromiter((cid in tree for cid in id_list), dtype=bool, count=n)
-        last_times = chunk_times[order[starts + counts - 1]]
-        a, lam = decay.a, decay.lam
-        density = arena.density
-        last_update = arena.last_update
+        ends = starts + counts - 1
+        arrivals = chunk_times[order]
+        fresh = arena.arrival_key(arrivals)
+        old = arena.key[slots]
         crossings: Dict[int, int] = {}
 
-        # Batched Equation 8 for every group at once: decayed old density
-        # plus one grouped freshness sum (``np.add.reduceat`` over the
-        # concatenated arrivals) — the closed form of
-        # ``DecayModel.batch_absorb``; a single-point group contributes
-        # ``a^0 = 1.0`` exactly, matching the per-point step in ``EDMStream._assign``.
-        arrivals = chunk_times[order]
-        fresh = a ** (lam * (np.repeat(last_times, counts) - arrivals))
-        increments = np.add.reduceat(fresh, starts)
+        # Batched Equation 8 for every group at once: the key of the group's
+        # arrivals (the last, the largest, plus log1p of the others' shares
+        # of it, none above 1, so nothing overflows), then one logaddexp
+        # with the old key.  A single-point group's arrivals are its one
+        # arrival key, so it takes exactly ``learn_one``'s step
+        # (:func:`~repro.core.decay.log_add` rounds as ``np.logaddexp``).
+        latest = fresh[ends]
+        shares = np.exp(fresh - np.repeat(latest, counts))
+        shares[ends] = 0.0
+        keys = np.logaddexp(old, latest + np.log1p(np.add.reduceat(shares, starts)))
 
-        # Inactive multi-absorption cells need their full density trajectory
-        # (below) to find the first activation-threshold crossing; everything
-        # else takes the closed form.
-        trajectory_rows = (
-            ~in_tree & (counts > 1) if initialized else np.zeros(n, dtype=bool)
-        )
-        if trajectory_rows.any():
-            rows = np.flatnonzero(~trajectory_rows)
-            s = slots[rows]
-            elapsed = np.maximum(0.0, last_times[rows] - last_update[s])
-            density[s] = density[s] * a ** (lam * elapsed) + increments[rows]
-            traj = np.flatnonzero(trajectory_rows)
-            t_slots = slots[traj]
-            t_counts = counts[traj]
-            sel = np.repeat(trajectory_rows, counts)
-            t_arr = arrivals[sel]
-            t_order = order[sel]
-            seg_ends = np.cumsum(t_counts)
-            seg_starts = seg_ends - t_counts
-            t0 = t_arr[seg_starts]
-            # Exponents relative to each segment's first arrival stay bounded
-            # by the chunk's time span (see ``DecayModel.absorb_trajectory``);
-            # a span wide enough to overflow falls back to the per-row path.
-            rel = lam * (t_arr - np.repeat(t0, t_counts))
-            if float(rel[seg_ends - 1].max()) * -math.log(a) > 600.0:
-                for r in traj:
-                    slot = int(slots[r])
-                    indices = order[starts[r] : starts[r] + counts[r]]
-                    arr = chunk_times[indices]
-                    trajectory = decay.absorb_trajectory(
-                        float(density[slot]), float(last_update[slot]), arr
-                    )
-                    crossed = np.flatnonzero(trajectory >= self._thresholds_at(arr))
-                    if crossed.size:
-                        crossings[id_list[r]] = int(indices[int(crossed[0])])
-                    density[slot] = float(trajectory[-1])
-            else:
-                # Segmented form of ``absorb_trajectory``: one global cumsum
-                # with per-segment offsets replaces the per-cell calls.
-                decayed = density[t_slots] * a ** (
-                    lam * np.maximum(0.0, t0 - last_update[t_slots])
-                )
-                forward = a**rel
-                cs = np.cumsum(a ** (-rel))
-                offsets = np.concatenate(([0.0], cs[seg_starts[1:] - 1]))
-                prefix = forward * (cs - np.repeat(offsets, t_counts))
-                traj_density = np.repeat(decayed, t_counts) * forward + prefix
-                crossed = traj_density >= self._thresholds_at(t_arr)
-                pos = np.where(crossed, np.arange(t_arr.size), t_arr.size)
-                first = np.minimum.reduceat(pos, seg_starts)
-                for r, f in zip(traj[first < seg_ends], first[first < seg_ends]):
-                    crossings[id_list[r]] = int(t_order[f])
-                density[t_slots] = traj_density[seg_ends - 1]
-        else:
-            elapsed = np.maximum(0.0, last_times - last_update[slots])
-            density[slots] = density[slots] * a ** (lam * elapsed) + increments
-
-        # Inactive single-absorption cells: vectorised threshold check.
         if initialized:
+            # Inactive absorbers: the first point at which the key reaches
+            # the activation threshold.  A single-point group has its new
+            # key to compare; longer groups need the key after each point,
+            # one row of running logaddexp per group (padded with -inf), so
+            # every step is the per-point step and no idle gap inside the
+            # chunk underflows the early points.
             watch = np.flatnonzero(~in_tree & (counts == 1))
-            if watch.size:
-                over = density[slots[watch]] >= self._thresholds_at(last_times[watch])
-                for r in watch[over]:
-                    crossings[id_list[r]] = int(order[starts[r]])
+            over = keys[watch] >= self._threshold_keys(chunk_times[order[starts[watch]]])
+            for r in watch[over].tolist():
+                crossings[id_list[r]] = int(order[starts[r]])
+            traced = ~in_tree & (counts > 1)
+            if traced.any():
+                paths = np.flatnonzero(traced)
+                path_counts = counts[paths]
+                path_starts = np.cumsum(path_counts) - path_counts
+                # Their points (indices into ``order``), group by group.
+                members = np.flatnonzero(np.repeat(traced, counts))
+                row = np.repeat(np.arange(paths.size), path_counts)
+                column = np.arange(members.size) - np.repeat(path_starts, path_counts) + 1
+                table = np.full((paths.size, int(path_counts.max()) + 1), -np.inf)
+                table[:, 0] = old[paths]
+                table[row, column] = fresh[members]
+                trajectory = np.logaddexp.accumulate(table, axis=1)[row, column]
+                crossed = trajectory >= self._threshold_keys(arrivals[members])
+                position = np.where(crossed, np.arange(members.size), members.size)
+                first = np.minimum.reduceat(position, path_starts)
+                for r, f in zip(paths.tolist(), first.tolist()):
+                    if f < members.size:
+                        crossings[id_list[r]] = int(order[members[f]])
 
-        last_update[slots] = last_times
-        arena.last_absorb[slots] = last_times
+        arena.key[slots] = keys
+        arena.last_absorb[slots] = chunk_times[order[ends]]
         arena.points_absorbed[slots] += counts
 
         dirty = [cid for cid, flag in zip(id_list, in_tree) if flag]
@@ -727,13 +686,12 @@ class BatchIngestor:
             dirty.append(cell_id)
         return dirty
 
-    def _thresholds_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`EDMStream.active_threshold` over several times."""
+    def _threshold_keys(self, times: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`EDMStream._threshold_key` over several times."""
         model = self.model
         decay = model.decay
         steady = decay.active_threshold(model.config.beta, model.config.stream_rate)
-        if model._start_time is None:
-            return np.full(times.shape, max(1.0, steady))
         elapsed = np.maximum(0.0, times - model._start_time)
         warmup = 1.0 - decay.a ** (decay.lam * elapsed)
-        return np.maximum(1.0 + 1e-12, steady * warmup)
+        threshold = np.maximum(1.0 + 1e-12, steady * warmup)
+        return np.log(threshold) + model._cells.arrival_key(times)

@@ -3,8 +3,10 @@
 A cluster-cell summarises a group of close points by a seed point, a timely
 density ρ (sum of the member points' freshness) and a dependent distance δ
 (distance from the seed to the nearest seed of a higher-density cell).  The
-density is stored lazily: ``density`` is the value at ``last_update`` and is
-decayed multiplicatively whenever it is read at a later time.
+density is stored as a time-invariant key κ (see
+:class:`~repro.core.soa.CellArrays`): decay moves every density by the same
+factor, so κ changes only when the cell absorbs, and :meth:`ClusterCell.density_at`
+turns it into the density at a given time.
 
 A cell *is* its row in the model's :class:`~repro.core.soa.CellArrays`
 arena: :meth:`CellArrays.create <repro.core.soa.CellArrays.create>` makes
@@ -17,8 +19,6 @@ slot on every read, so a view of a released cell raises ``KeyError``.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
-
-from repro.core.decay import DecayModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.core.soa import CellArrays
@@ -57,19 +57,14 @@ class ClusterCell:
         return self._arrays.seed_of(self._slot)
 
     @property
-    def density(self) -> float:
-        """Timely density ρ at time :attr:`last_update`."""
-        return float(self._arrays.density[self._slot])
+    def key(self) -> float:
+        """Density key κ = ln ρ − ℓ·(t − t₀), the same at every time ``t``."""
+        return float(self._arrays.key[self._slot])
 
     @property
     def created_at(self) -> float:
         """Time the cell was created (= arrival time of its seed point)."""
         return float(self._arrays.created_at[self._slot])
-
-    @property
-    def last_update(self) -> float:
-        """Time at which :attr:`density` was last brought up to date."""
-        return float(self._arrays.last_update[self._slot])
 
     @property
     def last_absorb(self) -> float:
@@ -92,13 +87,13 @@ class ClusterCell:
         """Total number of points ever absorbed (bookkeeping only)."""
         return int(self._arrays.points_absorbed[self._slot])
 
-    def density_at(self, now: float, decay: DecayModel) -> float:
-        """Timely density at time ``now`` (lazy decay of the stored value)."""
-        return self._arrays.density_at(self._slot, now, decay)
+    def density_at(self, now: float) -> float:
+        """Timely density ρ at time ``now``, from the key."""
+        return self._arrays.density_at(self._slot, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dep = self.dependency if self.dependency is not None else "root"
         return (
-            f"ClusterCell(id={self.cell_id}, rho={self.density:.3f}, "
+            f"ClusterCell(id={self.cell_id}, key={self.key:.3f}, "
             f"delta={self.delta:.3f}, dep={dep})"
         )

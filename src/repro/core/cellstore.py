@@ -7,7 +7,7 @@ active cells (:class:`~repro.core.dptree.DPTree`) and the inactive ones
 :class:`CellStore`.  The store answers those bulk queries vectorised: it
 keeps a dense array of *slots* into a shared
 :class:`~repro.core.soa.CellArrays` arena and gathers the relevant columns
-(seeds, densities, timestamps, dependent distances) straight out of the
+(seeds, density keys, dependent distances) straight out of the
 arena's contiguous storage.
 
 The store holds no cell state of its own — the arena is canonical — so
@@ -25,7 +25,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.core.cell import ClusterCell
-from repro.core.decay import DecayModel
 from repro.core.soa import DETACHED, MEMBER, CellArrays
 from repro.distance.metrics import (
     GRAM_MAX_DIM,
@@ -54,17 +53,6 @@ _INITIAL_CAPACITY = 64
 #: KDD 12k, 58 scans  58.9   50.9  50.2  50.1
 #: =================  =====  ====  ====  ====
 _SCAN_SCREEN_MIN_WORK = 2**16
-
-
-def decayed(
-    density: np.ndarray, last_update: np.ndarray, now: float, decay: DecayModel
-) -> np.ndarray:
-    """Stored densities held since ``last_update``, decayed to ``now`` (element-wise).
-
-    The vector formula behind :meth:`CellStore.densities_of`, for callers
-    that hold a density no longer in the arena columns.
-    """
-    return density * decay.rate ** np.maximum(0.0, now - last_update)
 
 
 class CellStore:
@@ -277,22 +265,20 @@ class CellStore:
     # ------------------------------------------------------------------ #
     # bulk queries
     # ------------------------------------------------------------------ #
-    def densities_at(self, now: float, decay: DecayModel) -> np.ndarray:
-        """Timely densities of every stored cell at time ``now`` (array order)."""
-        if self._size == 0:
-            return np.empty(0, dtype=float)
-        return self.densities_of(self._slots[: self._size], now, decay)
+    def keys(self) -> np.ndarray:
+        """Density keys of every stored cell (array order; a copy).
 
-    def densities_of(self, slots: np.ndarray, now: float, decay: DecayModel) -> np.ndarray:
-        """Timely densities of the cells at arena ``slots`` at time ``now``.
-
-        Every density comparison the ingest path decides is made on values
-        of this one vectorised formula: numpy's ``power`` and Python's
-        ``**`` can differ in the last bit, so a value computed any other way
-        may screen but never decide.  Each element depends only on its own
-        slot, not on which others are gathered with it.
+        Keys order the cells as their densities do at any common time, so
+        every density comparison the ingest path decides compares keys.
         """
-        return decayed(self._arrays.density[slots], self._arrays.last_update[slots], now, decay)
+        return self._arrays.key[self._slots[: self._size]]
+
+    def densities_at(self, now: float) -> np.ndarray:
+        """Timely densities of every stored cell at time ``now`` (array order).
+
+        For showing densities (snapshots); decisions compare :meth:`keys`.
+        """
+        return np.exp(self.keys() - self._arrays.arrival_key(now))
 
     def deltas(self) -> np.ndarray:
         """Dependent distances of every stored cell (array order; a copy)."""

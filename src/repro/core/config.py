@@ -126,7 +126,7 @@ class EDMStreamConfig:
             raise ValueError(f"decay_lambda must be positive, got {self.decay_lambda}")
         if self.decay_a**self.decay_lambda == 0.0:
             # Every density would vanish one time unit after its last
-            # update, and the DP-Tree's density keys need ln(a^λ).
+            # update.
             raise ValueError(
                 f"decay rate a^λ underflows to 0 (a={self.decay_a}, λ={self.decay_lambda})"
             )

@@ -5,11 +5,14 @@ is ``f = a ** (lambda * (t - ti))`` (Equation 3).  The paper uses
 ``a = 0.998`` and ``lambda = 1`` so that freshness lies in ``(0, 1]``.
 
 Densities of cluster-cells are sums of freshness values.  Because every
-point decays at the same multiplicative rate, a cell's density can be
-updated lazily: if a cell had density ``rho`` at time ``tj`` and absorbs a
-point at ``tj+1``, its new density is ``a ** (lambda * (tj+1 - tj)) * rho + 1``
-(Equation 8).  :class:`DecayModel` implements those primitives plus the
-active-threshold and safe-deletion-interval formulas of Sections 4.3-4.4.
+point decays at the same multiplicative rate, a cell's density at time
+``t`` is ``exp(κ + ℓ·(t - t₀))`` for a time-invariant *key* ``κ``, with
+``ℓ = ln(a^λ)`` (:attr:`DecayModel.log_rate`) and a fixed origin ``t₀``.
+Equation 8 — decay to the arrival time, then add one — becomes
+``κ ← ln(e^κ + e^g)`` with ``g = -ℓ·(t - t₀)`` the key of a point arriving
+at ``t`` (:func:`log_add`).  :class:`DecayModel` holds the decay rate and
+the active-threshold and safe-deletion-interval formulas of Sections
+4.3-4.4.
 """
 
 from __future__ import annotations
@@ -17,11 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+_LN2 = math.log(2.0)
 
-#: Two timestamp gaps within a batch are considered equal (enabling the
-#: closed-form geometric sum) when they differ by less than this.
-_UNIFORM_SPACING_TOL = 1e-12
+
+def log_add(x: float, y: float) -> float:
+    """``ln(eˣ + eʸ)``, Equation 8 on density keys.
+
+    The larger argument plus ``log1p`` of the smaller one's share, so
+    nothing overflows; rounded exactly as :data:`numpy.logaddexp` rounds
+    it, step for step, so a cell's key is the same whether it absorbs
+    through this function or through ``numpy.logaddexp``.
+    """
+    if x == y:
+        return x + _LN2
+    if x > y:
+        return x + math.log1p(math.exp(y - x))
+    return y + math.log1p(math.exp(x - y))
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,11 @@ class DecayModel:
         """The per-unit-time multiplicative decay factor ``a ** lam``."""
         return self.a ** self.lam
 
+    @property
+    def log_rate(self) -> float:
+        """``ℓ = ln(a^λ) = λ·ln a``, the log of :attr:`rate` (negative)."""
+        return self.lam * math.log(self.a)
+
     def freshness(self, arrival_time: float, now: float) -> float:
         """Freshness ``a ** (λ (now - arrival_time))`` of a single point (Eq. 3)."""
         if now < arrival_time:
@@ -68,100 +87,6 @@ class DecayModel:
         """Decay a density value by ``elapsed`` time units."""
         return density * self.decay_factor(elapsed)
 
-    def absorb(self, density: float, elapsed: float, weight: float = 1.0) -> float:
-        """Density after decaying ``elapsed`` time and absorbing one point (Eq. 8).
-
-        ``weight`` allows fractional or weighted points; the paper uses 1.
-        """
-        return self.decay_density(density, elapsed) + weight
-
-    # ------------------------------------------------------------------ #
-    # batched primitives (micro-batch ingestion)
-    # ------------------------------------------------------------------ #
-    def decayed_weights(self, arrival_times: np.ndarray, now: float) -> np.ndarray:
-        """Freshness ``a ** (λ (now - t_i))`` of several points at once (Eq. 3)."""
-        times = np.asarray(arrival_times, dtype=float)
-        return self.a ** (self.lam * (now - times))
-
-    def geometric_decay_sum(self, count: int, spacing: float) -> float:
-        """Closed-form total freshness of ``count`` evenly spaced points.
-
-        For points arriving at ``now, now - Δ, now - 2Δ, …`` the sum of their
-        freshness values at ``now`` is the geometric series
-
-            Σ_{m=0}^{count-1} (a^{λΔ})^m  =  (1 - q^count) / (1 - q),
-
-        with ``q = a^{λΔ}``.  This is the per-(cell, batch) density increment
-        of the micro-batch ingestion path: one closed-form evaluation instead
-        of ``count`` per-point decay calls.
-        """
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        if spacing < 0:
-            raise ValueError(f"spacing must be non-negative, got {spacing}")
-        if count == 0:
-            return 0.0
-        q = self.decay_factor(spacing)
-        if q >= 1.0:
-            return float(count)
-        return (1.0 - q ** count) / (1.0 - q)
-
-    def batch_absorb(
-        self, density: float, last_update: float, arrival_times: np.ndarray
-    ) -> float:
-        """Density after absorbing a whole batch of points (batched Eq. 8).
-
-        ``arrival_times`` must be sorted non-decreasing; the returned density
-        is the value at ``arrival_times[-1]``.  Evenly spaced batches (the
-        common case for rate-driven streams) use the closed-form geometric
-        sum; irregular batches fall back to one vectorised freshness sum.
-        """
-        times = np.asarray(arrival_times, dtype=float)
-        if times.size == 0:
-            return density
-        now = float(times[-1])
-        decayed = self.decay_density(density, max(0.0, now - last_update))
-        if times.size == 1:
-            return decayed + 1.0
-        gaps = np.diff(times)
-        if float(np.ptp(gaps)) <= _UNIFORM_SPACING_TOL:
-            increment = self.geometric_decay_sum(times.size, float(gaps[0]))
-        else:
-            increment = float(np.sum(self.decayed_weights(times, now)))
-        return decayed + increment
-
-    def absorb_trajectory(
-        self, density: float, last_update: float, arrival_times: np.ndarray
-    ) -> np.ndarray:
-        """Density immediately after each absorption of a batch (batched Eq. 8).
-
-        Returns an array ``d`` with ``d[j]`` equal to the cell's density right
-        after absorbing the point at ``arrival_times[j]`` (sorted
-        non-decreasing).  Used by the micro-batch path to detect the moment an
-        inactive cell crosses the activation threshold without replaying the
-        per-point update loop.
-        """
-        times = np.asarray(arrival_times, dtype=float)
-        if times.size == 0:
-            return np.empty(0, dtype=float)
-        decayed = self.decay_density(density, max(0.0, float(times[0]) - last_update))
-        # Work relative to the first arrival so the exponents stay bounded by
-        # the batch's time span (a ** (-λ t) overflows for large absolute t);
-        # a span so wide that even the relative exponent would overflow falls
-        # back to the per-point recurrence (Equation 8 applied stepwise).
-        rel = self.lam * (times - times[0])
-        if float(rel[-1]) * -math.log(self.a) > 600.0:
-            out = np.empty(times.size, dtype=float)
-            running = decayed + 1.0
-            out[0] = running
-            for i in range(1, times.size):
-                running = self.decay_density(running, float(times[i] - times[i - 1])) + 1.0
-                out[i] = running
-            return out
-        forward = self.a ** rel
-        prefix = forward * np.cumsum(self.a ** (-rel))
-        return decayed * forward + prefix
-
     def total_weight(self, rate: float) -> float:
         """Steady-state sum of freshness for a stream arriving at ``rate`` pt/s.
 
@@ -178,16 +103,6 @@ class DecayModel:
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
         return beta * self.total_weight(rate)
-
-    def beta_lower_bound(self, rate: float) -> float:
-        """Smallest admissible β, ``(1 - a^λ) / v`` (Section 4.3).
-
-        A brand-new cell has density 1 and must be classified as inactive,
-        which requires ``1 < β·v / (1 - a^λ)``, i.e. ``β > (1 - a^λ)/v``.
-        """
-        if rate <= 0:
-            raise ValueError(f"stream rate must be positive, got {rate}")
-        return (1.0 - self.rate) / rate
 
     def safe_deletion_interval(self, beta: float, rate: float) -> float:
         """Time ΔT_del after which an idle inactive cell can be deleted (Theorem 3).
@@ -212,23 +127,3 @@ class DecayModel:
         log_a = math.log(self.a)
         numerator = math.log(1.0 - self.rate) / log_a - math.log(beta * rate) / log_a
         return numerator / self.lam
-
-    def half_life(self) -> float:
-        """Time for freshness to halve; a convenience for choosing parameters."""
-        return math.log(0.5) / (self.lam * math.log(self.a))
-
-
-def equivalent_lambda(a_target: float, decay_rate: float) -> float:
-    """Solve ``a_target ** λ == decay_rate`` for λ.
-
-    The paper (Section 6.1) aligns competitors that hard-code a different
-    base ``a`` by adjusting λ so that every algorithm decays at the same
-    effective rate.  For example DenStream fixes ``a = 2`` and the paper sets
-    ``λ = 0.0028`` so that ``2 ** -0.0028... ≈ 0.998``; MR-Stream fixes
-    ``a = 1.002`` and uses ``λ = -1``.
-    """
-    if a_target <= 0 or a_target == 1.0:
-        raise ValueError(f"decay base must be positive and != 1, got {a_target}")
-    if decay_rate <= 0 or decay_rate >= 1.0:
-        raise ValueError(f"target decay rate must be in (0, 1), got {decay_rate}")
-    return math.log(decay_rate) / math.log(a_target)

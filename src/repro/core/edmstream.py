@@ -11,7 +11,12 @@ The per-point work is:
 1. *Assignment* — the point is absorbed by the nearest cell whose seed is
    within the radius ``r``; otherwise it seeds a new inactive cell.
 2. *Density update* — the absorbing cell's timely density is decayed to the
-   current time and incremented (Equation 8).
+   current time and incremented (Equation 8), as one ``logaddexp`` on its
+   density key (:class:`~repro.core.soa.CellArrays`): keys order the cells
+   as their densities do at any common time, so every density decision —
+   dominance, activation, deactivation — compares keys, and a density is
+   computed only to be shown (snapshots, :meth:`EDMStream.decision_graph`)
+   or folded into the sketch tier.
 3. *Activation* — an inactive cell whose density reaches the active
    threshold is inserted into the DP-Tree.
 4. *Dependency update* — the absorbing cell's own dependency is refreshed
@@ -20,8 +25,8 @@ The per-point work is:
    majority of candidates.  Theorem 1's survivors, the cells the absorber
    newly dominates, come from a band of the DP-Tree's density-key order
    (two bisects, :meth:`DPTree.theorem_one
-   <repro.core.dptree.DPTree.theorem_one>`), not from a density vector
-   over every active cell.
+   <repro.core.dptree.DPTree.theorem_one>`), not from a mask over every
+   active cell.
 5. *Maintenance* (periodic) — decayed cells move to the outlier reservoir,
    outdated reservoir cells are deleted (Theorem 3), τ is re-optimised
    (Section 5) and an evolution snapshot is taken.
@@ -48,7 +53,7 @@ from repro.api import ClusterSnapshot, ServingView, StreamClusterer, as_stream_p
 from repro.core.adaptive_tau import TauOptimizer, suggest_initial_tau
 from repro.core.batch import BatchIngestor, check_timestamps, finite_timestamp
 from repro.core.config import EDMStreamConfig
-from repro.core.decay import DecayModel
+from repro.core.decay import DecayModel, log_add
 from repro.core.dptree import DPTree, dominates, lex_improves
 from repro.core.evolution import EvolutionTracker
 from repro.core.filters import FilterStatistics
@@ -113,6 +118,7 @@ class EDMStream(StreamClusterer):
         self._cells = CellArrays(
             numeric=self._numeric,
             dtype=np.float32 if config.dtype == "float32" else np.float64,
+            log_rate=self.decay.log_rate,
         )
         self.tree = DPTree(numeric=self._numeric, metric=self._metric, arrays=self._cells)
         self.reservoir = OutlierReservoir(
@@ -268,6 +274,15 @@ class EDMStream(StreamClusterer):
         warmup_fraction = 1.0 - self.decay.decay_factor(elapsed)
         return max(1.0 + 1e-12, steady * warmup_fraction)
 
+    def _threshold_key(self, now: float) -> float:
+        """The key a density at :meth:`active_threshold` has at ``now``."""
+        return math.log(self.active_threshold(now)) + self._cells.arrival_key(now)
+
+    def _start_clock(self, time: float) -> None:
+        """Fix the stream's start time, which is also t₀ of the density keys."""
+        self._start_time = time
+        self._cells.origin = time
+
     # ------------------------------------------------------------------ #
     # ingestion
     # ------------------------------------------------------------------ #
@@ -290,7 +305,7 @@ class EDMStream(StreamClusterer):
         else:
             timestamp = float(timestamp)  # as the batch engine's float64 timeline
         if self._start_time is None:
-            self._start_time = timestamp
+            self._start_clock(timestamp)
         self._now = max(self._now, timestamp)
         self._n_points += 1
         self._obs_points.inc()
@@ -429,7 +444,7 @@ class EDMStream(StreamClusterer):
         ids = self._active.ids()
         view.cell_ids = ids
         view.labels = self.tree.cluster_roots(tau)
-        view.densities = self._active.densities_at(now, self.decay)
+        view.densities = self._active.densities_at(now)
         if self._numeric:
             view.seeds = self._active.seed_matrix()
         else:
@@ -474,7 +489,7 @@ class EDMStream(StreamClusterer):
         now = self._now
         arrays = self._cells
         graph = [
-            (arrays.density_at(slot, now, self.decay), float(arrays.delta[slot]), cell_id)
+            (arrays.density_at(slot, now), float(arrays.delta[slot]), cell_id)
             for slot, cell_id in zip(self.tree.slots().tolist(), self.tree.ids())
         ]
         graph.sort(key=lambda item: (-item[0], item[1]))
@@ -597,40 +612,27 @@ class EDMStream(StreamClusterer):
             cell_id = int(ids[position])
             slot = int(slots[position])
 
-        # Equation 8, written straight into the arena columns; an active
-        # absorber's write also moves its DP-Tree density-order entry.
+        # Equation 8 on the key column; an active absorber's write also
+        # moves its DP-Tree density-order entry.
         n_active = len(self._active)
         with self._obs_absorb:
             arrays = self._cells
-            # CellArrays.density_at on the stored pair, read once: the
-            # Theorem 1 pass needs the pair too.
-            density, last_update = float(arrays.density[slot]), float(arrays.last_update[slot])
-            rho_before = density
-            if now >= last_update:
-                rho_before = self.decay.decay_density(density, now - last_update)
-            rho_after = rho_before + 1.0
+            key_before = float(arrays.key[slot])
+            key_after = log_add(key_before, arrays.arrival_key(now))
             if position < n_active:
-                self._active.write_density(cell_id, slot, rho_after, now)
+                self._active.write_key(cell_id, slot, key_after)
             else:
-                arrays.density[slot] = rho_after
-                arrays.last_update[slot] = now
+                arrays.key[slot] = key_after
             arrays.last_absorb[slot] = now
             arrays.points_absorbed[slot] += 1
 
         if position >= n_active:
-            if self._initialized and rho_after >= self.active_threshold(now):
-                self._activate_cell(cell_id, now)
+            if self._initialized and key_after >= self._threshold_key(now):
+                self._activate_cell(cell_id)
         elif self._initialized:
             with self._obs_dependency:
                 self._update_dependencies(
-                    cell_id,
-                    slot,
-                    now,
-                    rho_before,
-                    rho_after,
-                    (density, last_update),
-                    distances[:n_active],
-                    position,
+                    cell_id, slot, key_before, key_after, distances[:n_active], position
                 )
         return cell_id
 
@@ -642,24 +644,15 @@ class EDMStream(StreamClusterer):
             # point re-enters a region whose cells were evicted.
             self._bounded.ensure_headroom(1, now)
             density += self._bounded.revival_density(point, now)
-        cell_id = self._cells.create(
-            point,
-            density=density,
-            created_at=now,
-            last_update=now,
-            last_absorb=now,
-        )
+        key = math.log(density) + self._cells.arrival_key(now)
+        cell_id = self._cells.create(point, key=key, created_at=now, last_absorb=now)
         self._obs_created.inc()
         self.reservoir.add(cell_id)
-        if (
-            self._bounded is not None
-            and self._initialized
-            and density >= self.active_threshold(now)
-        ):
+        if self._bounded is not None and self._initialized and key >= self._threshold_key(now):
             # A revived cell can come back above the active threshold; give
             # it back its place in the DP-Tree immediately, mirroring the
             # activation check of an absorbing inactive cell in `_assign`.
-            self._activate_cell(cell_id, now)
+            self._activate_cell(cell_id)
         return cell_id
 
     # ------------------------------------------------------------------ #
@@ -669,18 +662,16 @@ class EDMStream(StreamClusterer):
         self,
         cell_id: int,
         slot: int,
-        now: float,
-        rho_before: float,
-        rho_after: float,
-        stored_before: Tuple[float, float],
+        key_before: float,
+        key_after: float,
         point_distances: np.ndarray,
         position: int,
     ) -> None:
         """Dependency update after the active cell at ``position`` absorbed a point.
 
-        ``stored_before`` is the absorber's ``(density, last_update)`` before
-        the absorb, and ``point_distances`` the point's distance to every
-        active seed (array order).  Two steps:
+        The absorber's key went from ``key_before`` to ``key_after``, and
+        ``point_distances`` are the point's distances to every active seed
+        (array order).  Two steps:
 
         1. The absorber's own dependency.  If its current dependency still
            dominates it, the set of higher-density cells it
@@ -694,11 +685,10 @@ class EDMStream(StreamClusterer):
 
         With the density filter on, :meth:`DPTree.theorem_one
         <repro.core.dptree.DPTree.theorem_one>` answers both dominance
-        questions from a band of the DP-Tree's density order, without a
-        density vector, and a stale own link is refreshed over the
-        dominators it reads off the same order.  With it off (Figure 11's ``wf`` variant) every
-        other cell is examined against one full density vector and
-        dominance mask.
+        questions from the DP-Tree's density order, and a stale own link is
+        refreshed over the dominators it reads off the same order.  With it
+        off (Figure 11's ``wf`` variant) every other cell is examined
+        against one dominance mask over the key column.
         """
         arrays = self._cells
         active = self._active
@@ -707,30 +697,18 @@ class EDMStream(StreamClusterer):
         dependency = int(arrays.dep[slot])  # -1, no dependency, is in no store
         dominated = None
         if self.config.enable_density_filter:
-            kept, dominators = active.theorem_one(
-                cell_id,
-                dependency,
-                now,
-                rho_before,
-                rho_after,
-                self.decay,
-                self._start_time,
-                stored_before,
-            )
+            kept, dominators = active.theorem_one(cell_id, dependency, key_before)
             if dominators is not None:
-                active.relink(
-                    np.array([position]), None, stats, repoint=False, dominators=dominators
-                )
+                active.relink(np.array([position]), stats, repoint=False, dominators=dominators)
             stats.density_filtered += size - 1 - kept.size
         else:
-            densities = active.densities_at(now, self.decay)
             ids = active.ids_array()
             # Only cells the absorber now dominates can ever point at it;
             # this is part of the dependency definition (Eq. 7), not an
             # optional filter.
-            dominated = dominates(rho_after, cell_id, densities, ids)
+            dominated = dominates(key_after, cell_id, active.keys(), ids)
             if dependency not in active or dominated[active.position_of(dependency)]:
-                active.relink(np.array([position]), densities, stats, repoint=False)
+                active.relink(np.array([position]), stats, repoint=False)
             kept = (ids != cell_id).nonzero()[0]
         stats.candidates += size - 1
         if kept.size == 0:
@@ -761,27 +739,14 @@ class EDMStream(StreamClusterer):
     # ------------------------------------------------------------------ #
     # internals: activation / deactivation
     # ------------------------------------------------------------------ #
-    def _activate_cell(self, cell_id: int, now: float) -> None:
+    def _activate_cell(self, cell_id: int) -> None:
         """Move a cell from the outlier reservoir into the DP-Tree (emergence)."""
-        self.reservoir.remove(cell_id)
-        self._refresh(cell_id, now)
         active = self._active
-        active.add(cell_id)
+        active.add(self.reservoir.remove(cell_id))
         with self._obs_dependency:
-            active.relink(
-                np.array([active.position_of(cell_id)]),
-                active.densities_at(now, self.decay),
-                self._filter_stats,
-            )
+            active.relink(np.array([active.position_of(cell_id)]), self._filter_stats)
 
-    def _refresh(self, cell_id: int, now: float) -> None:
-        """Decay a cell's stored density up to ``now`` in the arena columns."""
-        arrays = self._cells
-        slot = arrays.slot_of(cell_id)
-        arrays.density[slot] = arrays.density_at(slot, now, self.decay)
-        arrays.last_update[slot] = now
-
-    def _deactivate_cells(self, cell_ids: Sequence[int], now: float) -> None:
+    def _deactivate_cells(self, cell_ids: Sequence[int]) -> None:
         """Move decayed cells from the DP-Tree to the outlier reservoir."""
         removal = set(cell_ids)
         if not removal:
@@ -799,41 +764,31 @@ class EDMStream(StreamClusterer):
         if orphans:
             active = self._active
             positions = np.fromiter(map(active.position_of, orphans), np.int64, len(orphans))
-            active.relink(
-                positions, active.densities_at(now, self.decay), self._filter_stats, repoint=False
-            )
+            active.relink(positions, self._filter_stats, repoint=False)
 
     # ------------------------------------------------------------------ #
     # internals: initialisation and periodic work
     # ------------------------------------------------------------------ #
     def _initialize(self, now: float) -> None:
         """Build the initial DP-Tree from the cached cells (Section 4.1)."""
-        threshold = self.active_threshold(now)
         # Promote in creation (ascending id) order, whatever evictions did
         # to the reservoir's array order.
         ids = self.reservoir.ids_array()
         order = np.argsort(ids)
         cached = ids[order]
-        promotable = cached[self.reservoir.densities_at(now, self.decay)[order] >= threshold]
+        promotable = cached[self.reservoir.keys()[order] >= self._threshold_key(now)]
         if promotable.size < 2:
             # Not enough dense cells yet: promote every cached cell so that a
             # primary clustering exists, mirroring the paper's initialisation
             # over all cached cluster-cells.
             promotable = cached
         for cell_id in promotable.tolist():
-            self.reservoir.remove(cell_id)
-            self._refresh(cell_id, now)
-            self.tree.add(cell_id)
+            self.tree.add(self.reservoir.remove(cell_id))
 
-        # A link depends only on densities, ids and seeds, so every promoted
+        # A link depends only on keys, ids and seeds, so every promoted
         # cell links in one call.
         active = self._active
-        active.relink(
-            np.arange(len(active)),
-            active.densities_at(now, self.decay),
-            self._filter_stats,
-            repoint=False,
-        )
+        active.relink(np.arange(len(active)), self._filter_stats, repoint=False)
 
         if self._tau is None:
             self._tau = suggest_initial_tau(self.tree.link_deltas().tolist())
@@ -880,19 +835,18 @@ class EDMStream(StreamClusterer):
 
     def _maintenance(self, now: float) -> None:
         """Decay sweep: deactivate sparse cells, prune outdated reservoir cells."""
-        threshold = self.active_threshold(now)
-        densities = self._active.densities_at(now, self.decay)
+        keys = self._active.keys()
         ids = self._active.ids()
-        to_deactivate = [ids[int(i)] for i in np.flatnonzero(densities < threshold)]
+        to_deactivate = [ids[int(i)] for i in np.flatnonzero(keys < self._threshold_key(now))]
         # Never empty the tree completely: keep at least the densest cell so
         # that the clustering remains defined while the stream is sparse
-        # (smallest id among exactly tied densities, canonically).
+        # (smallest id among exactly tied keys, canonically).
         if to_deactivate and len(to_deactivate) == len(ids):
-            top = float(np.max(densities))
-            keep = min(ids[int(i)] for i in np.flatnonzero(densities == top))
+            top = float(np.max(keys))
+            keep = min(ids[int(i)] for i in np.flatnonzero(keys == top))
             to_deactivate = [cid for cid in to_deactivate if cid != keep]
         with self._obs_dependency:
-            self._deactivate_cells(to_deactivate, now)
+            self._deactivate_cells(to_deactivate)
 
         self.reservoir.prune_outdated(now)
         if self._bounded is not None:

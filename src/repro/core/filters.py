@@ -17,8 +17,8 @@ update can be skipped:
 The per-point path (``EDMStream._update_dependencies``) applies both
 checks inline.  Theorem 1 is a key range, not a mask: the DP-Tree keeps its
 cells sorted by a time-invariant density key, so the cells the absorber
-newly dominates are one band of that order, found with two bisects and
-decided on the exact densities
+newly dominates are one band of that order, found with two bisects on the
+keys every other decision reads
 (:meth:`~repro.core.dptree.DPTree.theorem_one`); the triangle filter then
 runs over that band only.  With the density filter off every other active
 cell is a candidate, as Figure 11's unfiltered variants need.  The
@@ -46,14 +46,6 @@ class FilterStatistics:
     triangle_filtered: int = 0
     distance_computations: int = 0
     dependency_changes: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.candidates = 0
-        self.density_filtered = 0
-        self.triangle_filtered = 0
-        self.distance_computations = 0
-        self.dependency_changes = 0
 
     @property
     def filtered(self) -> int:

@@ -30,8 +30,10 @@ from repro.core.edmstream import EDMStream
 from repro.core.soa import ensure_cell_id_floor
 from repro.distance.text import TokenSetPoint
 
-#: Format version written into every snapshot, checked on load.
-FORMAT_VERSION = 1
+#: Format version written into every snapshot, checked on load.  Version 2
+#: stores each cell's density key (``key``) where version 1 stored a density
+#: and the time it was last brought current.
+FORMAT_VERSION = 2
 
 #: Config keys that earlier snapshots carry but :class:`EDMStreamConfig` no
 #: longer has: the sketch geometry is now always derived from the memory cap.
@@ -83,9 +85,8 @@ def _encode_cell(cell: ClusterCell, numeric: bool) -> Dict[str, Any]:
     return {
         "cell_id": cell.cell_id,
         "seed": _encode_seed(cell.seed, numeric),
-        "density": cell.density,
+        "key": cell.key,
         "created_at": cell.created_at,
-        "last_update": cell.last_update,
         "last_absorb": cell.last_absorb,
         "dependency": cell.dependency,
         "delta": _encode_value(cell.delta),
@@ -103,9 +104,8 @@ def _restore_cell(model: EDMStream, data: Dict[str, Any]) -> int:
     model._cells.allocate(
         cell_id,
         _decode_seed(data["seed"], model._numeric),
-        density=float(data["density"]),
+        key=float(data["key"]),
         created_at=float(data["created_at"]),
-        last_update=float(data["last_update"]),
         last_absorb=float(data["last_absorb"]),
         points_absorbed=int(data["points_absorbed"]),
     )
@@ -173,7 +173,8 @@ def model_from_dict(data: Dict[str, Any]) -> EDMStream:
     model._tau = state["tau"]
     model.tau_optimizer.alpha = state["alpha"]
     model._now = float(state["now"])
-    model._start_time = state["start_time"]
+    if state["start_time"] is not None:
+        model._start_clock(float(state["start_time"]))
     model._n_points = int(state["n_points"])
     model._initialized = bool(state["initialized"])
     model._last_maintenance = float(state["last_maintenance"])

@@ -2,7 +2,7 @@
 
 :class:`CellArrays` is the canonical, array-native home of every
 cluster-cell a model owns.  Each cell occupies one *slot*: a row shared by
-a set of contiguous parallel numpy columns (seed matrix, densities,
+a set of contiguous parallel numpy columns (seed matrix, density keys,
 timestamps, dependency ids and distances, absorption counters).  Slots are
 recycled through a free-list, so steady-state ingestion — cells created,
 deactivated, reactivated and deleted — performs no per-point allocation
@@ -34,12 +34,12 @@ builds on it.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.cell import ClusterCell
-from repro.core.decay import DecayModel
 
 __all__ = ["CellArrays", "FREE", "DETACHED", "MEMBER", "ensure_cell_id_floor"]
 
@@ -59,9 +59,8 @@ _PLAIN_ROWS = frozenset((tuple, list))
 
 #: Scalar columns grown in lock-step; name -> (dtype, fill value).
 _SCALAR_COLUMNS = (
-    ("density", np.float64, 0.0),
+    ("key", np.float64, 0.0),
     ("created_at", np.float64, 0.0),
-    ("last_update", np.float64, 0.0),
     ("last_absorb", np.float64, 0.0),
     ("delta", np.float64, np.inf),
     ("dep", np.int64, -1),
@@ -101,10 +100,22 @@ class CellArrays:
         Seed-matrix dtype, ``float64`` (default, exact equivalence with the
         scalar paths) or ``float32`` (half the memory traffic and a faster
         distance kernel, at ~1e-7 relative distance error).  All scalar
-        columns stay float64 regardless, so densities and timestamps never
-        lose precision.
+        columns stay float64 regardless, so density keys and timestamps
+        never lose precision.
     capacity:
         Initial number of slots; grows by doubling.
+    log_rate:
+        ``ℓ = ln(a^λ)`` of the owning model's decay
+        (:attr:`~repro.core.decay.DecayModel.log_rate`); 0, no decay, for a
+        standalone arena.
+
+    A cell's density is stored as its *key* ``κ = ln ρ − ℓ·(t − t₀)``: the
+    log of its density ``ρ`` at any time ``t``, shifted by the decay since
+    the origin ``t₀`` (:attr:`origin`, the model's start time).  Decay
+    multiplies every density by the same factor, so the key of a cell that
+    absorbs nothing never changes, and keys order the cells as their
+    densities do at any common time.  :meth:`arrival_key` is the key of one
+    point arriving now, and ``exp(κ − arrival_key(now))`` the density now.
     """
 
     def __init__(
@@ -112,12 +123,18 @@ class CellArrays:
         numeric: bool = True,
         dtype: Any = np.float64,
         capacity: int = _INITIAL_CAPACITY,
+        log_rate: float = 0.0,
     ) -> None:
         self.numeric = numeric
         self.seed_dtype = np.dtype(dtype)
         if self.seed_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(f"seed dtype must be float32 or float64, got {dtype!r}")
         self.capacity = max(1, int(capacity))
+        #: ``ℓ = ln(a^λ)``, the log of the per-unit-time decay factor.
+        self.log_rate = float(log_rate)
+        #: ``t₀``, the time the keys are anchored at; the owning model sets
+        #: it to its start time, at or before every time a key is read at.
+        self.origin = 0.0
         self.dim: Optional[int] = None
         #: Contiguous ``(capacity, dim)`` seed matrix (numeric arenas only);
         #: allocated lazily when the first seed fixes the dimension.
@@ -270,9 +287,8 @@ class CellArrays:
         self,
         cell_ids: Sequence[int],
         seeds: Any,
-        density: Any,
+        key: Any,
         created_at: Any,
-        last_update: Any,
         last_absorb: Any,
         points_absorbed: Any,
     ) -> List[int]:
@@ -321,9 +337,8 @@ class CellArrays:
         self._slot_of.update(zip(cell_ids, slots))
         if self._seed_obj is not None:
             self._seed_obj.update(zip(slots, objects))
-        self.density[index] = density
+        self.key[index] = key
         self.created_at[index] = created_at
-        self.last_update[index] = last_update
         self.last_absorb[index] = last_absorb
         self.points_absorbed[index] = points_absorbed
         self.cell_ids[index] = cell_ids
@@ -334,9 +349,8 @@ class CellArrays:
         self,
         cell_id: int,
         seed: Any,
-        density: float = 1.0,
+        key: float = 0.0,
         created_at: float = 0.0,
-        last_update: float = 0.0,
         last_absorb: float = 0.0,
         points_absorbed: int = 1,
     ) -> int:
@@ -350,9 +364,7 @@ class CellArrays:
         """
         if cell_id in self._slot_of:
             raise KeyError(f"cell {cell_id} already allocated")
-        slots = self._fill(
-            [cell_id], [seed], density, created_at, last_update, last_absorb, points_absorbed
-        )
+        slots = self._fill([cell_id], [seed], key, created_at, last_absorb, points_absorbed)
         return slots[0]
 
     def release(self, cell_id: int) -> None:
@@ -379,9 +391,8 @@ class CellArrays:
     def create_many(
         self,
         seeds: Any,
-        density: Any = 1.0,
+        key: Any = 0.0,
         created_at: Any = 0.0,
-        last_update: Any = 0.0,
         last_absorb: Any = 0.0,
     ) -> np.ndarray:
         """Create one cell per seed with fresh ids from the process counter.
@@ -389,8 +400,9 @@ class CellArrays:
         ``seeds`` is a sequence of seed objects, or for numeric arenas a
         ``(count, dim)`` float array, one seed per row (its shape is checked
         once, and a float64 arena keeps no per-seed object at all: the row
-        is the seed); ``density`` and the times are one value or one per
-        seed.
+        is the seed); ``key`` (see :class:`CellArrays`; the default is the
+        key of density 1 at the origin) and the times are one value or one
+        per seed.
         Returns the ids, ascending in seed order.  The arena ends as one
         :meth:`create` per seed, in order, leaves it: the same ids, slots,
         free-list and columns.  Each new cell has no dependency and one
@@ -398,40 +410,42 @@ class CellArrays:
         view adds it.
         """
         cell_ids = list(itertools.islice(_cell_id_counter, len(seeds)))
-        self._fill(cell_ids, seeds, density, created_at, last_update, last_absorb, 1)
+        self._fill(cell_ids, seeds, key, created_at, last_absorb, 1)
         return np.asarray(cell_ids, dtype=np.int64)
 
     def create(
         self,
         seed: Any,
-        density: float = 1.0,
+        key: float = 0.0,
         created_at: float = 0.0,
-        last_update: float = 0.0,
         last_absorb: float = 0.0,
     ) -> int:
         """Create one cell (the one-seed case of :meth:`create_many`); returns its id."""
         return int(
-            self.create_many(
-                [seed],
-                density=density,
-                created_at=created_at,
-                last_update=last_update,
-                last_absorb=last_absorb,
-            )[0]
+            self.create_many([seed], key=key, created_at=created_at, last_absorb=last_absorb)[0]
         )
 
     def view(self, cell_id: int) -> ClusterCell:
         """A read-only :class:`~repro.core.cell.ClusterCell` view of a cell id."""
         return ClusterCell(self, cell_id)
 
-    def density_at(self, slot: int, now: float, decay: DecayModel) -> float:
-        """Timely density of the cell at ``slot`` at time ``now`` (lazy decay)."""
-        density = float(self.density[slot])
-        last_update = float(self.last_update[slot])
-        if now < last_update:
-            # Clock skew guard: never "undecay"; treat as current value.
-            return density
-        return decay.decay_density(density, now - last_update)
+    def arrival_key(self, now: Any) -> Any:
+        """Key of one point arriving at ``now``: ``−ℓ·(now − t₀)`` (element-wise).
+
+        A density ``ρ`` held at ``now`` has key ``ln ρ + arrival_key(now)``,
+        so this is also what a key is compared against to compare its
+        density now with a threshold.
+        """
+        return -self.log_rate * (now - self.origin)
+
+    def density_at(self, slot: int, now: float) -> float:
+        """Density of the cell at ``slot`` at time ``now``, from its key.
+
+        For showing or folding a density only; every ingest decision
+        compares keys.  It underflows to 0 once the cell has idled long
+        enough, while the key stays finite.
+        """
+        return math.exp(float(self.key[slot]) - self.arrival_key(now))
 
     def seed_of(self, slot: int) -> Any:
         """The seed of the cell at a slot, as it was handed in.
@@ -448,7 +462,7 @@ class CellArrays:
     # invariants
     # ------------------------------------------------------------------ #
     def validate(self) -> None:
-        """Check slot-accounting invariants (tests only)."""
+        """Check slot-accounting and key invariants (tests only)."""
         free = set(self._free)
         assert len(free) == len(self._free), "free-list contains duplicates"
         for slot in free:
@@ -460,4 +474,7 @@ class CellArrays:
             assert int(self.cell_ids[slot]) == cell_id
         assert self._top <= self.capacity
         assert len(self._slot_of) + len(free) == self._top
+        live = np.flatnonzero(self.status[: self._top] != FREE)
+        broken = live[~np.isfinite(self.key[live])]
+        assert broken.size == 0, f"key of cell {int(self.cell_ids[broken[0]])} is not finite"
 

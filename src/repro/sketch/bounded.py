@@ -7,7 +7,7 @@ the structure-of-arrays arena and its two population views
 budget enforced by *eviction to sketch*:
 
 * When the arena would have to grow past the cap, the coldest inactive
-  cells (LRU by ``last_update``) are evicted: each cell's decayed density
+  cells (LRU by ``last_absorb``) are evicted: each cell's decayed density
   is folded into a :class:`~repro.sketch.cms.DecayedCountMinSketch` under
   its grid key, the key is recorded in a
   :class:`~repro.sketch.bloom.BloomFilter`, and the cell's slot returns to
@@ -344,8 +344,9 @@ class BoundedCellStore:
     def evict_coldest(self, n: int, now: float) -> int:
         """Evict up to ``n`` of the coldest inactive cells to the sketch.
 
-        Coldness is LRU by the ``last_update`` column.  For each victim the
-        decayed density is folded into the CMS under the seed's grid key,
+        Coldness is LRU by the ``last_absorb`` column.  For each victim the
+        density at ``now``, read from its key, is folded into the CMS under
+        the seed's grid key,
         the key is recorded in the bloom filter, and the slot is released
         to the arena free-list.  Returns the number actually evicted.
         """
@@ -354,17 +355,11 @@ class BoundedCellStore:
         if n <= 0:
             return 0
         with self.obs.phase("sketch_evict"):
-            slots = inactive.slots()
-            last_update = self.arena.last_update[slots]
-            order = np.argsort(last_update, kind="stable")[:n]
+            order = np.argsort(self.arena.last_absorb[inactive.slots()], kind="stable")[:n]
             ids = inactive.ids_array()[order]
-            decay_rate = self.tier.decay.rate
-            density = self.arena.density
             for cell_id in ids.tolist():
                 slot = self.arena.slot_of(cell_id)
-                elapsed = max(0.0, now - float(self.arena.last_update[slot]))
-                decayed = float(density[slot]) * decay_rate**elapsed
-                self.tier.evict(self.arena.seed_of(slot), decayed, now)
+                self.tier.evict(self.arena.seed_of(slot), self.arena.density_at(slot, now), now)
                 inactive.remove(cell_id)
                 self.arena.release(cell_id)
         if self.obs.enabled:

@@ -20,7 +20,6 @@ import repro.core.cellstore as cellstore
 from repro import EDMStream
 from repro.core.batch import BatchIngestor
 from repro.core.cellstore import CellStore
-from repro.core.decay import DecayModel
 from repro.distance.metrics import pairwise_euclidean
 from repro.streams import NewsStreamGenerator, RBFDriftGenerator, SDSGenerator
 from repro.streams.point import StreamPoint
@@ -53,8 +52,8 @@ def canonical_cells(model):
     cells = {}
     for cell in list(model.tree.cells()) + list(model.reservoir.cells()):
         cells[canonical_seed(cell.seed)] = (
-            cell.density,
-            cell.last_update,
+            cell.density_at(model.now),
+            cell.last_absorb,
             cell.cell_id in model.tree,
             cell.points_absorbed,
         )
@@ -82,19 +81,19 @@ def canonical_assignment(cell_ids):
 def assert_same_cells(sequential, batched):
     """Cell populations match; densities to 1e-9 relative.
 
-    The batch path applies one closed-form decayed increment per (cell,
-    batch) where the sequential path applies Equation 8 per point — the same
-    quantity evaluated in a different float association, so densities agree
-    to rounding rather than bit-for-bit.  Everything discrete (membership,
-    absorption counts, update times) must match exactly.
+    The batch path applies one log-sum-exp per (cell, batch) where the
+    sequential path applies Equation 8 per point — the same quantity
+    evaluated in a different float association, so densities agree to
+    rounding rather than bit-for-bit.  Everything discrete (membership,
+    absorption counts, absorb times) must match exactly.
     """
     seq_cells = canonical_cells(sequential)
     bat_cells = canonical_cells(batched)
     assert set(bat_cells) == set(seq_cells)
-    for seed, (density, last_update, active, absorbed) in seq_cells.items():
-        b_density, b_last_update, b_active, b_absorbed = bat_cells[seed]
+    for seed, (density, last_absorb, active, absorbed) in seq_cells.items():
+        b_density, b_last_absorb, b_active, b_absorbed = bat_cells[seed]
         assert b_density == pytest.approx(density, rel=1e-9)
-        assert (b_last_update, b_active, b_absorbed) == (last_update, active, absorbed)
+        assert (b_last_absorb, b_active, b_absorbed) == (last_absorb, active, absorbed)
 
 
 def assert_equivalent(sequential, batched, sequential_ids=None, batched_ids=None):
@@ -122,11 +121,15 @@ class TestLearnManyEquivalence:
         assert_equivalent(sequential, batched, sequential_ids, batched_ids)
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_sds_synthetic(self, batch_size):
+    @pytest.mark.parametrize("decay_lambda", [1.0, 1000.0])
+    def test_sds_synthetic(self, batch_size, decay_lambda):
+        """At λ = 1000 the density keys grow by 6 over the 3 s stream."""
         stream = SDSGenerator(n_points=3000, rate=1000.0, seed=11).generate()
 
         def make():
-            return EDMStream(radius=0.3, beta=0.0021, stream_rate=1000.0)
+            return EDMStream(
+                radius=0.3, beta=0.0021, stream_rate=1000.0, decay_lambda=decay_lambda
+            )
 
         sequential = make()
         sequential.learn_many(stream, batch_size=None)
@@ -238,6 +241,30 @@ class TestBatchIngestor:
         assert model.initialized
         assert model.tau is not None
 
+    @pytest.mark.parametrize("gap", [10.0, 1e6])
+    def test_an_idle_gap_inside_a_chunk_keeps_an_earlier_activation(self, gap):
+        """An inactive cell crosses the threshold, then idles inside the same chunk.
+
+        After a gap of 1e6 s the early points' arrival keys lie ~2000 below
+        the last one's, so a trajectory shifted by the group's largest term
+        would underflow them and miss the crossing; the per-point engine
+        activates the cell, which then survives the sweep as the densest.
+        """
+        head = [StreamPoint(values=(0.001 * i, 0.0), timestamp=0.001 * i) for i in range(30)]
+        burst = [StreamPoint(values=(5.0, 5.0), timestamp=0.03 + 0.001 * i) for i in range(10)]
+        late = [StreamPoint(values=(5.0, 5.0), timestamp=0.039 + gap)]
+
+        def make():
+            return EDMStream(radius=0.5, init_size=20, beta=0.01, stream_rate=100.0)
+
+        sequential = make()
+        sequential.learn_many(head + burst + late, batch_size=None)
+        batched = make()
+        batched.learn_many(head, batch_size=256)
+        batched.learn_many(burst + late, batch_size=256)
+        assert (5.0, 5.0) in {tuple(cell.seed) for cell in sequential.tree.cells()}
+        assert_equivalent(sequential, batched)
+
     def test_close_points_share_a_cell_within_one_batch(self):
         model = EDMStream(radius=0.5)
         points = [
@@ -291,63 +318,6 @@ class TestBatchIngestor:
             assert new != old
             results.append(tied == old)
         assert results == [True, True]
-
-
-# --------------------------------------------------------------------- #
-# batched decay primitives
-# --------------------------------------------------------------------- #
-class TestBatchedDecay:
-    decay = DecayModel(a=0.998, lam=1.0)
-
-    def test_batch_absorb_matches_sequential_absorb(self):
-        times = np.asarray([1.0, 1.4, 1.9, 2.05])
-        density = 3.0
-        expected = density
-        last = 0.5
-        for t in times:
-            expected = self.decay.absorb(expected, t - last)
-            last = t
-        assert self.decay.batch_absorb(3.0, 0.5, times) == pytest.approx(expected, rel=1e-12)
-
-    def test_batch_absorb_uniform_uses_geometric_sum(self):
-        times = 10.0 + 0.001 * np.arange(500)
-        increment = self.decay.batch_absorb(0.0, times[0], times)
-        assert increment == pytest.approx(self.decay.geometric_decay_sum(500, 0.001), rel=1e-12)
-
-    def test_geometric_decay_sum_equals_explicit_series(self):
-        q = self.decay.decay_factor(0.25)
-        explicit = sum(q ** m for m in range(40))
-        assert self.decay.geometric_decay_sum(40, 0.25) == pytest.approx(explicit)
-        assert self.decay.geometric_decay_sum(0, 0.25) == 0.0
-        assert self.decay.geometric_decay_sum(1, 123.0) == 1.0
-
-    def test_absorb_trajectory_matches_stepwise_absorb(self):
-        times = np.asarray([2.0, 2.3, 2.31, 3.0])
-        trajectory = self.decay.absorb_trajectory(5.0, 1.5, times)
-        density = 5.0
-        last = 1.5
-        for step, t in enumerate(times):
-            density = self.decay.absorb(density, t - last)
-            last = t
-            assert trajectory[step] == pytest.approx(density, rel=1e-12)
-
-    def test_absorb_trajectory_survives_huge_time_spans(self):
-        """Spans beyond the a**(-λt) overflow range use the stepwise path."""
-        times = np.asarray([0.0, 500000.0])
-        trajectory = self.decay.absorb_trajectory(1.0, 0.0, times)
-        assert np.all(np.isfinite(trajectory))
-        assert trajectory[1] == self.decay.absorb(self.decay.absorb(1.0, 0.0), 500000.0)
-
-    def test_decayed_weights(self):
-        weights = self.decay.decayed_weights(np.asarray([0.0, 1.0, 2.0]), 2.0)
-        assert weights[2] == 1.0
-        assert weights[0] == pytest.approx(self.decay.freshness(0.0, 2.0))
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            self.decay.geometric_decay_sum(-1, 0.1)
-        with pytest.raises(ValueError):
-            self.decay.geometric_decay_sum(3, -0.1)
 
 
 # --------------------------------------------------------------------- #

@@ -93,22 +93,22 @@ class TestQueries:
         subset = store.distances_to_subset((0.0, 0.0), np.asarray([1, 3]))
         assert subset == pytest.approx([1.0, 3.0])
 
-    def test_densities_at_applies_lazy_decay(self):
-        decay = DecayModel(a=0.5, lam=1.0)
-        store = CellStore()
-        add_cell(store, (0.0,), density=8.0, last_update=0.0)
-        densities = store.densities_at(2.0, decay)
+    def test_densities_at_decays_the_keys(self):
+        arena = CellArrays(log_rate=DecayModel(a=0.5, lam=1.0).log_rate)
+        store = CellStore(arrays=arena)
+        add_cell(store, (0.0,), key=math.log(8.0))
+        densities = store.densities_at(2.0)
         assert densities == pytest.approx([2.0])
 
     def test_queries_read_the_live_columns(self):
-        store = CellStore()
+        store = CellStore(arrays=CellArrays(log_rate=DecayModel(a=0.5, lam=1.0).log_rate))
         slot = store.arrays.slot_of(add_cell(store, (0.0,)))
-        store.arrays.density[slot] = 9.0
-        store.arrays.last_update[slot] = 4.0
+        store.arrays.key[slot] = math.log(9.0) + store.arrays.arrival_key(4.0)
         store.arrays.delta[slot] = 1.25
         store.validate()
-        assert store.densities_at(4.0, DecayModel(a=0.5, lam=1.0))[0] == 9.0
-        assert store.densities_at(6.0, DecayModel(a=0.5, lam=1.0))[0] == 2.25
+        assert store.keys()[0] == store.arrays.key[slot]
+        assert store.densities_at(4.0)[0] == pytest.approx(9.0)
+        assert store.densities_at(6.0)[0] == pytest.approx(2.25)
         assert store.deltas()[0] == 1.25
 
     def test_jaccard_store_falls_back_to_metric_loop(self):

@@ -1,10 +1,12 @@
 """Tests for the exponential decay model (Section 3.1, Equations 3-8)."""
 
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.decay import DecayModel, equivalent_lambda
+from repro.core.decay import DecayModel, log_add
 
 
 class TestDecayModelConstruction:
@@ -54,14 +56,21 @@ class TestFreshness:
 
 
 class TestDensityUpdates:
-    def test_absorb_matches_equation_8(self):
-        model = DecayModel(a=0.998, lam=1.0)
-        # rho_{t+1} = a^(lambda*dt) * rho_t + 1
-        assert model.absorb(10.0, 2.0) == pytest.approx(0.998 ** 2 * 10.0 + 1.0)
+    def test_log_rate_is_the_log_of_the_rate(self):
+        model = DecayModel(a=0.9, lam=2.0)
+        assert model.log_rate == 2.0 * math.log(0.9)
+        assert model.log_rate == pytest.approx(math.log(model.rate))
 
-    def test_absorb_with_zero_elapsed_adds_one(self):
-        model = DecayModel()
-        assert model.absorb(3.0, 0.0) == pytest.approx(4.0)
+    def test_log_add_is_equation_8_on_keys(self):
+        # rho_{t+1} = a^(lambda*dt) * rho_t + 1, with keys relative to t0 = 0.
+        model = DecayModel(a=0.998, lam=1.0)
+        key = math.log(10.0)  # density 10 at t = 0
+        now = 2.0
+        after = log_add(key, -model.log_rate * now)
+        assert math.exp(after + model.log_rate * now) == pytest.approx(0.998**2 * 10.0 + 1.0)
+
+    def test_log_add_of_equal_keys_adds_ln_2(self):
+        assert log_add(3.0, 3.0) == 3.0 + math.log(2.0)
 
     def test_decay_density_is_multiplicative(self):
         model = DecayModel(a=0.5, lam=1.0)
@@ -83,6 +92,14 @@ class TestDensityUpdates:
         twice = model.decay_density(model.decay_density(density, t1), t2)
         assert once == pytest.approx(twice, rel=1e-9, abs=1e-9)
 
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    def test_log_add_rounds_as_numpy_logaddexp(self, x, y):
+        assert log_add(x, y) == float(np.logaddexp(np.array([x]), np.array([y]))[0])
+        assert log_add(x, y) == log_add(y, x)
+
 
 class TestThresholds:
     def test_total_weight_matches_geometric_series(self):
@@ -98,10 +115,6 @@ class TestThresholds:
         # beta=0.0021, v=1000, a^lambda=0.998 -> threshold = 1050
         model = DecayModel(a=0.998, lam=1.0)
         assert model.active_threshold(0.0021, 1000.0) == pytest.approx(1050.0)
-
-    def test_beta_lower_bound(self):
-        model = DecayModel(a=0.998, lam=1.0)
-        assert model.beta_lower_bound(1000.0) == pytest.approx((1.0 - 0.998) / 1000.0)
 
     def test_active_threshold_rejects_bad_beta(self):
         model = DecayModel()
@@ -124,25 +137,3 @@ class TestThresholds:
     def test_safe_deletion_interval_positive(self):
         model = DecayModel()
         assert model.safe_deletion_interval(0.0021, 1000.0) > 0
-
-    def test_half_life(self):
-        model = DecayModel(a=0.5, lam=1.0)
-        assert model.half_life() == pytest.approx(1.0)
-
-
-class TestEquivalentLambda:
-    def test_denstream_alignment(self):
-        # DenStream fixes a = 2; the paper uses lambda = 0.0028 to match 0.998.
-        lam = equivalent_lambda(2.0, 0.998)
-        assert 2.0 ** lam == pytest.approx(0.998)
-        assert lam == pytest.approx(-0.00289, abs=1e-4)
-
-    def test_mrstream_alignment(self):
-        lam = equivalent_lambda(1.002, 0.998)
-        assert 1.002 ** lam == pytest.approx(0.998)
-
-    def test_rejects_invalid_targets(self):
-        with pytest.raises(ValueError):
-            equivalent_lambda(1.0, 0.998)
-        with pytest.raises(ValueError):
-            equivalent_lambda(2.0, 1.5)

@@ -1,29 +1,36 @@
-"""``learn_one``'s Theorem 1 by the DP-Tree's density order.
+"""Density keys, and ``learn_one``'s Theorem 1 by the DP-Tree's density order.
 
-With the density filter on, the per-point dependency update finds the cells
-an absorber newly dominates from a band of the DP-Tree's time-invariant key
+Every cell stores its density as a key κ = ln ρ − ℓ·(t − t₀) (see
+:class:`~repro.core.soa.CellArrays`), and every density decision compares
+keys.  With the density filter on, the per-point dependency update finds
+the cells an absorber newly dominates from a band of the DP-Tree's key
 order (:meth:`DPTree.theorem_one <repro.core.dptree.DPTree.theorem_one>`)
-instead of a full density vector and dominance mask.  The tests below hold
-it to the full mask:
+instead of a full dominance mask.  The tests below hold:
 
-* on hand-built populations with knife-edge densities, zero and subnormal
-  densities and epoch-scale times, its answer equals the mask's, also after
-  the order was kept up to date through ``add``/``remove``/``write_density``;
-* on random streams (duplicates, bursts, idle gaps past underflow, λ ≠ 1,
-  ``float32``, a memory cap, ``learn_one`` interleaved with ``learn_many``)
-  every active cell's seed-keyed ``(dep, δ, density)`` equals that of a twin
-  with both filters off, and the filter counters equal a brute-force
-  Theorem 1/2 recount from full ``densities_at`` vectors, call by call;
-* idle gaps long enough to underflow every stored density do not break it.
+* ``theorem_one`` to the full mask on hand-built populations with tied
+  keys on both sides of the absorber's id, also after the order was kept
+  up to date through ``add``/``remove``/``write_key``;
+* the filtered model, on random streams (duplicates, bursts, idle gaps
+  past underflow, λ ≠ 1, ``float32``, a memory cap, ``learn_one``
+  interleaved with ``learn_many``), to a twin with both filters off — every
+  active cell's seed-keyed ``(dep, δ, key)`` — and its filter counters to a
+  brute-force Theorem 1/2 recount from the key column, call by call;
+* keys to stay finite and ordered after idle gaps that underflow every
+  density, and the densities read from them to stay within the documented
+  rounding bound of an exact evaluation of Equation 8.
 """
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import EDMStream
-from repro.core.decay import DecayModel
+from repro.core.decay import DecayModel, log_add
 from repro.core.dptree import DPTree, dominates
+from repro.core.filters import FilterStatistics
 from repro.core.soa import CellArrays
 from repro.distance.metrics import pairwise_euclidean
 from repro.streams import SDSGenerator
@@ -33,209 +40,159 @@ from repro.streams.point import StreamPoint
 # theorem_one against the full mask, on hand-built populations
 # --------------------------------------------------------------------------- #
 
-#: How a cell's density relates to the absorber's: anywhere, exactly at
-#: ``rho_before`` or ``rho_after`` at ``now``, one decayed step from them
-#: (within an ulp or so of the end after numpy's rounding), stored exactly
-#: as the absorber was before it absorbed (seeded with it: a density tie),
-#: underflowed to 0, or subnormal.
-_KINDS = ["any", "at_before", "at_after", "near_before", "near_after", "twin", "zero", "tiny"]
-_NEAR = ["near_before", "near_after", "twin"]
+#: How a cell's key relates to the absorber's: anywhere, exactly at its key
+#: before or after the absorb (ties, broken by id), or one ulp to either
+#: side of those.
+_KINDS = ["any", "at_before", "at_after", "below_before", "above_before", "below_after"]
 
 
 @st.composite
 def _population(draw):
-    lam = draw(st.sampled_from([1.0, 0.5, 1000.0]))
-    origin = draw(st.sampled_from([0.0, 1.7e9]))
-    span = draw(st.sampled_from([0.0, 0.25, 40.0, 1e6]))
-    now = origin + span
-    # The absorber's stored density before it absorbed, and for how long it
-    # had held it.
-    stored_density = draw(
-        st.one_of(
-            st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 2.5]),
-            st.floats(min_value=0.0, max_value=60.0),
-        )
-    )
-    held = draw(st.sampled_from([0.0, span]) | st.floats(min_value=0.0, max_value=span))
-    cells = []
-    kinds = st.one_of(st.sampled_from(_KINDS), st.sampled_from(_NEAR))
-    for kind in draw(st.lists(kinds, min_size=0, max_size=30)):
-        elapsed = draw(st.floats(min_value=0.0, max_value=span)) if span else 0.0
-        cells.append((kind, elapsed, draw(st.floats(min_value=0.0, max_value=80.0))))
-    return lam, origin, now, stored_density, held, cells
+    """The absorber's keys before and after, and the other cells' keys.
 
-
-def _build(population):
-    """A DP-Tree over ``population`` plus an absorber that just went to ``rho_before + 1``.
-
-    The absorber had held ``stored_density`` since ``now - held``; the
-    returned ``rho_before`` is that value decayed to ``now`` as Eq. 8 does
-    (Python's ``**``), and ``stored`` is the stored pair.
+    Each other cell is created before or after the absorber, so ties with
+    its keys fall on both sides of its id.
     """
-    lam, origin, now, stored_density, held, cells = population
-    decay = DecayModel(lam=lam)
-    stored = (stored_density, now - held)
+    key_before = draw(
+        st.sampled_from([-3.0, 0.0, 2.5, 1e3, 3.4e6])
+        | st.floats(min_value=-1e4, max_value=1e4)
+    )
+    gain = draw(st.sampled_from([0.0, 2.0**-40, math.log(2.0)]) | st.floats(0.0, 50.0))
+    key_after = key_before + gain
+    cells = []
+    for kind in draw(st.lists(st.sampled_from(_KINDS), max_size=30)):
+        value = {
+            "at_before": key_before,
+            "at_after": key_after,
+            "below_before": math.nextafter(key_before, -math.inf),
+            "above_before": math.nextafter(key_before, math.inf),
+            "below_after": math.nextafter(key_after, -math.inf),
+        }.get(kind)
+        if value is None:
+            value = draw(st.floats(min_value=key_before - 60.0, max_value=key_after + 60.0))
+        cells.append((value, draw(st.booleans())))
+    return key_before, key_after, cells
+
+
+def _build(population, order):
+    """A DP-Tree over ``population`` whose absorber's key just went up.
+
+    Returns ``(tree, absorber, key_before)``; the absorber's column holds
+    its new key, written through ``write_key``, which also moves its entry
+    when the order is live.  ``order`` builds the order before that write.
+    """
+    key_before, key_after, cells = population
     arena = CellArrays()
     tree = DPTree(numeric=True, arrays=arena)
-    before = arena.create((-1.0,), density=stored_density, last_update=stored[1])
-    rho_before = arena.density_at(arena.slot_of(before), now, decay)
-    arena.release(before)
-    rho_after = rho_before + 1.0
-    for i, (kind, elapsed, value) in enumerate(cells):
-        target = {"at_before": rho_before, "at_after": rho_after}.get(kind, value)
-        if kind in ("near_before", "near_after"):
-            # Python's ** and numpy's power round differently, so the
-            # vector value lands on or next to the end.
-            end = rho_before if kind == "near_before" else rho_after
-            factor = decay.rate**elapsed
-            density = end / factor if factor > 1e-100 else end
-        elif kind in ("at_before", "at_after"):
-            density, elapsed = target, 0.0
-        elif kind == "twin":
-            density, elapsed = stored_density, held
-        elif kind == "zero":
-            density = 0.0
-        elif kind == "tiny":
-            density = 1e-310
-        else:
-            density = value
-        time = now - elapsed
-        tree.add(arena.create((float(i),), density=density, last_update=time, created_at=time))
-    absorber = arena.create((-1.0,), density=rho_after, last_update=now, created_at=now)
-    tree.add(absorber)
-    return tree, decay, origin, now, rho_before, rho_after, absorber, stored
+    older = [arena.create((float(i),), key=key) for i, (key, first) in enumerate(cells) if first]
+    absorber = arena.create((-1.0,), key=key_before)
+    younger = [arena.create((float(i),), key=k) for i, (k, first) in enumerate(cells) if not first]
+    tree.add_many(younger + [absorber] + older)
+    if order:
+        tree.theorem_one(absorber, -1, key_before)
+    tree.write_key(absorber, arena.slot_of(absorber), key_after)
+    return tree, absorber, key_before
 
 
-def _mask_answer(tree, decay, now, rho_after, absorber, stored):
-    """What a full density vector and dominance mask decide.
+def _mask_answer(tree, absorber, key_before):
+    """What a full dominance mask over the key column decides.
 
-    The cells the absorber newly dominates are those at or above its
-    ``stored`` pre-absorb density, decayed by the vector formula as the
-    vector held it before the absorb.  The absorber's dominators, which a
+    The cells the absorber newly dominates are those it dominates now whose
+    key is at least its key before the absorb.  Its dominators, which a
     stale own link is refreshed over, come from the mask ``relink`` builds
     for one row; ``None`` while the link holds.
     """
-    densities = tree.densities_at(now, decay)
+    keys = tree.keys()
     ids = tree.ids_array()
-    density, last_update = stored
-    held = np.maximum(0.0, now - np.array([last_update]))
-    rho_hat = (np.array([density]) * decay.rate**held)[0]
-    dominated = dominates(rho_after, absorber, densities, ids)
-    kept = (dominated & (densities >= rho_hat)).nonzero()[0]
+    key_after = keys[tree.position_of(absorber)]
+    dominated = dominates(key_after, absorber, keys, ids)
+    kept = (dominated & (keys >= key_before)).nonzero()[0]
     arena = tree.arrays
     dependency = int(arena.dep[arena.slot_of(absorber)])
     stale = dependency not in tree or bool(dominated[tree.position_of(dependency)])
     dominators = None
     if stale:
-        higher = dominates(densities, ids, densities[tree.position_of(absorber)], absorber)
-        dominators = higher.nonzero()[0].tolist()
+        dominators = dominates(keys, ids, key_after, absorber).nonzero()[0].tolist()
     return kept.tolist(), dominators
 
 
-def _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored):
+def _check(tree, absorber, key_before):
     dependency = int(tree.arrays.dep[tree.arrays.slot_of(absorber)])
-    positions, dominators = tree.theorem_one(
-        absorber, dependency, now, rho_before, rho_after, decay, origin, stored
-    )
+    positions, dominators = tree.theorem_one(absorber, dependency, key_before)
     if dominators is not None:
         assert dominators.dtype == np.int64
         dominators = dominators.tolist()
-    assert (positions.tolist(), dominators) == _mask_answer(
-        tree, decay, now, rho_after, absorber, stored
-    )
+    assert (positions.tolist(), dominators) == _mask_answer(tree, absorber, key_before)
     tree.validate()
 
 
 @settings(max_examples=150, deadline=None)
-@given(_population(), st.data())
-def test_theorem_one_equals_the_full_mask(population, data):
-    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(population)
+@given(_population(), st.booleans(), st.data())
+def test_theorem_one_equals_the_full_mask(population, order, data):
+    tree, absorber, key_before = _build(population, order)
     others = [cell_id for cell_id in tree.ids() if cell_id != absorber]
     dependency = data.draw(st.sampled_from(others + [-1, -2]))
     tree.arrays.dep[tree.arrays.slot_of(absorber)] = dependency
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
+    _check(tree, absorber, key_before)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_population(), st.data())
-def test_the_order_follows_membership_and_density_writes(population, data):
-    """Once built, the order is kept by add/remove/write_density, not rebuilt."""
-    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(population)
+def test_the_order_follows_membership_and_key_writes(population, data):
+    """Once built, the order is kept by add/remove/write_key, not rebuilt."""
+    tree, absorber, key_before = _build(population, order=True)
     arena = tree.arrays
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
+    key_after = float(arena.key[arena.slot_of(absorber)])
     others = [cell_id for cell_id in tree.ids() if cell_id != absorber]
     for cell_id in data.draw(st.lists(st.sampled_from(others), unique=True)) if others else []:
         if data.draw(st.booleans()):
             tree.remove(cell_id)
         else:
-            slot = arena.slot_of(cell_id)
-            value = data.draw(st.sampled_from([0.0, rho_before, rho_after, 3.0]))
-            tree.write_density(cell_id, slot, value, now)
-    tree.add(arena.create((-2.0,), density=rho_before, last_update=now, created_at=now))
+            value = data.draw(st.sampled_from([-1e3, key_before, key_after, 3.0]))
+            tree.write_key(cell_id, arena.slot_of(cell_id), value)
+    tree.add(arena.create((-2.0,), key=key_before))
     tree.validate()
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
+    _check(tree, absorber, key_before)
 
 
-def test_validate_catches_a_density_written_behind_the_order():
-    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(
-        (1.0, 0.0, 10.0, 2.0, 0.0, [("any", 5.0, 4.0), ("any", 0.0, 9.0)])
-    )
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
+def test_validate_catches_a_key_written_behind_the_order():
+    tree, absorber, key_before = _build((2.0, 3.0, [(4.0, True), (9.0, False)]), order=True)
     tree.validate()
-    cell_id = tree.ids()[0]
-    tree.arrays.density[tree.arrays.slot_of(cell_id)] = 7.5  # not through write_density
-    with pytest.raises(AssertionError, match="density key"):
+    cell_id = next(cell_id for cell_id in tree.ids() if cell_id != absorber)
+    tree.arrays.key[tree.arrays.slot_of(cell_id)] = 7.5  # not through write_key
+    with pytest.raises(AssertionError, match="density order stale"):
         tree.validate()
 
 
-def test_a_dropped_order_is_rebuilt_from_the_arena():
-    tree, decay, origin, now, rho_before, rho_after, absorber, stored = _build(
-        (
-            1.0,
-            0.0,
-            10.0,
-            2.0,
-            0.0,
-            [("any", 5.0, 4.0), ("near_after", 3.0, 0.0), ("zero", 1.0, 0.0)],
-        )
+def test_a_dropped_order_is_rebuilt_from_the_key_column():
+    tree, absorber, key_before = _build(
+        (2.0, 3.0, [(4.0, True), (3.0, False), (2.0, True), (-50.0, False)]), order=True
     )
-    tree.theorem_one(absorber, -1, now, rho_before, rho_after, decay, origin, stored)
     tree.drop_density_order()
     for cell_id in tree.ids():
-        tree.arrays.density[tree.arrays.slot_of(cell_id)] *= 1.5  # a bulk writer
-    tree.arrays.density[tree.arrays.slot_of(absorber)] = rho_after
-    _check(tree, decay, origin, now, rho_before, rho_after, absorber, stored)
+        if cell_id != absorber:
+            tree.arrays.key[tree.arrays.slot_of(cell_id)] += 0.75  # a bulk writer
+    _check(tree, absorber, key_before)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.5, 1000.0])
-@pytest.mark.parametrize("scalar_above", [True, False], ids=["scalar-above", "scalar-below"])
-def test_cells_seeded_at_the_same_time_tie_until_one_absorbs(lam, scalar_above):
+@pytest.mark.parametrize("origin", [0.0, 1.7e9])
+def test_cells_seeded_at_the_same_time_tie_until_one_absorbs(lam, origin):
     """Two cells seeded together tie, and the older one dominates by id.
 
-    When the younger absorbs at a time where Python's ``**`` (Eq. 8's
-    ``rho_before``) and numpy's ``power`` (the vector values) round apart,
-    the absorber newly dominates the older cell either way: the tie is
-    decided on the vector value of its own pre-absorb density.
+    When the younger absorbs, it newly dominates the older cell, and its
+    link to it goes stale.
     """
-    decay = DecayModel(lam=lam)
-    arena = CellArrays()
+    arena = CellArrays(log_rate=DecayModel(lam=lam).log_rate)
+    arena.origin = origin
     tree = DPTree(numeric=True, arrays=arena)
-    older, younger = (arena.create((x,), density=1.0, last_update=0.0) for x in (0.0, 1.0))
+    seeded = arena.arrival_key(origin + 1.25)
+    older, younger = (arena.create((x,), key=seeded) for x in (0.0, 1.0))
     tree.add_many([older, younger])
-    tree.arrays.dep[arena.slot_of(younger)] = older
-    slot = arena.slot_of(younger)
-    for step in range(1, 5000):
-        now = step / 100
-        rho_before = arena.density_at(slot, now, decay)
-        vector = tree.densities_of(np.array([arena.slot_of(older)]), now, decay)[0]
-        if rho_before != vector and (rho_before > vector) == scalar_above:
-            break
-    else:
-        pytest.fail("Python's ** and numpy's power never rounded apart")
-    tree.write_density(younger, slot, rho_before + 1.0, now)
-    kept, dominators = tree.theorem_one(
-        younger, older, now, rho_before, rho_before + 1.0, decay, 0.0, (1.0, 0.0)
-    )
+    arena.dep[arena.slot_of(younger)] = older
+    now = origin + 9.5
+    tree.write_key(younger, arena.slot_of(younger), log_add(seeded, arena.arrival_key(now)))
+    kept, dominators = tree.theorem_one(younger, older, seeded)
     assert kept.tolist() == [tree.position_of(older)]
     assert dominators.tolist() == []  # the link to the older cell went stale
 
@@ -246,7 +203,7 @@ def test_cells_seeded_at_the_same_time_tie_until_one_absorbs(lam, scalar_above):
 
 
 def seed_keyed_state(model):
-    """Every active cell as ``{seed: (dependency's seed, δ, stored density)}``."""
+    """Every active cell as ``{seed: (dependency's seed, δ, key)}``."""
     arena = model._cells
     seed_of = {
         cell_id: arena.seed_of(slot)
@@ -256,14 +213,14 @@ def seed_keyed_state(model):
         seed_of[cell_id]: (
             seed_of.get(int(arena.dep[slot])),
             float(arena.delta[slot]),
-            float(arena.density[slot]),
+            float(arena.key[slot]),
         )
         for cell_id, slot in zip(model.tree.ids(), model.tree.slots().tolist())
     }
 
 
 def recount(model, values, timestamp):
-    """Brute-force Theorem 1/2 verdicts for one ``learn_one`` call, from full vectors.
+    """Brute-force Theorem 1/2 verdicts for one ``learn_one`` call, from the key column.
 
     Returns a function of the absorbing cell's id giving the three counter
     increments the call must make: nonzero only when an active cell of an
@@ -276,24 +233,20 @@ def recount(model, values, timestamp):
     now = max(model.now, timestamp) if model.n_points else timestamp
     arena = model._cells
     ids = active.ids_array().copy()
-    densities = active.densities_at(now, model.decay)
+    keys = active.keys()
     deltas = active.deltas()
     query = np.asarray(values, dtype=arena.seed_dtype).reshape(1, -1)
     distances = pairwise_euclidean(query, active.seed_view())[0]
-    slots = active.slots().tolist()
-    # Eq. 8 adds one to the scalar decayed value; Theorem 1 compares the
-    # vector values, the absorber's own among them.
-    rho = {cell_id: arena.density_at(slot, now, model.decay) for cell_id, slot in zip(ids, slots)}
     density_on = model.config.enable_density_filter
     triangle_on = model.config.enable_triangle_filter
 
     def counts(absorber):
-        if absorber not in rho:
+        if absorber not in ids:
             return zero
         position = int(np.flatnonzero(ids == absorber)[0])
-        rho_after = rho[absorber] + 1.0
+        key_after = log_add(keys[position], arena.arrival_key(now))
         others = ids != absorber
-        newly = dominates(rho_after, absorber, densities, ids) & (densities >= densities[position])
+        newly = dominates(key_after, absorber, keys, ids) & (keys >= keys[position])
         examined = others & newly if density_on else others
         far = np.abs(distances - distances[position]) > deltas
         return {
@@ -319,8 +272,8 @@ def counter_increments(model, before):
 
 
 #: One arrival: a step, a duplicate of the previous point (exact density
-#: ties), a burst (no time passes) or an idle gap after which every stored
-#: density has underflowed to 0.
+#: ties), a burst (no time passes) or an idle gap after which every density
+#: has underflowed to 0.
 arrivals = st.lists(
     st.tuples(
         st.sampled_from(["step", "step", "step", "duplicate", "burst", "gap"]),
@@ -341,9 +294,8 @@ calls = st.lists(
 
 
 #: Cells seeded at (2, 0) and, by a burst, at (0.5, 0) at the same time tie
-#: in density; when the second absorbs, Python's ``**`` put its decayed
-#: density one ulp above the vector value of the first, which Theorem 1
-#: then dropped although the absorber newly dominates it.
+#: in density; when the second absorbs, it newly dominates the first, which
+#: Theorem 1 must hand to the triangle filter.
 _SAME_TIME_SEEDS = (
     [("step", (0.0, 0.0), 0.0, 0.5)]
     + [("step", (0.0, 0.0), 0.0, 0.0)] * 2
@@ -411,19 +363,21 @@ def test_filtered_stream_matches_its_unfiltered_twin_and_the_recount(
 
 
 # --------------------------------------------------------------------------- #
-# idle gaps that underflow every stored density
+# idle gaps that underflow every density
 # --------------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize(("origin", "gap"), [(0.0, 1e6), (1.7e9, 4e5)])
 def test_an_idle_gap_past_underflow(monkeypatch, origin, gap):
-    """After the gap every density decays to 0, so cells absorb with ``rho_before`` 0."""
+    """After the gap every density read from a key is 0, but the keys still decide."""
+    clock = [origin]
     seen = []
     theorem_one = DPTree.theorem_one
 
-    def spy(self, cell_id, dependency, now, rho_before, *args):
-        seen.append(rho_before)
-        return theorem_one(self, cell_id, dependency, now, rho_before, *args)
+    def spy(self, cell_id, dependency, key_before):
+        # The absorber's log density just before it absorbed.
+        seen.append(key_before - self.arrays.arrival_key(clock[0]))
+        return theorem_one(self, cell_id, dependency, key_before)
 
     monkeypatch.setattr(DPTree, "theorem_one", spy)
     head = SDSGenerator(n_points=1500, rate=1000.0, seed=7).generate()
@@ -446,11 +400,106 @@ def test_an_idle_gap_past_underflow(monkeypatch, origin, gap):
         for filtered in (True, False)
     ]
     for values, timestamp in points:
+        clock[0] = timestamp
         for model in models:
             model.learn_one(values, timestamp=timestamp)
     model, twin = models
     model.tree.validate()
-    assert 0.0 in seen
+    # Some absorber held a density that had underflowed to 0 when it absorbed.
+    assert any(math.exp(log_density) == 0.0 for log_density in seen)
     assert model.filter_stats.density_filtered > 0
     assert len(model.tree) > 1
     assert seed_keyed_state(model) == seed_keyed_state(twin)
+
+
+@pytest.mark.parametrize("origin", [0.0, 1.7e9])
+def test_a_cell_idle_past_underflow_keeps_a_finite_key_below_a_fresh_cell(origin):
+    arena = CellArrays(log_rate=DecayModel().log_rate)
+    arena.origin = origin
+    tree = DPTree(numeric=True, arrays=arena)
+    # A dense cell last fed at the origin, and a cell seeded 10⁶ s later.
+    stale = arena.create((0.0,), key=math.log(5000.0) + arena.arrival_key(origin))
+    now = origin + 1e6
+    fresh = arena.create((1.0,), key=arena.arrival_key(now))
+    tree.add_many([fresh, stale])
+    assert arena.density_at(arena.slot_of(stale), now) == 0.0
+    assert arena.density_at(arena.slot_of(fresh), now) == 1.0
+    assert math.isfinite(arena.key[arena.slot_of(stale)])
+    keys = {cell_id: arena.key[arena.slot_of(cell_id)] for cell_id in (stale, fresh)}
+    assert bool(dominates(keys[fresh], fresh, keys[stale], stale))
+    tree.relink(np.arange(2), FilterStatistics())
+    assert tree.get(stale).dependency == fresh
+    assert tree.get(fresh).dependency is None
+    kept, dominators = tree.theorem_one(fresh, -1, arena.arrival_key(now))
+    assert (kept.tolist(), dominators.tolist()) == ([], [])
+    tree.validate()
+
+
+def test_validate_rejects_a_key_that_is_not_finite():
+    arena = CellArrays()
+    tree = DPTree(numeric=True, arrays=arena)
+    cell_id = arena.create((0.0,))
+    tree.add(cell_id)
+    tree.validate()
+    arena.key[arena.slot_of(cell_id)] = np.nan
+    with pytest.raises(AssertionError, match=f"key of cell {cell_id} is not finite"):
+        tree.validate()
+
+
+# --------------------------------------------------------------------------- #
+# precision of the keys against an exact Equation 8
+# --------------------------------------------------------------------------- #
+
+
+def _key_precision_stream(origin, lam):
+    """10⁴ points around three centres, 0 to 100/λ s apart: Λ reaches about 860."""
+    rng = np.random.default_rng(3)
+    centres = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    points, t = [], origin
+    for _ in range(10_000):
+        t += 50.0 / lam * float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        values = centres[rng.integers(3)] + rng.normal(0.0, 0.05, 2)
+        points.append(StreamPoint(values=tuple(values.tolist()), timestamp=t))
+    return points
+
+
+@pytest.mark.parametrize(
+    ("batch_size", "origin", "lam"),
+    [(None, 0.0, 1.0), (256, 1.7e9, 1.0), (None, 1.7e9, 0.5), (256, 0.0, 0.5)],
+)
+def test_densities_read_from_keys_stay_within_the_rounding_bound(batch_size, origin, lam):
+    """Each cell's density at its last absorb, from its key, against Eq. 8 in 60 digits.
+
+    The documented bound is ``(8 + A)·(Λ + ln ρ + 2)·2⁻⁵³`` relative, with
+    ``Λ = |ℓ|·(t − t₀)`` and ``A`` the mean number of absorbs the cell's
+    current mass has been through (at most its absorb count; about ρ at a
+    steady rate).  ``A·ρ`` decays and grows like a density: it gains the
+    new density at every absorb.
+    """
+    points = _key_precision_stream(origin, lam)
+    model = EDMStream(
+        radius=0.5, beta=0.01, stream_rate=0.02 * lam, decay_lambda=lam, init_size=50
+    )
+    assigned = model.learn_many(points, batch_size=batch_size)
+    exact = {}
+    with localcontext() as context:
+        context.prec = 60
+        log_rate = Decimal(model.config.decay_a).ln() * Decimal(model.config.decay_lambda)
+        for cell_id, point in zip(assigned, points):
+            time = Decimal(point.timestamp)
+            density, mass_age, last = exact.get(cell_id, (Decimal(0), Decimal(0), time))
+            factor = (log_rate * (time - last)).exp()
+            density = density * factor + 1
+            exact[cell_id] = (density, mass_age * factor + density, time)
+    arena = model._cells
+    worst = 0.0
+    for cell_id, (density, mass_age, last) in exact.items():
+        if cell_id not in arena:
+            continue
+        spread = abs(model.decay.log_rate) * (float(last) - origin)
+        absorbs = float(mass_age / density)
+        bound = (8.0 + absorbs) * (spread + math.log(float(density)) + 2.0) * 2.0**-53
+        read = arena.density_at(arena.slot_of(cell_id), float(last))
+        worst = max(worst, abs(float(Decimal(read) / density - 1)) / bound)
+    assert spread > 800.0
+    assert 0.0 < worst <= 1.0

@@ -13,9 +13,9 @@ from repro.core.soa import CellArrays
 from repro.distance import jaccard_distance
 
 
-def make_cell(tree, seed, density):
+def make_cell(tree, seed, key):
     """A view of a new cell in the tree's arena, not yet added to the tree."""
-    return tree.arrays.view(tree.arrays.create(seed, density=density))
+    return tree.arrays.view(tree.arrays.create(seed, key=key))
 
 
 def write_link(tree, cell_id, dep, delta):
@@ -349,8 +349,14 @@ def _population(draw):
     for index in draw(st.permutations(range(n))):
         tree.add(ids[index])
     densities = np.asarray(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    write_keys(tree, densities)
     listed = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)))
     return tree, densities, np.asarray(listed, dtype=np.int64)
+
+
+def write_keys(tree, densities):
+    """Store ``densities`` (array order) as the cells' keys, which order them alike."""
+    tree.arrays.key[tree.slots()] = densities
 
 
 def oracle_links(tree, densities):
@@ -402,7 +408,7 @@ def test_relink_gives_the_listed_cells_their_oracle_link(population, repoint, da
     ]
     write_links(tree, stale)
     stats = FilterStatistics()
-    tree.relink(listed, densities, stats, repoint=repoint)
+    tree.relink(listed, stats, repoint=repoint)
     links, expected = links_of(tree), oracle_links(tree, densities)
     for position in listed.tolist():
         assert links[position] == expected[position]
@@ -423,7 +429,8 @@ def test_relink_with_repoint_restores_every_oracle_link(population, data):
     )
     densities = densities.copy()
     densities[listed] += growth
-    tree.relink(listed, densities, FilterStatistics())
+    write_keys(tree, densities)
+    tree.relink(listed, FilterStatistics())
     assert links_of(tree) == oracle_links(tree, densities)
     tree.validate()
 
@@ -435,7 +442,7 @@ def test_one_cell_refresh_measures_only_its_dominators(population):
     position = int(listed[0])
     ids = tree.ids_array()
     stats = FilterStatistics()
-    tree.relink(np.array([position]), densities, stats, repoint=False)
+    tree.relink(np.array([position]), stats, repoint=False)
     dominators = dominates(densities, ids, densities[position], ids[position])
     assert stats.distance_computations == int(np.count_nonzero(dominators))
 
@@ -445,7 +452,7 @@ def test_relink_of_an_empty_selection_changes_nothing():
     for x in (0.0, 1.0):
         tree.add(tree.arrays.create((x,)))
     stats = FilterStatistics()
-    tree.relink(np.empty(0, dtype=np.int64), np.array([1.0, 2.0]), stats)
+    tree.relink(np.empty(0, dtype=np.int64), stats)
     assert links_of(tree) == [(-1, math.inf)] * 2
     assert stats.as_dict() == FilterStatistics().as_dict()
 
@@ -475,7 +482,7 @@ def test_one_row_refresh_over_known_dominators_equals_the_masked_path(population
     for known in (None, dominators):
         write_links(tree, stale)
         stats = FilterStatistics()
-        tree.relink(np.array([position]), densities, stats, repoint=False, dominators=known)
+        tree.relink(np.array([position]), stats, repoint=False, dominators=known)
         outcomes.append((links_of(tree), stats.as_dict()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[1][0][position] == oracle_links(tree, densities)[position]
@@ -488,6 +495,6 @@ def test_one_row_refresh_with_no_dominator_cuts_the_link():
     write_link(tree, b, a, 1.0)
     stats = FilterStatistics()
     position = tree.position_of(b)
-    tree.relink(np.array([position]), None, stats, repoint=False, dominators=np.empty(0, np.int64))
+    tree.relink(np.array([position]), stats, repoint=False, dominators=np.empty(0, np.int64))
     assert links_of(tree)[position] == (-1, math.inf)
     assert (stats.dependency_changes, stats.distance_computations) == (1, 0)

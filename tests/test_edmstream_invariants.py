@@ -52,15 +52,13 @@ def test_tree_structure_is_consistent(points):
 @given(point_lists)
 def test_dependencies_point_to_denser_cells(points):
     model = build_model(points)
-    now = model.now
     for cell in model.tree.cells():
         if cell.dependency is None or cell.dependency not in model.tree:
             continue
         parent = model.tree.get(cell.dependency)
-        rho_child = cell.density_at(now, model.decay)
-        rho_parent = parent.density_at(now, model.decay)
-        assert (rho_parent > rho_child) or (
-            rho_parent == pytest.approx(rho_child) and parent.cell_id < cell.cell_id
+        # Density keys order the cells as their densities do at any time.
+        assert (parent.key > cell.key) or (
+            parent.key == cell.key and parent.cell_id < cell.cell_id
         ), "dependency must have (weakly) higher density"
 
 
@@ -111,15 +109,14 @@ def test_deltas_match_distance_to_dependency(points):
 def test_dependent_distance_is_minimal_over_denser_cells(points):
     """δ must be the distance to the *nearest* higher-density cell (Eq. 7)."""
     model = build_model(points)
-    now = model.now
     cells = list(model.tree.cells())
     for cell in cells:
-        rho = cell.density_at(now, model.decay)
+        rho = cell.key
         best = math.inf
         for other in cells:
             if other.cell_id == cell.cell_id:
                 continue
-            rho_other = other.density_at(now, model.decay)
+            rho_other = other.key
             higher = rho_other > rho or (rho_other == rho and other.cell_id < cell.cell_id)
             if higher:
                 best = min(best, math.dist(cell.seed, other.seed))

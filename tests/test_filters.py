@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import EDMStream
+from repro.core.decay import log_add
 from repro.core.filters import FilterStatistics
 from repro.harness.experiments import choose_radius
 from repro.streams import SDSGenerator
@@ -55,8 +56,8 @@ class Absorption:
     still_above: np.ndarray  # c' does not dominate c after it (Theorem 1, case 2)
     density_skip: np.ndarray  # what the density filter may skip, if on
     triangle_skip: np.ndarray  # what the triangle filter may skip among the rest, if on
-    densities: np.ndarray  # rho_c at the point's arrival, for every active cell
-    rho_before: float  # the absorber's density just before it absorbs the point
+    densities: np.ndarray  # the density key of every active cell before the absorption
+    rho_before: float  # the absorber's density key just before it absorbs the point
     point_gap: np.ndarray  # | |p,s_c| - |p,s_c'| | for every active cell
     deltas: np.ndarray
     seed_to_absorber: np.ndarray  # |s_c, s_c'| for every active cell
@@ -88,14 +89,13 @@ def replay(model, stream):
             nearest = ids[distances == distances.min()]
             state = dict(
                 ids=ids,
-                densities=store.densities_at(now, model.decay).copy(),
+                # Keys order the cells as their densities at ``now`` do.
+                densities=store.keys(),
                 deltas=store.deltas().copy(),
                 distances=distances,
                 seeds=store.seed_view().copy(),
-                rho_before={
-                    int(cell_id): model.tree.get(int(cell_id)).density_at(now, model.decay)
-                    for cell_id in nearest
-                },
+                rho_before={int(cell_id): model.tree.get(int(cell_id)).key for cell_id in nearest},
+                arrival=model._cells.arrival_key(max(model.now, now)),
             )
         absorber = model.learn_one(point.values, timestamp=now, label=point.label)
         counted = counter_increments(before, model.filter_stats.as_dict())
@@ -107,7 +107,7 @@ def replay(model, stream):
         distances = state["distances"]
         position = int(np.flatnonzero(ids == absorber)[0])
         rho_before = state["rho_before"][absorber]
-        rho_after = rho_before + 1.0
+        rho_after = log_add(rho_before, state["arrival"])
         candidates = ids != absorber
         dominated_after = (densities < rho_after) | ((densities == rho_after) & (ids > absorber))
         already_below = candidates & (densities < rho_before)
@@ -316,7 +316,7 @@ def test_a_link_cut_for_want_of_a_dominator_counts_as_a_change():
     root, child = sorted(model.tree.ids(), key=lambda cid: model.tree.get(cid).seed)
     assert model.tree.get(child).dependency == root
     changes = model.filter_stats.dependency_changes
-    model._deactivate_cells([root], model.now)
+    model._deactivate_cells([root])
     assert model.tree.get(child).dependency is None
     assert model.filter_stats.dependency_changes == changes + 1
 
@@ -329,12 +329,6 @@ class TestFilterStatistics:
 
     def test_filter_rate_with_no_candidates(self):
         assert FilterStatistics().filter_rate == 0.0
-
-    def test_reset(self):
-        stats = FilterStatistics(candidates=5, density_filtered=3)
-        stats.reset()
-        assert stats.candidates == 0
-        assert stats.density_filtered == 0
 
     def test_as_dict_round_trip(self):
         stats = FilterStatistics(candidates=4, density_filtered=1, triangle_filtered=1,

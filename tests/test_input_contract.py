@@ -38,7 +38,7 @@ def cell_state(model):
     """Every cell keyed by seed (cell ids are process-global)."""
     cells = list(model.tree.cells()) + list(model.reservoir.cells())
     return sorted(
-        (tuple(cell.seed), cell.density, cell.last_update, cell.cell_id in model.tree)
+        (tuple(cell.seed), cell.key, cell.last_absorb, cell.cell_id in model.tree)
         for cell in cells
     )
 
@@ -287,5 +287,5 @@ def test_every_engine_keeps_its_clock_in_float(make_time):
     assert partition(models[1]) == partition(models[2]) == partition(models[0])
     batch_cells = cell_state(models[2])
     assert [(s, t, a) for s, _, t, a in batch_cells] == [(s, t, a) for s, _, t, a in cells]
-    # The batch engine sums a batch's freshness in closed form.
+    # The batch engine sums a batch's freshness in one log-sum-exp.
     assert [d for _, d, _, _ in batch_cells] == pytest.approx([d for _, d, _, _ in cells], rel=1e-9)

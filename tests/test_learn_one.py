@@ -109,9 +109,9 @@ def test_duplicate_seeds_across_populations(dtype):
     # Twin seeds: the older twin inactive and the younger active at (10, 10),
     # the other way round at (20, 20).
     older_inactive = model._create_cell((10.0, 10.0), now)
-    model._activate_cell(model._create_cell((10.0, 10.0), now), now)
+    model._activate_cell(model._create_cell((10.0, 10.0), now))
     older_active = model._create_cell((20.0, 20.0), now)
-    model._activate_cell(older_active, now)
+    model._activate_cell(older_active)
     model._create_cell((20.0, 20.0), now)
     twins = [(10.0, 10.0), (10.2, 10.1), (20.0, 20.0), (19.9, 20.3)]
     points = [

@@ -122,11 +122,17 @@ class TestUninitialisedAndEdgeCases:
         assert not restored.initialized
         assert restored.n_inactive_cells == model.n_inactive_cells
 
-    def test_unsupported_version_rejected(self, two_blob_stream):
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+    def test_unsupported_version_rejected(self, two_blob_stream, version):
+        """Version 1 stored ``density``/``last_update`` per cell, not ``key``."""
         model = trained_model(two_blob_stream)
         payload = model_to_dict(model)
-        payload["format_version"] = FORMAT_VERSION + 1
-        with pytest.raises(ValueError):
+        payload["format_version"] = version
+        if version == 1:
+            for cell in payload["active_cells"] + payload["inactive_cells"]:
+                del cell["key"]
+                cell.update(density=1.0, last_update=cell["last_absorb"])
+        with pytest.raises(ValueError, match="unsupported snapshot format version"):
             model_from_dict(payload)
 
     def test_config_round_trip(self, two_blob_stream):
@@ -216,8 +222,7 @@ def seed_keyed_state(model):
         (
             tuple(cell.seed),
             cell.cell_id in model.tree,
-            cell.density,
-            cell.last_update,
+            cell.key,
             cell.last_absorb,
             cell.points_absorbed,
         )

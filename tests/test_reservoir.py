@@ -54,14 +54,14 @@ def add_cell(reservoir, seed, **fields):
 
 class TestMembership:
     def test_add_and_get(self, reservoir):
-        cell_id = add_cell(reservoir, (0.0,), density=3.0)
+        cell_id = add_cell(reservoir, (0.0,), key=3.0)
         assert cell_id in reservoir
         assert len(reservoir) == 1
-        assert reservoir.get(cell_id).density == 3.0
+        assert reservoir.get(cell_id).key == 3.0
 
     def test_add_clears_dependency_information(self, reservoir):
         arena = reservoir.arrays
-        cell_id = arena.create((0.0,), density=3.0)
+        cell_id = arena.create((0.0,), key=3.0)
         arena.dep[arena.slot_of(cell_id)] = 42
         arena.delta[arena.slot_of(cell_id)] = 1.0
         reservoir.add(cell_id)

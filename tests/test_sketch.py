@@ -7,6 +7,7 @@ bloom filter), the :class:`SketchTier` evict/estimate contract, the
 the cap unset takes none of the bounded code paths.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -186,11 +187,12 @@ def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
     """An arena + stores + tier holding ``n_cells`` inactive cells.
 
     Returns ``(bounded, ids)``: the cell ids in creation (= coldness) order.
-    Cell ``i`` has ``last_update = i``, so lower indices are colder.
+    Cell ``i`` was created at time ``i`` with density ``1 + i % 7`` and
+    has ``last_absorb = i``, so lower indices are colder.
     """
     decay = DecayModel()
     metric = get_metric("euclidean")
-    arena = CellArrays(numeric=True)
+    arena = CellArrays(numeric=True, log_rate=decay.log_rate)
     active = CellStore(numeric=True, metric=metric, arrays=arena)
     inactive = CellStore(numeric=True, metric=metric, arrays=arena)
     tier = SketchTier.auto_sized(decay=decay, radius=radius, memory_cap_bytes=cap)
@@ -205,9 +207,9 @@ def _bounded_fixture(n_cells, cap=1 << 20, radius=0.5):
     for i in range(n_cells):
         cell_id = arena.create(
             seed=(float(i), float(-i)),
-            density=1.0 + (i % 7),
+            key=math.log(1.0 + (i % 7)) + arena.arrival_key(float(i)),
             created_at=float(i),
-            last_update=float(i),
+            last_absorb=float(i),
         )
         inactive.add(cell_id)
         ids.append(cell_id)
@@ -223,11 +225,11 @@ class TestBoundedCellStore:
         with pytest.raises(ValueError):
             _bounded_fixture(0, cap=4096)
 
-    def test_evict_coldest_is_lru_by_last_update(self):
+    def test_evict_coldest_is_lru_by_last_absorb(self):
         bounded, ids = _bounded_fixture(10)
         evicted = bounded.evict_coldest(3, now=100.0)
         assert evicted == 3
-        # The first three created cells had the stalest last_update.
+        # The first three created cells had the stalest last_absorb.
         assert all(cell_id not in bounded.arena for cell_id in ids[:3])
         assert all(cell_id in bounded.arena for cell_id in ids[3:])
         assert len(bounded.inactive) == 7
@@ -351,9 +353,9 @@ class TestMassEviction:
             for _ in range(int(rng.integers(50, 150))):
                 cell_id = arena.create(
                     seed=(float(next_id % 97), float(next_id % 89)),
-                    density=1.0,
+                    key=arena.arrival_key(float(next_id)),
                     created_at=float(next_id),
-                    last_update=float(next_id),
+                    last_absorb=float(next_id),
                 )
                 inactive.add(cell_id)
                 next_id += 1
@@ -460,7 +462,7 @@ class TestBoundedEDMStream:
         model.learn_one((10.0, 10.0), timestamp=0.03)
         assert bounded.tier.revivals >= 1
         revived = [c for c in model.reservoir.cells()] + list(model._active.cells())
-        assert any(c.density > 1.5 for c in revived)
+        assert any(c.density_at(model.now) > 1.5 for c in revived)
 
     def test_config_validates_cap(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ def seeded_arena(count, capacity=8):
     """An arena with ``count`` live 2-d cells with ids 0..count-1."""
     arena = CellArrays(numeric=True, capacity=capacity)
     for i in range(count):
-        arena.allocate(i, (float(i), float(-i)), density=1.0 + i)
+        arena.allocate(i, (float(i), float(-i)), key=1.0 + i)
     return arena
 
 
@@ -60,26 +60,26 @@ class TestFreeListReuse:
     def test_release_invalidates_live_views(self):
         arena = seeded_arena(2)
         view, kept = arena.view(0), arena.view(1)
-        assert view.density == 1.0
+        assert view.key == 1.0
         slot = arena.slot_of(0)
         arena.release(0)
         with pytest.raises(KeyError):
-            _ = view.density
+            _ = view.key
         # The slot goes to a new cell; the old view still refuses to read it.
-        assert arena.allocate(7, (5.0, 5.0), density=9.0) == slot
+        assert arena.allocate(7, (5.0, 5.0), key=9.0) == slot
         with pytest.raises(KeyError):
-            _ = view.density
-        assert arena.view(7).density == 9.0
-        assert kept.density == 2.0
+            _ = view.key
+        assert arena.view(7).key == 9.0
+        assert kept.key == 2.0
 
     def test_create_takes_fresh_ids_and_leaves_the_cell_detached(self):
         arena = CellArrays(numeric=True)
-        first = arena.create((0.0, 0.0), density=2.0, created_at=1.0)
+        first = arena.create((0.0, 0.0), key=2.0, created_at=1.0)
         second = arena.create((1.0, 1.0))
         assert second > first
         slot = arena.slot_of(first)
         assert arena.status[slot] == DETACHED
-        assert (arena.density[slot], arena.created_at[slot]) == (2.0, 1.0)
+        assert (arena.key[slot], arena.created_at[slot]) == (2.0, 1.0)
         assert (arena.dep[slot], arena.points_absorbed[slot]) == (-1, 1)
 
     def test_outlier_deletion_recycles_slots_in_model(self):
@@ -109,14 +109,14 @@ class TestGrowthBoundaries:
     def test_growth_preserves_all_columns(self):
         arena = CellArrays(numeric=True, capacity=4)
         for i in range(4):
-            arena.allocate(i, (float(i), 0.0), density=2.0 * i)
+            arena.allocate(i, (float(i), 0.0), key=2.0 * i)
             arena.delta[arena.slot_of(i)] = 0.5 * i
         assert arena.capacity == 4
         arena.allocate(4, (4.0, 0.0))  # crosses the boundary
         assert arena.capacity == 8
         for i in range(4):
             slot = arena.slot_of(i)
-            assert arena.density[slot] == 2.0 * i
+            assert arena.key[slot] == 2.0 * i
             assert arena.delta[slot] == 0.5 * i
             np.testing.assert_allclose(arena.seeds[slot], [float(i), 0.0])
             np.testing.assert_allclose(arena.seed_norm2[slot], float(i) ** 2)
@@ -160,7 +160,7 @@ def arena_state(arena, first_id):
     top = arena.high_water
     columns = {
         name: getattr(arena, name)[:top].tolist()
-        for name in ("seed_norm2", "density", "created_at", "last_update", "last_absorb",
+        for name in ("seed_norm2", "key", "created_at", "last_absorb",
                      "delta", "dep", "points_absorbed", "status")
     }
     live = arena.cell_ids[:top]
@@ -184,7 +184,7 @@ class TestCreateMany:
         seeds = rng.normal(size=(count, 3))
         seeds[0, 0] = -0.0
         times = np.linspace(1.0, 2.0, count)
-        density = 1.0 + rng.random(count)
+        key = rng.random(count)
         states = []
         for given in ("one", "rows", "tuples"):
             arena = CellArrays(numeric=True, dtype=dtype, capacity=4)
@@ -195,15 +195,12 @@ class TestCreateMany:
             if given != "one":
                 ids = arena.create_many(
                     seeds if given == "rows" else list(map(tuple, seeds.tolist())),
-                    density=density, created_at=times, last_update=times,
-                    last_absorb=times,
+                    key=key, created_at=times, last_absorb=times,
                 ).tolist()
             else:
                 ids = [
-                    arena.create(
-                        tuple(row), density=rho, created_at=t, last_update=t, last_absorb=t
-                    )
-                    for row, rho, t in zip(seeds.tolist(), density.tolist(), times.tolist())
+                    arena.create(tuple(row), key=k, created_at=t, last_absorb=t)
+                    for row, k, t in zip(seeds.tolist(), key.tolist(), times.tolist())
                 ]
             assert ids == list(range(first, first + count))
             arena.validate()
@@ -412,7 +409,7 @@ class TestFloat32Mode:
         assert set(exact_cells) == set(single_cells)
         for key, e in exact_cells.items():
             s = single_cells[key]
-            assert s.density == pytest.approx(e.density, rel=1e-4)
+            assert s.density_at(single.now) == pytest.approx(e.density_at(exact.now), rel=1e-4)
             if np.isfinite(e.delta):
                 assert s.delta == pytest.approx(e.delta, rel=1e-4, abs=1e-5)
 
