@@ -51,9 +51,10 @@ state.
 Equivalence caveats: (1) *tie-breaking* — both paths share the canonical
 rules (nearest seed / dominator with the smallest cell id wins exact
 distance ties, density ties order by id), so exact ties resolve
-identically; (2) *float rounding* — both engines decide on the same keys,
-and a cell absorbing one point in a batch gets the key ``learn_one``
-gives it, step for step; a cell absorbing several gets one log-sum-exp
+identically; (2) *float rounding* — both engines decide on the same keys
+against thresholds of one formula (``EDMStream._threshold_keys``), and a
+cell absorbing one point in a batch gets the key ``learn_one`` gives it,
+step for step; a cell absorbing several gets one log-sum-exp
 instead of ``k`` rounded steps, so its key can differ from the per-point
 key in the last bits, and a key comparison sitting within those bits of
 another key or a threshold (activation, dominance) can in principle
@@ -647,33 +648,20 @@ class BatchIngestor:
         if initialized:
             # Inactive absorbers: the first point at which the key reaches
             # the activation threshold.  A single-point group has its new
-            # key to compare; longer groups need the key after each point,
-            # one row of running logaddexp per group (padded with -inf), so
-            # every step is the per-point step and no idle gap inside the
-            # chunk underflows the early points.
+            # key to compare; a longer group runs a logaddexp over its own
+            # arrivals, so every step is the per-point step and no idle gap
+            # inside the chunk underflows the early points.
+            limits = model._threshold_keys(arrivals)
             watch = np.flatnonzero(~in_tree & (counts == 1))
-            over = keys[watch] >= self._threshold_keys(chunk_times[order[starts[watch]]])
+            over = keys[watch] >= limits[starts[watch]]
             for r in watch[over].tolist():
                 crossings[id_list[r]] = int(order[starts[r]])
-            traced = ~in_tree & (counts > 1)
-            if traced.any():
-                paths = np.flatnonzero(traced)
-                path_counts = counts[paths]
-                path_starts = np.cumsum(path_counts) - path_counts
-                # Their points (indices into ``order``), group by group.
-                members = np.flatnonzero(np.repeat(traced, counts))
-                row = np.repeat(np.arange(paths.size), path_counts)
-                column = np.arange(members.size) - np.repeat(path_starts, path_counts) + 1
-                table = np.full((paths.size, int(path_counts.max()) + 1), -np.inf)
-                table[:, 0] = old[paths]
-                table[row, column] = fresh[members]
-                trajectory = np.logaddexp.accumulate(table, axis=1)[row, column]
-                crossed = trajectory >= self._threshold_keys(arrivals[members])
-                position = np.where(crossed, np.arange(members.size), members.size)
-                first = np.minimum.reduceat(position, path_starts)
-                for r, f in zip(paths.tolist(), first.tolist()):
-                    if f < members.size:
-                        crossings[id_list[r]] = int(order[members[f]])
+            for r in np.flatnonzero(~in_tree & (counts > 1)).tolist():
+                first, last = int(starts[r]), int(ends[r]) + 1
+                path = np.logaddexp.accumulate(np.concatenate(([old[r]], fresh[first:last])))
+                crossed = np.flatnonzero(path[1:] >= limits[first:last])
+                if crossed.size:
+                    crossings[id_list[r]] = int(order[first + crossed[0]])
 
         arena.key[slots] = keys
         arena.last_absorb[slots] = chunk_times[order[ends]]
@@ -685,13 +673,3 @@ class BatchIngestor:
             tree.add(model.reservoir.remove(cell_id))
             dirty.append(cell_id)
         return dirty
-
-    def _threshold_keys(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`EDMStream._threshold_key` over several times."""
-        model = self.model
-        decay = model.decay
-        steady = decay.active_threshold(model.config.beta, model.config.stream_rate)
-        elapsed = np.maximum(0.0, times - model._start_time)
-        warmup = 1.0 - decay.a ** (decay.lam * elapsed)
-        threshold = np.maximum(1.0 + 1e-12, steady * warmup)
-        return np.log(threshold) + model._cells.arrival_key(times)

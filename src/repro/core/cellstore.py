@@ -277,8 +277,13 @@ class CellStore:
         """Timely densities of every stored cell at time ``now`` (array order).
 
         For showing densities (snapshots); decisions compare :meth:`keys`.
+        As :meth:`CellArrays.density_at`, a cell last fed after ``now``
+        reads its density as of that absorb.
         """
-        return np.exp(self.keys() - self._arrays.arrival_key(now))
+        slots = self._slots[: self._size]
+        arrays = self._arrays
+        now = np.maximum(now, arrays.last_absorb[slots])
+        return np.exp(arrays.key[slots] - arrays.arrival_key(now))
 
     def deltas(self) -> np.ndarray:
         """Dependent distances of every stored cell (array order; a copy)."""

@@ -163,7 +163,7 @@ class EDMStream(StreamClusterer):
 
         self._tau: Optional[float] = config.tau
         self._now: float = 0.0
-        self._start_time: Optional[float] = None
+        self._started = False
         self._n_points = 0
         self._initialized = False
         self._last_maintenance = 0.0
@@ -274,14 +274,36 @@ class EDMStream(StreamClusterer):
         warmup_fraction = 1.0 - self.decay.decay_factor(elapsed)
         return max(1.0 + 1e-12, steady * warmup_fraction)
 
+    def _threshold_keys(self, times: np.ndarray) -> np.ndarray:
+        """The keys a density at :meth:`active_threshold` has at each of ``times``.
+
+        The one formula behind every activation and deactivation decision
+        of both engines: Python's ``**`` and ``math.log`` can differ from
+        numpy's in the last bit, so a threshold computed any other way
+        could decide a knife-edge crossing differently.
+        """
+        decay = self.decay
+        steady = decay.active_threshold(self.config.beta, self.config.stream_rate)
+        warmup = 1.0 - decay.a ** (decay.lam * np.maximum(0.0, times - self._start_time))
+        threshold = np.maximum(1.0 + 1e-12, steady * warmup)
+        return np.log(threshold) + self._cells.arrival_key(times)
+
     def _threshold_key(self, now: float) -> float:
-        """The key a density at :meth:`active_threshold` has at ``now``."""
-        return math.log(self.active_threshold(now)) + self._cells.arrival_key(now)
+        """:meth:`_threshold_keys` at one time."""
+        return float(self._threshold_keys(np.array([now]))[0])
+
+    @property
+    def _start_time(self) -> Optional[float]:
+        """The stream's start time (``None`` before the first point).
+
+        It is t₀ of the density keys, held once, as the arena's origin.
+        """
+        return self._cells.origin if self._started else None
 
     def _start_clock(self, time: float) -> None:
         """Fix the stream's start time, which is also t₀ of the density keys."""
-        self._start_time = time
         self._cells.origin = time
+        self._started = True
 
     # ------------------------------------------------------------------ #
     # ingestion

@@ -443,8 +443,11 @@ class CellArrays:
 
         For showing or folding a density only; every ingest decision
         compares keys.  It underflows to 0 once the cell has idled long
-        enough, while the key stays finite.
+        enough, while the key stays finite.  A ``now`` before the cell's
+        last absorb reads the density as of that absorb: decay never runs
+        backwards.
         """
+        now = max(now, float(self.last_absorb[slot]))
         return math.exp(float(self.key[slot]) - self.arrival_key(now))
 
     def seed_of(self, slot: int) -> Any:

@@ -265,6 +265,21 @@ class TestBatchIngestor:
         assert (5.0, 5.0) in {tuple(cell.seed) for cell in sequential.tree.cells()}
         assert_equivalent(sequential, batched)
 
+    @pytest.mark.parametrize("origin", [0.0, 1.7e9])
+    def test_a_threshold_key_is_the_same_at_one_time_and_among_many(self, origin):
+        """``learn_one`` reads thresholds one at a time, the batch engine a chunk's at once.
+
+        Python's ``**``/``math.log`` and numpy's differ in the last bit on
+        about one time in a hundred, so 4,000 times would catch a second
+        formula.
+        """
+        model = EDMStream(radius=1.0, beta=0.01, stream_rate=100.0)
+        model.learn_one((0.0,), timestamp=origin)
+        times = origin + np.random.default_rng(5).uniform(0.0, 1e3, 4000)
+        assert [model._threshold_key(t) for t in times.tolist()] == (
+            model._threshold_keys(times).tolist()
+        )
+
     def test_close_points_share_a_cell_within_one_batch(self):
         model = EDMStream(radius=0.5)
         points = [

@@ -43,6 +43,12 @@ class TestDensityMaintenance:
         assert arena.density_at(arena.slot_of(cell_id), 12.0) == 1.0
         assert arena.density_at(arena.slot_of(cell_id), 13.0) == pytest.approx(0.5)
 
+    def test_density_at_does_not_undecay_on_clock_skew(self, arena):
+        cell_id = arena.create(
+            (0.0,), key=math.log(4.0) + arena.arrival_key(10.0), last_absorb=10.0
+        )
+        assert arena.density_at(arena.slot_of(cell_id), 5.0) == pytest.approx(4.0)
+
     def test_absorb_follows_equation_8(self):
         model = EDMStream(radius=1.0, decay_a=0.5, decay_lambda=1.0, init_size=100)
         cell_id = model.learn_one((0.0,), timestamp=0.0)

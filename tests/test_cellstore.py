@@ -100,6 +100,12 @@ class TestQueries:
         densities = store.densities_at(2.0)
         assert densities == pytest.approx([2.0])
 
+    def test_densities_at_does_not_undecay_on_clock_skew(self):
+        arena = CellArrays(log_rate=DecayModel(a=0.5, lam=1.0).log_rate)
+        store = CellStore(arrays=arena)
+        add_cell(store, (0.0,), key=math.log(4.0) + arena.arrival_key(10.0), last_absorb=10.0)
+        assert store.densities_at(5.0) == pytest.approx([4.0])
+
     def test_queries_read_the_live_columns(self):
         store = CellStore(arrays=CellArrays(log_rate=DecayModel(a=0.5, lam=1.0).log_rate))
         slot = store.arrays.slot_of(add_cell(store, (0.0,)))
