@@ -167,7 +167,7 @@ class BatchIngestor:
         obs = model.obs
         obs.counter("ingest_points_total").inc(len(points))
         obs.counter("ingest_batches_total").inc()
-        if model._start_time is None:
+        if not model._started:
             first = points[0].timestamp
             model._start_clock(float(times[0] if first is None else first))
 

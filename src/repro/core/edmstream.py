@@ -326,7 +326,7 @@ class EDMStream(StreamClusterer):
             raise ValueError(f"timestamp is not a finite real number: {timestamp!r}")
         else:
             timestamp = float(timestamp)  # as the batch engine's float64 timeline
-        if self._start_time is None:
+        if not self._started:
             self._start_clock(timestamp)
         self._now = max(self._now, timestamp)
         self._n_points += 1
