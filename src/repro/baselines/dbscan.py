@@ -179,23 +179,3 @@ class DBSCAN(StreamClusterer):
                 queue.extend(
                     int(i) for i in current_neighbours if labels[i] in (UNVISITED, NOISE)
                 )
-
-    def core_points(
-        self,
-        data: Sequence[Sequence[float]],
-        weights: Optional[Sequence[float]] = None,
-    ) -> np.ndarray:
-        """Indices of the core points of ``data``."""
-        matrix = np.asarray(data, dtype=float)
-        n = matrix.shape[0] if matrix.ndim == 2 else 0
-        if n == 0:
-            return np.empty(0, dtype=int)
-        weight_arr = (
-            np.ones(n, dtype=float) if weights is None else np.asarray(weights, dtype=float)
-        )
-        cores = []
-        for index in range(n):
-            neighbours = self._region_query(matrix, index)
-            if weight_arr[neighbours].sum() >= self.min_pts:
-                cores.append(index)
-        return np.asarray(cores, dtype=int)

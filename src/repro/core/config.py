@@ -165,12 +165,3 @@ class EDMStreamConfig:
                 "telemetry must be None, a bool, or a Telemetry-like object "
                 f"with a phase() method, got {self.telemetry!r}"
             )
-
-    def validate_beta_range(self) -> None:
-        """Check β against its admissible range ``(1 - a^λ)/v < β < 1`` (Section 4.3)."""
-        lower = (1.0 - self.decay_a ** self.decay_lambda) / self.stream_rate
-        if not lower < self.beta < 1.0:
-            raise ValueError(
-                f"beta={self.beta} outside admissible range ({lower}, 1) "
-                f"for rate={self.stream_rate}, a={self.decay_a}, lambda={self.decay_lambda}"
-            )

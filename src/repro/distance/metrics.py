@@ -253,13 +253,6 @@ def cosine(a: Vector, b: Vector) -> float:
     return 1.0 - similarity
 
 
-def euclidean_to_many(point: Vector, matrix: np.ndarray) -> np.ndarray:
-    """Euclidean distances from ``point`` to every row of ``matrix``."""
-    point_arr = np.asarray(point, dtype=float)
-    diffs = matrix - point_arr
-    return np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-
-
 _METRICS: dict[str, DistanceMetric] = {
     "euclidean": euclidean,
     "l2": euclidean,

@@ -8,7 +8,7 @@ EDMStream uses the graph once at initialisation to learn the user's
 granularity preference α (Section 5).
 
 This module renders the graph as text (the repository has no plotting
-dependency) and provides τ-based peak-selection helpers.
+dependency) and selects its peaks by the ξ/τ thresholds.
 """
 
 from __future__ import annotations
@@ -43,25 +43,6 @@ class DecisionGraph:
             for i in range(len(self.rho))
             if self.rho[i] > xi and self.delta[i] > tau
         ]
-
-    def n_peaks(self, xi: float, tau: float) -> int:
-        """Number of cluster centres under the given thresholds."""
-        return len(self.peaks(xi, tau))
-
-    def gamma_ranking(self) -> List[int]:
-        """Indices sorted by decreasing γ = ρ·δ (the automatic centre ranking)."""
-        gamma = [r * d for r, d in zip(self.rho, self.delta)]
-        return sorted(range(len(gamma)), key=lambda i: -gamma[i])
-
-    def suggest_tau(self, min_peaks: int = 2) -> float:
-        """Pick τ at the largest relative gap of the sorted δ values.
-
-        This is the programmatic stand-in for the interactive selection of
-        cluster centres described in the paper's initialisation step.
-        """
-        from repro.core.adaptive_tau import suggest_initial_tau
-
-        return suggest_initial_tau(self.delta, min_peaks=min_peaks)
 
     def render(self, width: int = 60, height: int = 20, tau: Optional[float] = None) -> str:
         """Render the decision graph as ASCII art.

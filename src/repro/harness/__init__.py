@@ -6,10 +6,12 @@
   reproduced as a printed series with the same axes as the paper).
 * :mod:`repro.harness.runner` — drives any stream clusterer over a stream
   while measuring response time, throughput and quality.
-* :mod:`repro.harness.experiments` — one driver per table/figure of the
-  paper's evaluation (Section 6); :mod:`repro.harness.registry` registers
-  each one and ``python -m repro fleet run --id <id>`` runs it as a
-  benchmark.
+* :mod:`repro.harness.experiments`, :mod:`repro.harness.scenarios` and
+  :mod:`repro.harness.ablations` — one driver per table/figure of the
+  paper's evaluation (Section 6) or ablation.  A ``register(...)`` call
+  beside each driver declares it to :mod:`repro.harness.registry` with its
+  tags, benchmark parameters, artifact and gate;
+  ``python -m repro fleet run --id <id>`` runs it as a benchmark.
 """
 
 from repro.harness.results import ExperimentResult, RunMetrics, SeriesResult

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices called out in DESIGN.md.
+"""Ablation experiments for EDMStream's design choices.
 
 These go beyond the paper's own evaluation: each experiment isolates one
 design decision of EDMStream (or one substrate choice of this reproduction)
@@ -30,6 +30,7 @@ import numpy as np
 from repro.baselines import Birch
 from repro.core import EDMStream
 from repro.core.decay import DecayModel
+from repro.harness.registry import register
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import StreamRunner
 from repro.streams import SDSGenerator
@@ -114,6 +115,29 @@ def experiment_decay_ablation(
     return result
 
 
+def gate_ablation_decay(result: ExperimentResult) -> None:
+    """A decayed configuration tracks the post-drift concept at least as well."""
+    rows = {row["variant"]: row for row in result.tables["summary"]}
+    assert all(0.0 <= row["mean_cmm"] <= 1.0 for row in rows.values())
+    decayed_best = max(
+        row["post_drift_cmm"] for name, row in rows.items() if name != "no decay"
+    )
+    assert decayed_best >= rows["no decay"]["post_drift_cmm"] - 0.05, (
+        "a decayed configuration should track the post-drift concept at least "
+        "as well as the no-decay configuration"
+    )
+
+
+register(
+    "ablation_decay",
+    "Ablation — decay half-life vs recovery from abrupt drift",
+    experiment_decay_ablation,
+    tags=("ablation",),
+    params=lambda: {"points": 6000, "half_lives": (0.5, 2.0, 8.0, 1e9)},
+    gate=gate_ablation_decay,
+)
+
+
 # --------------------------------------------------------------------- #
 # beta ablation
 # --------------------------------------------------------------------- #
@@ -156,6 +180,28 @@ def experiment_beta_ablation(
         )
     result.add_table("summary", rows)
     return result
+
+
+def gate_ablation_beta(result: ExperimentResult) -> None:
+    """Larger β ⇒ higher active threshold ⇒ no more active cells."""
+    rows = result.tables["summary"]
+    actives = [row["active_cells"] for row in rows]
+    thresholds = [row["active_threshold"] for row in rows]
+    assert thresholds == sorted(thresholds), "threshold must rise with beta"
+    assert actives[0] >= actives[-1], "larger beta must not produce more active cells"
+    paper_row = next(row for row in rows if row["beta"] == 0.0021)
+    assert paper_row["clusters"] >= 1
+    assert 0.0 <= paper_row["mean_cmm"] <= 1.0
+
+
+register(
+    "ablation_beta",
+    "Ablation — active-threshold multiplier beta",
+    experiment_beta_ablation,
+    tags=("ablation",),
+    params=lambda: {"points": 6000, "betas": (0.0005, 0.0021, 0.01, 0.05)},
+    gate=gate_ablation_beta,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -255,6 +301,31 @@ def experiment_tracking_comparison(
     return result
 
 
+def gate_ablation_tracking(result: ExperimentResult) -> None:
+    """Online tracking sees the SDS story; offline trackers detect activity."""
+    counts = {row["tracker"]: row for row in result.tables["event_counts"]}
+    online = counts["EDMStream (online)"]
+    assert online["emerge"] >= 1
+    assert online["merge"] + online["split"] >= 1
+    for name in ("MONIC (offline)", "MEC (offline)"):
+        assert (
+            sum(counts[name].get(k, 0) for k in ("emerge", "disappear", "split", "merge"))
+            >= 1
+        )
+    cost = {row["component"]: row["seconds"] for row in result.tables["cost"]}
+    assert all(value >= 0 for value in cost.values())
+
+
+register(
+    "ablation_tracking",
+    "Ablation — online evolution tracking vs offline MONIC / MEC",
+    experiment_tracking_comparison,
+    tags=("ablation",),
+    params=lambda: {"points": 10000},
+    gate=gate_ablation_tracking,
+)
+
+
 # --------------------------------------------------------------------- #
 # CF-Tree (BIRCH) vs DP-Tree (EDMStream)
 # --------------------------------------------------------------------- #
@@ -304,3 +375,25 @@ def experiment_cftree_vs_dptree(
         rows.append(summary)
     result.add_table("summary", rows)
     return result
+
+
+def gate_ablation_cftree(result: ExperimentResult) -> None:
+    """The decayed DP-Tree tracks the post-drift concept at least as well."""
+    rows = {row["algorithm"]: row for row in result.tables["summary"]}
+    assert set(rows) == {"EDMStream", "BIRCH"}
+    assert all(0.0 <= row["mean_cmm"] <= 1.0 for row in rows.values())
+    assert rows["EDMStream"]["post_drift_cmm"] >= rows["BIRCH"]["post_drift_cmm"] - 0.05, (
+        "the decayed DP-Tree should track the post-drift concept at least as "
+        "well as the un-decayed CF-Tree"
+    )
+    assert rows["EDMStream"]["final_clusters"] >= 1
+
+
+register(
+    "ablation_cftree",
+    "Ablation — CF-Tree (BIRCH) vs DP-Tree (EDMStream) under drift",
+    experiment_cftree_vs_dptree,
+    tags=("ablation",),
+    params=lambda: {"points": 6000},
+    gate=gate_ablation_cftree,
+)

@@ -10,9 +10,10 @@ Usage::
     python -m repro fleet run --matrix nightly.toml --seed 7
     python -m repro stats <token> --interval 1.0
 
-Every experiment id corresponds to one table or figure of the paper (see
-DESIGN.md) or one of the repo's extensions (``serve``, ``memory``); ``run``
-executes the driver and prints (or writes) the rendered tables and series.
+Every experiment id corresponds to one table or figure of the paper's
+Section 6 evaluation, one ablation, or one of the repo's extensions
+(``serve``, ``memory``); ``run`` executes the driver and prints (or writes)
+the rendered tables and series.
 ``fleet`` expands a run matrix over the registry (optionally from a
 TOML/JSON config), executes it on a worker pool with one durable result
 directory per run, resumes interrupted matrices, emits the consolidated
@@ -21,66 +22,19 @@ attaches read-only to a live serving cluster's shared-memory stats block
 and prints per-worker QPS / latency quantiles / staleness plus the ingest
 phase breakdown (see :mod:`repro.obs.export`).
 
-The id table is *generated* from :mod:`repro.harness.registry` — the CLI
-holds no experiment list of its own, so drivers registered there appear in
-``list`` and ``run`` automatically.  ``EXPERIMENTS`` is kept as a mapping
-of ``id -> (description, factory)`` for backwards compatibility.
+The CLI holds no experiment list of its own: ``list`` and the ``run``
+choices read :mod:`repro.harness.registry`, so every registered driver
+appears in both.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.harness import registry
 from repro.harness.results import ExperimentResult
-
-
-class _RegistryView(Dict[str, Tuple[str, Callable[[Optional[int]], ExperimentResult]]]):
-    """Lazy dict view of the registry in the legacy ``(description, factory)`` shape.
-
-    Materialising the registry imports every driver module, so the view
-    fills itself on first access instead of at import time.
-    """
-
-    def _materialise(self) -> None:
-        if not dict.__len__(self):
-            for experiment_id, spec in registry.all_experiments().items():
-                dict.__setitem__(self, experiment_id, (spec.description, spec.factory))
-
-    def __getitem__(self, key: str):  # noqa: D105
-        self._materialise()
-        return dict.__getitem__(self, key)
-
-    def __contains__(self, key: object) -> bool:  # noqa: D105
-        self._materialise()
-        return dict.__contains__(self, key)
-
-    def __iter__(self):  # noqa: D105
-        self._materialise()
-        return dict.__iter__(self)
-
-    def __len__(self) -> int:  # noqa: D105
-        self._materialise()
-        return dict.__len__(self)
-
-    def keys(self):  # noqa: D102
-        self._materialise()
-        return dict.keys(self)
-
-    def items(self):  # noqa: D102
-        self._materialise()
-        return dict.items(self)
-
-    def values(self):  # noqa: D102
-        self._materialise()
-        return dict.values(self)
-
-
-#: Experiment id -> (description, driver factory taking an optional point budget).
-#: Derived from :mod:`repro.harness.registry`; do not add entries here.
-EXPERIMENTS = _RegistryView()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="run one experiment and print its report")
     run.add_argument(
-        "experiment", choices=sorted(EXPERIMENTS), help="experiment id"
+        "experiment", choices=sorted(registry.all_experiments()), help="experiment id"
     )
     run.add_argument(
         "--points",
@@ -272,8 +226,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return stats_main(args.token, interval_s=args.interval, as_json=args.as_json)
 
     if args.command == "list":
-        width = max(len(eid) for eid in EXPERIMENTS) + 1
-        for experiment_id, spec in registry.all_experiments().items():
+        specs = registry.all_experiments()
+        width = max(len(eid) for eid in specs) + 1
+        for experiment_id, spec in specs.items():
             print(f"{experiment_id:<{width}s} {spec.description}")
         return 0
 

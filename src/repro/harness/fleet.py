@@ -1,11 +1,12 @@
 """Declarative run-matrix executor over the experiment registry.
 
 The fleet runner turns the registry's :class:`~repro.harness.registry.ExperimentSpec`
-contracts into a reproducible benchmark/ablation matrix:
+entries into a reproducible benchmark/ablation matrix:
 
 * a :class:`RunMatrix` expands a config (TOML/JSON file, plain mapping, or
   just registry tag/id filters) into concrete :class:`PlannedRun` entries —
-  one per (experiment, parameter-grid combination);
+  one per experiment, or one per parameter-grid combination of a config
+  entry;
 * :class:`FleetRunner` executes the matrix on a ``ProcessPoolExecutor``
   worker pool, writing one durable result directory per run
   (``results/<matrix>/<run_id>/`` holding ``metadata.json``,
@@ -76,7 +77,7 @@ class PlannedRun:
     tags: Tuple[str, ...] = ()
     artifact: Optional[str] = None
     #: The default-parameter run of its spec; only canonical runs emit the
-    #: consolidated benchmark artifact (grid sweeps are exploratory).
+    #: consolidated benchmark artifact (a config's grid sweeps are exploratory).
     canonical: bool = True
 
     def fingerprint(self) -> str:
@@ -113,9 +114,8 @@ class RunMatrix:
         """Expand registry specs selected by ``tags`` / ``ids`` into a matrix.
 
         With neither filter, every registered experiment is selected.  Each
-        spec contributes its benchmark-contract parameters (resolved at
-        planning time, honouring the ``BENCH_*`` environment knobs) crossed
-        with its default parameter grid.
+        spec contributes one run with its benchmark parameters (resolved at
+        planning time, honouring the ``BENCH_*`` environment knobs).
         """
         selected: Dict[str, registry.ExperimentSpec] = {}
         if not tags and not ids:
@@ -149,7 +149,7 @@ class RunMatrix:
             [runs.params]               # fixed driver kwargs
             datasets = ["SDS"]
             [runs.grid]                 # kwarg -> list of values (cartesian)
-            n_points = [4000, 8000]
+            batch_sizes = [[64], [256]]
         """
         defaults = dict(config.get("defaults", {}))
         default_points = defaults.get("points")
@@ -223,29 +223,27 @@ def _expand_spec(
     grid: Optional[Mapping[str, Sequence[Any]]],
     params: Optional[Mapping[str, Any]],
 ) -> List[PlannedRun]:
-    """One :class:`PlannedRun` per parameter-grid combination of ``spec``."""
-    base = spec.bench_params()
-    contract_points = base.pop("points", None)
+    """One :class:`PlannedRun` per combination of a matrix entry's ``grid``."""
+    base = dict(spec.params())
+    bench_points = base.pop("points", None)
     base.update(params or {})
-    if grid is None:
-        combos = spec.grid_combinations()
-    else:
-        names = sorted(grid)
-        combos = tuple(
-            dict(zip(names, values))
-            for values in itertools.product(*(grid[name] for name in names))
-        ) or ({},)
+    grid = grid or {}
+    names = sorted(grid)
+    combos = [
+        dict(zip(names, values))
+        for values in itertools.product(*(grid[name] for name in names))
+    ] or [{}]
     runs = []
     for combo in combos:
         run_params = {**base, **combo}
         run = PlannedRun(
             run_id=_run_id(spec.experiment_id, combo, points, seed),
             experiment_id=spec.experiment_id,
-            points=points if points is not None else contract_points,
+            points=points if points is not None else bench_points,
             seed=seed,
             params=jsonify(run_params),
             tags=spec.tags,
-            artifact=spec.bench.artifact if spec.bench else None,
+            artifact=spec.artifact,
             canonical=not combo,
         )
         runs.append(run)
@@ -579,7 +577,7 @@ class FleetRunner:
                 echo(f"[fleet] artifact {run.artifact} skipped: {run.run_id} did not complete")
                 continue
             spec = registry.get_experiment(run.experiment_id)
-            payload = spec.bench.payload(self._stored_result(outcome))
+            payload = spec.payload(self._stored_result(outcome))
             self.artifacts_dir.mkdir(parents=True, exist_ok=True)
             path = self.artifacts_dir / run.artifact
             path.write_text(
@@ -595,10 +593,10 @@ class FleetRunner:
             if outcome.status not in ("ok", "resumed"):
                 continue
             spec = registry.get_experiment(outcome.run.experiment_id)
-            if spec.bench is None or spec.bench.gate is None:
+            if spec.gate is None:
                 continue
             try:
-                spec.bench.gate(self._stored_result(outcome))
+                spec.gate(self._stored_result(outcome))
             except AssertionError as exc:
                 outcome.gate_passed = False
                 outcome.gate_error = str(exc)

@@ -53,10 +53,6 @@ class SeriesResult:
         """Last y value, or ``None`` for an empty series."""
         return self.y[-1] if self.y else None
 
-    def as_rows(self) -> List[Dict[str, float]]:
-        """The series as a list of {x_label: x, y_label: y} rows."""
-        return [{self.x_label: x, self.y_label: y} for x, y in zip(self.x, self.y)]
-
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe dict representation (inverse of :meth:`from_payload`)."""
         return {

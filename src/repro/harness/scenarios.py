@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import EDMStream, EvolutionType
+from repro.harness.registry import register
 from repro.harness.results import ExperimentResult, SeriesResult
 from repro.streams import NewsStreamGenerator, SDSGenerator
 
@@ -103,6 +104,27 @@ def experiment_evolution_sds(
     return result
 
 
+def gate_fig7(result: ExperimentResult) -> None:
+    """All four SDS evolution activities (Figures 6-7) must be observed."""
+    counts = result.tables["event_counts"][0]
+    assert counts["merge"] >= 1, "the two initial clusters should merge"
+    assert counts["emerge"] >= 3, "a new cluster should emerge around 12 s"
+    assert counts["disappear"] >= 1, "the merged cluster should disappear"
+    assert counts["split"] >= 1, "the emergent cluster should split"
+    series = result.series["clusters_over_time"]
+    assert max(series.y) >= 2 and min(series.y) >= 1
+
+
+register(
+    "fig7",
+    "Figures 6-7 — SDS cluster evolution",
+    experiment_evolution_sds,
+    tags=("paper", "evolution"),
+    params=lambda: {"points": 20000, "rate": 1000.0},
+    gate=gate_fig7,
+)
+
+
 # --------------------------------------------------------------------- #
 # Figure 8 and Table 3 — news-stream topic evolution
 # --------------------------------------------------------------------- #
@@ -147,6 +169,25 @@ def experiment_news_evolution(
     result.add_table("event_counts", [model.evolution.counts()])
     result.metadata["n_clusters_final"] = model.n_clusters
     return result
+
+
+def gate_fig8(result: ExperimentResult) -> None:
+    """The scripted merges and splits of Table 3 must surface as events."""
+    counts = result.tables["event_counts"][0]
+    observed_types = {row["type"] for row in result.tables["observed_events"]}
+    assert counts["merge"] + counts["split"] >= 2
+    assert "merge" in observed_types or "split" in observed_types
+    assert result.metadata["n_clusters_final"] >= 2
+
+
+register(
+    "fig8",
+    "Figure 8 / Table 3 — news-stream topic evolution",
+    experiment_news_evolution,
+    tags=("paper", "evolution"),
+    params=lambda: {"points": 6000},
+    gate=gate_fig8,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -211,3 +252,29 @@ def experiment_adaptive_tau(
         second: len(graph) for second, graph in decision_graphs.items()
     }
     return result
+
+
+def gate_fig15(result: ExperimentResult) -> None:
+    """Adaptive τ keeps tracking two clusters longer than the static τ."""
+    rows = result.tables["table4"]
+    dynamic_total = sum(row["dynamic tau"] for row in rows)
+    static_total = sum(row["static tau"] for row in rows)
+    assert dynamic_total > static_total, (
+        "the adaptive tau should keep tracking two clusters longer than the static tau"
+    )
+    assert any(row["dynamic tau"] == 2 and row["static tau"] == 1 for row in rows)
+
+
+register(
+    "fig15",
+    "Figure 15 / Table 4 — dynamic vs static tau",
+    experiment_adaptive_tau,
+    tags=("paper", "evolution"),
+    params=lambda: {
+        "points": 20000,
+        "rate": 1000.0,
+        "static_tau": 5.0,
+        "seconds_reported": 10,
+    },
+    gate=gate_fig15,
+)

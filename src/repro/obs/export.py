@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.registry import quantile_from_buckets
-from repro.obs.timing import Telemetry
 
 __all__ = ["to_json", "to_prometheus", "sample_stats", "stats_report", "render_stats", "stats_main"]
 
@@ -240,11 +239,3 @@ def stats_main(
     else:
         _print(render_stats(report))
     return 0
-
-
-def write_telemetry_json(path, telemetry: Optional[Telemetry], extra: Optional[dict] = None):
-    """Write a ``telemetry.json`` artifact (used by the fleet runner)."""
-    payload: Dict[str, object] = dict(extra or {})
-    payload["telemetry"] = None if telemetry is None else _as_snapshot(telemetry)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-    return path

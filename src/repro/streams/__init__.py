@@ -6,7 +6,8 @@
 * :mod:`repro.streams.synthetic` — the SDS and HDS synthetic generators
   (Table 2, Figures 6, 7, 12, 15 and Table 4).
 * :mod:`repro.streams.real` — surrogate generators standing in for the
-  KDDCUP99, CoverType and PAMAP2 datasets (see DESIGN.md, substitutions).
+  KDDCUP99, CoverType and PAMAP2 datasets (its docstring gives the
+  substitution rationale).
 * :mod:`repro.streams.news` — the NADS-like news stream generator used for
   the cluster-evolution use case (Figure 8, Table 3).
 * :mod:`repro.streams.drift` — MOA-style concept-drift generators (moving

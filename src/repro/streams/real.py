@@ -15,10 +15,10 @@ algorithms under test:
   sessions (sensor readings are autocorrelated in time), so clusters
   emerge and disappear as the subject switches activity.
 
-The substitution rationale is recorded in DESIGN.md: relative algorithm
-behaviour (who is faster, how quality evolves) depends on the density
-structure and temporal ordering of the stream, which the surrogates
-preserve, not on the exact semantic meaning of the attributes.
+The substitution rests on one premise: relative algorithm behaviour (who is
+faster, how quality evolves) depends on the density structure and temporal
+ordering of the stream, which the surrogates preserve, not on the exact
+semantic meaning of the attributes.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -145,20 +145,3 @@ def stream_from_arrays(
             )
         )
     return DataStream(points=points, name=name, rate=rate)
-
-
-def interleave_streams(streams: Iterable[DataStream], name: str = "merged") -> DataStream:
-    """Merge several streams by timestamp order into a single stream."""
-    all_points: List[StreamPoint] = []
-    rates = []
-    for stream in streams:
-        all_points.extend(stream.points)
-        rates.append(stream.rate)
-    all_points.sort(key=lambda p: p.timestamp)
-    rate = max(rates) if rates else 1000.0
-    return DataStream(points=all_points, name=name, rate=rate)
-
-
-def map_stream(stream: DataStream, fn: Callable[[StreamPoint], StreamPoint]) -> DataStream:
-    """Apply ``fn`` to every point, returning a new stream."""
-    return DataStream(points=[fn(p) for p in stream.points], name=stream.name, rate=stream.rate)

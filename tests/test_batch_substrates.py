@@ -45,10 +45,6 @@ class TestDBSCAN:
     def test_empty_input(self):
         assert DBSCAN(eps=1.0).fit_predict(np.empty((0, 2))).size == 0
 
-    def test_core_points(self, blobs):
-        cores = DBSCAN(eps=0.5, min_pts=5).core_points(blobs)
-        assert 0 < len(cores) <= len(blobs)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DBSCAN(eps=0.0)

@@ -1,17 +1,36 @@
 """Tests for the command-line interface and the experiment registry."""
 
+import inspect
+
 import pytest
 
 from repro.harness import registry
-from repro.harness.cli import EXPERIMENTS, build_parser, main, run_experiment
+from repro.harness.cli import build_parser, main, run_experiment
 
 
 class TestRegistry:
-    def test_cli_table_is_generated_from_the_registry(self):
+    def test_cli_table_is_generated_from_the_registry(self, capsys):
         specs = registry.all_experiments()
-        assert set(EXPERIMENTS) == set(specs)
-        for experiment_id, (description, _) in EXPERIMENTS.items():
-            assert description == specs[experiment_id].description
+        assert main(["list"]) == 0
+        rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+        assert rows == [[eid, spec.description] for eid, spec in specs.items()]
+
+    def test_every_builtin_spec_is_gated_and_takes_points_and_seed(self):
+        specs = {
+            experiment_id: spec
+            for experiment_id, spec in registry.all_experiments().items()
+            if spec.driver.__module__.startswith("repro.harness.")
+        }
+        assert len(specs) == 22
+        artifacts = [spec.artifact for spec in specs.values() if spec.artifact]
+        assert len(artifacts) == len(set(artifacts)) == 5
+        for experiment_id, spec in specs.items():
+            assert spec.gate is not None, experiment_id
+            assert (spec.payload is None) == (spec.artifact is None), experiment_id
+            parameters = inspect.signature(spec.driver).parameters
+            assert {"n_points", "seed"} <= set(parameters), experiment_id
+            # the driver's signature holds the one default point budget
+            assert isinstance(parameters["n_points"].default, int), experiment_id
 
     def test_extension_experiments_are_registered(self):
         assert {"serve", "memory", "query", "fig10_batch"} <= set(
@@ -24,13 +43,13 @@ class TestRegistry:
 
     def test_register_makes_an_experiment_runnable_everywhere(self):
         sentinel = object()
-        registry.register("_test_tmp", "temporary", lambda points: sentinel)
+        registry.register("_test_tmp", "temporary", lambda: sentinel)
         try:
             assert registry.get_experiment("_test_tmp").run() is sentinel
             assert run_experiment("_test_tmp") is sentinel
+            assert build_parser().parse_args(["run", "_test_tmp"]).experiment == "_test_tmp"
         finally:
             registry._REGISTRY.pop("_test_tmp", None)
-            dict.pop(EXPERIMENTS, "_test_tmp", None)
 
 
 class TestParser:
@@ -50,14 +69,16 @@ class TestParser:
 
     def test_every_paper_artifact_has_an_entry(self):
         assert {"table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-                "fig13", "fig14", "fig15", "fig16", "fig17", "ablation"} <= set(EXPERIMENTS)
+                "fig13", "fig14", "fig15", "fig16", "fig17", "ablation"} <= set(
+            registry.all_experiments()
+        )
 
 
 class TestExecution:
     def test_list_prints_every_experiment(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
-        for experiment_id in EXPERIMENTS:
+        for experiment_id in registry.all_experiments():
             assert experiment_id in output
 
     def test_run_experiment_by_id(self):
@@ -111,13 +132,12 @@ class TestFleetCommand:
     def test_fleet_run_executes_a_registered_toy(self, tmp_path, capsys):
         from repro.harness.results import ExperimentResult
 
-        def factory(points, seed=None, **kw):
+        def driver(n_points=3, seed=None):
             result = ExperimentResult("_cli_toy", "toy")
             result.metadata["seed"] = seed
             return result
 
-        registry.all_experiments()
-        registry.register("_cli_toy", "toy", factory)
+        registry.register("_cli_toy", "toy", driver)
         try:
             code = main(
                 [
@@ -134,4 +154,3 @@ class TestFleetCommand:
             ).is_file()
         finally:
             registry._REGISTRY.pop("_cli_toy", None)
-            dict.pop(EXPERIMENTS, "_cli_toy", None)

@@ -15,14 +15,6 @@ class TestDefaults:
         assert config.enable_density_filter and config.enable_triangle_filter
         assert config.adaptive_tau
 
-    def test_beta_range_validation_passes_for_defaults(self):
-        EDMStreamConfig().validate_beta_range()
-
-    def test_beta_range_validation_rejects_too_small_beta(self):
-        config = EDMStreamConfig(beta=1e-7, stream_rate=1000.0)
-        with pytest.raises(ValueError):
-            config.validate_beta_range()
-
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -1,7 +1,5 @@
 """Tests for the distance metrics and the text/Jaccard support."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +16,6 @@ from repro.distance import (
     tokenize,
     TokenSetPoint,
 )
-from repro.distance.metrics import euclidean_to_many
 
 import numpy as np
 
@@ -85,11 +82,6 @@ class TestNumericMetrics:
     def test_euclidean_triangle_inequality(self, triple):
         a, b, c = triple
         assert euclidean(a, c) <= euclidean(a, b) + euclidean(b, c) + 1e-9
-
-    def test_euclidean_to_many_matches_pairwise(self):
-        matrix = np.asarray([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-        distances = euclidean_to_many((0.0, 0.0), matrix)
-        assert distances == pytest.approx([0.0, 5.0, math.sqrt(2)])
 
 
 class TestMetricFactory:

@@ -2,8 +2,8 @@
 summary columns, and the new CLI ablation entries)."""
 
 
-from repro.harness import experiments
-from repro.harness.cli import EXPERIMENTS, run_experiment
+from repro.harness import experiments, registry
+from repro.harness.cli import run_experiment
 
 
 class TestThroughputDriver:
@@ -68,7 +68,7 @@ class TestCLIRegistry:
             "ablation_tracking",
             "ablation_cftree",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert expected <= set(registry.all_experiments())
 
     def test_run_experiment_resolves_new_ids(self):
         result = run_experiment("ablation_beta", points=200)

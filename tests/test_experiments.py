@@ -37,7 +37,7 @@ class TestFactories:
 
 class TestEfficiencyExperiments:
     def test_table2_lists_paper_and_surrogates(self):
-        result = experiments.experiment_table2(surrogate_points=300)
+        result = experiments.experiment_table2(n_points=300)
         assert {row["name"] for row in result.tables["paper"]} >= {"SDS", "KDDCUP99"}
         assert len(result.tables["surrogates"]) == 5
 

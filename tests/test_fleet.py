@@ -20,7 +20,6 @@ import pytest
 
 from repro.harness import fleet, registry
 from repro.harness.fleet import FleetRunner, PlannedRun, RunMatrix
-from repro.harness.registry import BenchContract
 from repro.harness.results import ExperimentResult
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -34,9 +33,9 @@ def _toy_result(experiment_id: str, value: int) -> ExperimentResult:
     return result
 
 
-def _toy_factory(experiment_id: str):
-    def run(points, seed=None, scale=1, **kw):
-        return _toy_result(experiment_id, scale * ((points or 3) * 10 + (seed or 0)))
+def _toy_driver(experiment_id: str):
+    def run(n_points=3, seed=None, scale=1, **kw):
+        return _toy_result(experiment_id, scale * (n_points * 10 + (seed or 0)))
 
     return run
 
@@ -44,33 +43,23 @@ def _toy_factory(experiment_id: str):
 @pytest.fixture
 def toy_specs():
     """Register small in-process specs; the registry is restored afterwards."""
-    registry.all_experiments()  # materialise the defaults first
-    registry.register("_toy_plain", "toy", _toy_factory("_toy_plain"), tags=("toy",))
+    registry.register("_toy_plain", "toy", _toy_driver("_toy_plain"), tags=("toy",))
     registry.register(
         "_toy_art",
-        "toy with an artifact contract",
-        _toy_factory("_toy_art"),
+        "toy with an artifact",
+        _toy_driver("_toy_art"),
         tags=("toy",),
-        bench=BenchContract(
-            params=lambda: {"points": 5},
-            artifact="BENCH_toy.json",
-            payload=lambda result: {
-                "experiment": result.experiment_id,
-                "value": result.metadata["value"],
-                "rows": result.tables["summary"],
-            },
-            gate=lambda result: None,
-        ),
-    )
-    registry.register(
-        "_toy_grid",
-        "toy with a default grid",
-        _toy_factory("_toy_grid"),
-        tags=("toy",),
-        grid={"scale": (1, 100)},
+        params=lambda: {"points": 5},
+        artifact="BENCH_toy.json",
+        payload=lambda result: {
+            "experiment": result.experiment_id,
+            "value": result.metadata["value"],
+            "rows": result.tables["summary"],
+        },
+        gate=lambda result: None,
     )
     yield
-    for experiment_id in ("_toy_plain", "_toy_art", "_toy_grid"):
+    for experiment_id in ("_toy_plain", "_toy_art"):
         registry._REGISTRY.pop(experiment_id, None)
 
 
@@ -87,20 +76,14 @@ class TestPlanning:
             "serve",
         ]
 
-    def test_from_registry_expands_tags_and_grids(self, toy_specs):
+    def test_from_registry_expands_tags(self, toy_specs):
         matrix = RunMatrix.from_registry(name="toys", tags=("toy",))
-        by_id = {}
-        for run in matrix.runs:
-            by_id.setdefault(run.experiment_id, []).append(run)
-        assert sorted(by_id) == ["_toy_art", "_toy_grid", "_toy_plain"]
-        # grid specs expand to one non-canonical run per combination
-        grid_runs = by_id["_toy_grid"]
-        assert [run.params["scale"] for run in grid_runs] == [1, 100]
-        assert all(not run.canonical for run in grid_runs)
-        assert grid_runs[0].run_id == "_toy_grid--scale=1"
-        # contract params are resolved at planning time ("points" lifted out)
-        (art,) = by_id["_toy_art"]
-        assert art.canonical and art.points == 5 and art.artifact == "BENCH_toy.json"
+        assert [run.run_id for run in matrix.runs] == ["_toy_art", "_toy_plain"]
+        assert all(run.canonical for run in matrix.runs)
+        # benchmark params are resolved at planning time ("points" lifted out)
+        art, plain = matrix.runs
+        assert art.points == 5 and art.artifact == "BENCH_toy.json"
+        assert plain.points is None and plain.artifact is None
 
     def test_run_id_slugs_points_and_seed(self):
         run_id = fleet._run_id("x", {"n_queries": 100}, points=500, seed=7)
@@ -126,7 +109,10 @@ class TestPlanning:
         )
         assert matrix.name == "nightly"
         by_id = {run.run_id: run for run in matrix.runs}
-        assert by_id["_toy_plain--scale=2--points=7--seed=3"].params["scale"] == 2
+        # a grid expands to one non-canonical run per combination
+        grid_run = by_id["_toy_plain--scale=2--points=7--seed=3"]
+        assert grid_run.params["scale"] == 2 and not grid_run.canonical
+        assert by_id["_toy_plain--scale=4--points=7--seed=3"].params["scale"] == 4
         # the tag entry contributes each toy spec once at points=9
         assert by_id["_toy_plain--points=9--seed=3"].points == 9
         assert by_id["_toy_art--points=9--seed=3"].seed == 3
@@ -242,21 +228,16 @@ class TestExecution:
         assert not (directory / "stale.marker").exists()
 
     def test_failed_run_and_gate_failure_fail_the_report(self, tmp_path):
-        registry.all_experiments()
         registry.register(
             "_toy_err",
             "always raises",
-            lambda points, **kw: (_ for _ in ()).throw(ValueError("boom")),
+            lambda **kw: (_ for _ in ()).throw(ValueError("boom")),
         )
         registry.register(
             "_toy_badgate",
             "gate always fails",
-            _toy_factory("_toy_badgate"),
-            bench=BenchContract(
-                gate=lambda result: (_ for _ in ()).throw(
-                    AssertionError("below threshold")
-                )
-            ),
+            _toy_driver("_toy_badgate"),
+            gate=lambda result: (_ for _ in ()).throw(AssertionError("below threshold")),
         )
         try:
             report = self._runner(tmp_path, ["_toy_err"]).execute(echo=lambda *_: None)
@@ -293,7 +274,6 @@ import os
 import signal
 
 from repro.harness import registry
-from repro.harness.registry import BenchContract
 from repro.harness.results import ExperimentResult
 
 
@@ -304,38 +284,36 @@ def _result(experiment_id, value):
     return result
 
 
-def _factory(experiment_id, crash=False):
-    def run(points, seed=None, **kw):
+def _driver(experiment_id, crash=False):
+    def run(n_points=3, seed=None, **kw):
         if crash:
             marker = os.environ.get("FLEET_CRASH_MARKER")
             if marker and os.path.exists(marker):
                 os.remove(marker)
                 os.kill(os.getpid(), signal.SIGKILL)
-        return _result(experiment_id, (points or 3) * 10 + (seed or 0))
+        return _result(experiment_id, n_points * 10 + (seed or 0))
 
     return run
 
 
 registry.register(
-    "crash_a", "completes before the crash", _factory("crash_a"), tags=("crash",)
+    "crash_a", "completes before the crash", _driver("crash_a"), tags=("crash",)
 )
 registry.register(
     "crash_boom",
     "SIGKILLs its own worker while the marker file exists",
-    _factory("crash_boom", crash=True),
+    _driver("crash_boom", crash=True),
     tags=("crash",),
-    bench=BenchContract(
-        params=lambda: {"points": 5},
-        artifact="BENCH_crash.json",
-        payload=lambda result: {
-            "experiment": result.experiment_id,
-            "value": result.metadata["value"],
-            "rows": result.tables["summary"],
-        },
-    ),
+    params=lambda: {"points": 5},
+    artifact="BENCH_crash.json",
+    payload=lambda result: {
+        "experiment": result.experiment_id,
+        "value": result.metadata["value"],
+        "rows": result.tables["summary"],
+    },
 )
 registry.register(
-    "crash_z", "queued behind the crash", _factory("crash_z"), tags=("crash",)
+    "crash_z", "queued behind the crash", _driver("crash_z"), tags=("crash",)
 )
 '''
 
@@ -421,47 +399,39 @@ class TestCrashResume:
 # --------------------------------------------------------------------- #
 # Artifact schema compatibility with the pre-fleet bench scripts
 # --------------------------------------------------------------------- #
-class TestArtifactSchemas:
-    """The consolidated payloads keep the exact fields CI gated on before."""
-
-    def test_throughput_payload_fields(self):
-        from repro.harness import gates
-
-        result = ExperimentResult("fig10_batch", "x")
-        result.metadata.update(n_points=16000, batch_sizes=[64, 256])
-        result.add_table("summary", [])
-        assert sorted(gates.payload_fig10_batch(result)) == [
+#: Per benchmark: artifact name, its "experiment" field, the result metadata
+#: the payload reads, and the payload's exact field set.
+ARTIFACT_SCHEMAS = {
+    "fig10_batch": (
+        "BENCH_throughput.json",
+        "fig10_batch_ingestion",
+        {"n_points": 16000, "batch_sizes": [64, 256]},
+        [
             "batch_sizes",
             "experiment",
             "min_speedup_required_on_synthetic",
             "n_points",
             "rows",
-        ]
-        assert gates.payload_fig10_batch(result)["experiment"] == "fig10_batch_ingestion"
-
-    def test_query_payload_fields(self):
-        from repro.harness import gates
-
-        result = ExperimentResult("query", "x")
-        result.metadata.update(n_points=1, n_queries=2, snapshot={"cells": 3})
-        result.add_table("summary", [])
-        assert sorted(gates.payload_query(result)) == [
+        ],
+    ),
+    "query": (
+        "BENCH_query.json",
+        "query_throughput",
+        {"n_points": 1, "n_queries": 2, "snapshot": {"cells": 3}},
+        [
             "experiment",
             "min_speedup_required_at_largest_batch",
             "n_points",
             "n_queries",
             "rows",
             "snapshot",
-        ]
-        assert gates.payload_query(result)["experiment"] == "query_throughput"
-
-    def test_serving_payload_fields(self):
-        from repro.harness import gates
-
-        result = ExperimentResult("serve", "x")
-        result.metadata.update(n_points=1, query_batch=2, measure_s=0.5)
-        result.add_table("summary", [])
-        assert sorted(gates.payload_serve(result)) == [
+        ],
+    ),
+    "serve": (
+        "BENCH_serving.json",
+        "serving",
+        {"n_points": 1, "query_batch": 2, "measure_s": 0.5},
+        [
             "experiment",
             "measure_s",
             "min_qps_required",
@@ -469,20 +439,51 @@ class TestArtifactSchemas:
             "n_points",
             "query_batch",
             "rows",
-        ]
-        assert gates.payload_serve(result)["experiment"] == "serving"
-
-    def test_memory_payload_fields(self):
-        from repro.harness import gates
-
-        result = ExperimentResult("memory", "x")
-        result.metadata.update(n_points=1, cap_fraction=0.5)
-        result.add_table("summary", [])
-        assert sorted(gates.payload_memory(result)) == [
-            "cap_fraction",
+        ],
+    ),
+    "memory": (
+        "BENCH_memory.json",
+        "memory",
+        {"n_points": 1, "cap_fraction": 0.5},
+        ["cap_fraction", "experiment", "max_quality_drop", "n_points", "rows"],
+    ),
+    "obs": (
+        "BENCH_obs.json",
+        "obs",
+        {
+            "n_points": 1,
+            "batch_size": 256,
+            "trials": 3,
+            "overhead_ratio": 0.01,
+            "identical_clustering": True,
+            "telemetry": {"phases": {}, "event_counts": {}},
+        },
+        [
+            "batch_size",
             "experiment",
-            "max_quality_drop",
+            "identical_clustering",
+            "max_overhead",
             "n_points",
+            "overhead_ratio",
             "rows",
-        ]
-        assert gates.payload_memory(result)["experiment"] == "memory"
+            "telemetry",
+            "trials",
+        ],
+    ),
+}
+
+
+class TestArtifactSchemas:
+    """The consolidated payloads keep the exact fields CI gated on before."""
+
+    @pytest.mark.parametrize("experiment_id", sorted(ARTIFACT_SCHEMAS))
+    def test_payload_fields(self, experiment_id):
+        artifact, experiment, metadata, fields = ARTIFACT_SCHEMAS[experiment_id]
+        spec = registry.get_experiment(experiment_id)
+        result = ExperimentResult(experiment_id, "x")
+        result.metadata.update(metadata)
+        result.add_table("summary", [])
+        payload = spec.payload(result)
+        assert spec.artifact == artifact
+        assert sorted(payload) == fields
+        assert payload["experiment"] == experiment

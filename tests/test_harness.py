@@ -29,11 +29,6 @@ class TestSeriesResult:
         assert series.mean() == 0.0
         assert series.last() is None
 
-    def test_as_rows(self):
-        series = SeriesResult(name="s", x_label="t", y_label="v")
-        series.append(1, 2.0)
-        assert series.as_rows() == [{"t": 1.0, "v": 2.0}]
-
 
 class TestRunMetrics:
     def test_series_extraction_and_means(self):

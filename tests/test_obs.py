@@ -17,7 +17,6 @@ The contracts under test:
 """
 
 import gc
-import json
 import sys
 
 import pytest
@@ -34,7 +33,7 @@ from repro.obs import (
     enable_telemetry,
     quantile_from_buckets,
 )
-from repro.obs.export import stats_main, stats_report, to_prometheus, write_telemetry_json
+from repro.obs.export import stats_main, stats_report, to_prometheus
 from repro.streams import SDSGenerator
 
 
@@ -287,15 +286,6 @@ class TestExport:
         assert 'repro_lat_bucket{le="+Inf"} 1' in text
         assert 'repro_phase_calls_total{phase="assign"} 1' in text
         assert 'repro_events_total{kind="cluster_split"} 1' in text
-
-    def test_json_round_trip_and_file_dump(self, tmp_path):
-        telemetry = Telemetry()
-        telemetry.counter("n").inc()
-        path = tmp_path / "telemetry.json"
-        write_telemetry_json(path, telemetry, extra={"run": "t"})
-        payload = json.loads(path.read_text())
-        assert payload["telemetry"]["metrics"]["n"]["value"] == 1.0
-        assert payload["run"] == "t"
 
 
 class TestStatsBlock:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.streams import StreamPoint, stream_from_arrays
-from repro.streams.stream import DataStream, interleave_streams, map_stream
+from repro.streams.stream import DataStream
 
 
 class TestStreamPoint:
@@ -93,21 +93,3 @@ class TestDataStream:
         empty = DataStream(points=[], rate=1.0)
         assert empty.dimension == 0
         assert empty.duration == 0.0
-
-
-class TestHelpers:
-    def test_interleave_streams_sorts_by_timestamp(self):
-        a = stream_from_arrays([[0.0], [1.0]], rate=1.0, start_time=0.0)
-        b = stream_from_arrays([[2.0], [3.0]], rate=1.0, start_time=0.5)
-        merged = interleave_streams([a, b])
-        timestamps = [p.timestamp for p in merged]
-        assert timestamps == sorted(timestamps)
-        assert len(merged) == 4
-
-    def test_map_stream(self):
-        stream = stream_from_arrays([[1.0], [2.0]], rate=1.0)
-        doubled = map_stream(
-            stream,
-            lambda p: StreamPoint(values=tuple(v * 2 for v in p.values), timestamp=p.timestamp),
-        )
-        assert doubled[1].values == (4.0,)
