@@ -7,6 +7,13 @@ import pytest
 from repro.harness import registry
 from repro.harness.cli import build_parser, main, run_experiment
 
+#: The experiments the package itself registers beside its drivers.
+_BUILTIN = {
+    experiment_id: spec
+    for experiment_id, spec in registry.all_experiments().items()
+    if spec.driver.__module__.startswith("repro.harness.")
+}
+
 
 class TestRegistry:
     def test_cli_table_is_generated_from_the_registry(self, capsys):
@@ -15,22 +22,43 @@ class TestRegistry:
         rows = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
         assert rows == [[eid, spec.description] for eid, spec in specs.items()]
 
-    def test_every_builtin_spec_is_gated_and_takes_points_and_seed(self):
-        specs = {
-            experiment_id: spec
-            for experiment_id, spec in registry.all_experiments().items()
-            if spec.driver.__module__.startswith("repro.harness.")
-        }
-        assert len(specs) == 22
-        artifacts = [spec.artifact for spec in specs.values() if spec.artifact]
+    def test_builtin_specs_are_22_with_unique_artifacts(self):
+        assert len(_BUILTIN) == 22
+        artifacts = [spec.artifact for spec in _BUILTIN.values() if spec.artifact]
         assert len(artifacts) == len(set(artifacts)) == 5
-        for experiment_id, spec in specs.items():
-            assert spec.gate is not None, experiment_id
-            assert (spec.payload is None) == (spec.artifact is None), experiment_id
-            parameters = inspect.signature(spec.driver).parameters
-            assert {"n_points", "seed"} <= set(parameters), experiment_id
-            # the driver's signature holds the one default point budget
-            assert isinstance(parameters["n_points"].default, int), experiment_id
+
+    @pytest.mark.parametrize("experiment_id", sorted(_BUILTIN))
+    def test_every_builtin_spec_is_gated_and_takes_points_and_seed(self, experiment_id):
+        spec = _BUILTIN[experiment_id]
+        assert spec.gate is not None
+        assert (spec.payload is None) == (spec.artifact is None)
+        parameters = inspect.signature(spec.driver).parameters
+        assert {"n_points", "seed"} <= set(parameters)
+        # the driver's signature holds the one default point budget
+        assert isinstance(parameters["n_points"].default, int)
+        # every benchmark param names a driver parameter; none is swallowed
+        assert not any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+        assert set(spec.params()) - {"points"} <= set(parameters)
+
+    def test_run_passes_points_and_seed_only_when_given(self):
+        calls = []
+
+        def driver(n_points=3, seed=None, **kw):
+            calls.append({"n_points": n_points, "seed": seed, **kw})
+
+        spec = registry.ExperimentSpec("_test_run", "temporary", driver)
+        spec.run()
+        spec.run(points=7, seed=2, scale=5)
+        assert calls == [
+            {"n_points": 3, "seed": None},
+            {"n_points": 7, "seed": 2, "scale": 5},
+        ]
+
+    def test_run_rejects_a_point_budget_given_twice(self):
+        spec = registry.ExperimentSpec("_test_run", "temporary", lambda **kw: kw)
+        assert spec.run(n_points=4) == {"n_points": 4}
+        with pytest.raises(TypeError):
+            spec.run(points=4, n_points=5)
 
     def test_extension_experiments_are_registered(self):
         assert {"serve", "memory", "query", "fig10_batch"} <= set(
